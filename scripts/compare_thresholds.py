@@ -7,8 +7,10 @@ certified multiple.
 """
 
 import json
+from fractions import Fraction
+from typing import Sequence
 
-from posbounds.cli import compare
+from posbounds import adjoint, jumping, matsusaka
 from posbounds.report import value_to_json
 
 PROFILES = [
@@ -18,6 +20,40 @@ PROFILES = [
 ]
 
 THEOREMS = ["siu-jets", "jet-multiples", "matsusaka"]
+
+
+def compare(profiles: Sequence[dict], theorems: Sequence[str]) -> list[dict]:
+    """Evaluate each requested threshold on each profile and mark the
+    minimal very-ampleness multiple.
+
+    A profile is {"name", "n", "mu", "Ln", "LK"}; supported theorem ids are
+    "siu-jets", "jet-multiples", and "matsusaka"."""
+    rows = []
+    for prof in profiles:
+        row: dict = {"profile": prof.get("name", "?")}
+        values: dict[str, Fraction] = {}
+        for theorem in theorems:
+            if theorem == "siu-jets":
+                values[theorem] = Fraction(
+                    adjoint.siu_jet_threshold(prof["n"], adjoint.JetSpec((1,)))
+                )
+            elif theorem == "jet-multiples":
+                values[theorem] = Fraction(
+                    jumping.theorem1117_threshold(prof["n"], 1, prof["mu"])
+                )
+            elif theorem == "matsusaka":
+                bound = matsusaka.matsusaka_very_ample(
+                    prof["n"], prof["Ln"], prof["LK"]
+                )
+                values[theorem] = bound.hi
+            else:
+                raise ValueError(f"unknown theorem id {theorem!r}")
+        row["thresholds"] = {k: values[k] for k in sorted(values)}
+        if values:
+            best = min(sorted(values), key=lambda k: values[k])
+            row["minimal"] = best
+        rows.append(row)
+    return rows
 
 
 def main() -> None:

@@ -1,10 +1,17 @@
-"""Command line front-end: parse flags, dispatch to the bound modules, and
-emit BoundReport JSON or Markdown tables.
+"""Command line front-end.
+
+``COMMANDS`` maps each subcommand path to its flags, given as argparse
+keyword arguments whose ``type`` parses every value exactly once, and to a
+``run(args, tol)`` that returns the ``BoundReport`` to print (None when it
+printed a Markdown table itself).  Reports built here echo the parsed flags
+as ``inputs``, except the presentation flags ``--format``, ``--window`` and
+``--samples``; ``jets main``, ``matsusaka`` and ``bounds surface`` print the
+report their bound function builds.
 
 Exit codes: 0 when a verdict was computed (including "unsatisfied"), 2 on
-input errors, 3 when bracket certification failed even after refinement.
-The POSBOUNDS_TOL environment variable overrides the default tolerance
-10^-12; rationals are accepted anywhere a number is ("3/7", "0.25", "4").
+input errors (a malformed flag is an argparse usage error), 3 when bracket
+certification failed even after refinement.  POSBOUNDS_TOL overrides the
+default tolerance 10^-12; numbers may be any rational ("3/7", "0.25", "4").
 """
 
 from __future__ import annotations
@@ -13,8 +20,9 @@ import argparse
 import json
 import os
 import sys
+from argparse import Namespace
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import adjoint, convexity, jumping, lelong, matsusaka, multiplier, numpoly
 from .report import BoundReport
@@ -24,8 +32,8 @@ EXIT_INPUT = 2
 EXIT_BRACKET = 3
 
 
-class InputError(Exception):
-    pass
+class InputError(ValueError):
+    """Malformed caller input; argparse turns it into a usage error."""
 
 
 def parse_q(text: str) -> Fraction:
@@ -36,48 +44,37 @@ def parse_q(text: str) -> Fraction:
 
 
 def parse_q_list(text: str) -> list[Fraction]:
-    if not text:
-        return []
-    return [parse_q(part) for part in text.split(",")]
+    return [parse_q(part) for part in text.split(",")] if text else []
 
 
 def parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",")] if text else []
-    except ValueError as exc:
-        raise InputError(f"not an integer list: {text!r}") from exc
+    return [int(part) for part in text.split(",")] if text else []
+
+
+def _int_pairs(text: str, sep: str) -> list[tuple[int, int]]:
+    # a part without the separator leaves b empty, and int("") raises
+    parts = [part.partition(sep) for part in text.split(",")] if text else []
+    return [(int(a), int(b)) for a, _, b in parts]
 
 
 def parse_int_map(text: str) -> dict[int, int]:
     """Parse "1=5,2=9" into {1: 5, 2: 9}."""
-    out: dict[int, int] = {}
-    if not text:
-        return out
-    for part in text.split(","):
-        if "=" not in part:
-            raise InputError(f"expected key=value, got {part!r}")
-        k, v = part.split("=", 1)
-        try:
-            out[int(k)] = int(v)
-        except ValueError as exc:
-            raise InputError(f"not an integer pair: {part!r}") from exc
-    return out
+    return dict(_int_pairs(text, "="))
 
 
 def parse_pairs(text: str) -> list[tuple[int, int]]:
     """Parse "1:0,0:-1" into [(1, 0), (0, -1)]."""
-    out = []
-    if not text:
-        return out
-    for part in text.split(","):
-        if ":" not in part:
-            raise InputError(f"expected a:b pair, got {part!r}")
-        a, b = part.split(":", 1)
-        try:
-            out.append((int(a), int(b)))
-        except ValueError as exc:
-            raise InputError(f"not an integer pair: {part!r}") from exc
-    return out
+    return _int_pairs(text, ":")
+
+
+def parse_radii(text: str) -> list[float]:
+    """Nonempty comma list of rationals, as the floats the quadrature takes."""
+    return [float(parse_q(part)) for part in text.split(",")]
+
+
+def parse_policy(text: str) -> str | int:
+    """A named lambda policy, or an explicit integer lambda."""
+    return int(text) if text.lstrip("-").isdigit() else text
 
 
 def default_tol() -> Fraction:
@@ -90,385 +87,231 @@ def default_tol() -> Fraction:
     return tol
 
 
-def emit(report: BoundReport) -> None:
-    print(json.dumps(report.to_json(), sort_keys=True))
+# not echoed into inputs: the subcommand path, its runner, presentation flags
+NOT_ECHOED = {"command", "variant", "run", "format", "window", "samples"}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="posbounds",
-        description="Exact-arithmetic positivity bound calculators.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    bounds = sub.add_parser("bounds", help="adjoint-bundle thresholds")
-    bsub = bounds.add_subparsers(dest="variant", required=True)
-    siu = bsub.add_parser("siu")
-    siu.add_argument("--n", type=int, required=True)
-    siu.add_argument("--jets", default="1", help="comma list of jet orders")
-    reider = bsub.add_parser("reider")
-    reider.add_argument("--L2", type=int, required=True)
-    reider.add_argument("--mode", choices=["spanned", "separation"], required=True)
-    reider.add_argument("--divisors", default="", help="L.D:D^2 pairs")
-    bes = bsub.add_parser("bes")
-    bes.add_argument("--L2", type=int, required=True)
-    bes.add_argument("--p", type=int, required=True)
-    bes.add_argument("--divisors", default="")
-    pluri = bsub.add_parser("pluri")
-    pluri.add_argument("--n", type=int, required=True)
-    pluri.add_argument("--case", choices=["general_type", "fano"], required=True)
-    pluri.add_argument("--Kn", type=int, default=None, help="|K^n|")
-    surface = bsub.add_parser("surface")
-    surface.add_argument("--jets", default="0")
-    surface.add_argument("--L2", type=int, required=True)
-    surface.add_argument("--minLC", type=int, required=True)
-
-    jets = sub.add_parser("jets", help="jumping-value criteria")
-    jsub = jets.add_subparsers(dest="variant", required=True)
-    jmain = jsub.add_parser("main")
-    jmain.add_argument("--n", type=int, required=True)
-    jmain.add_argument("--sigma0", required=True)
-    jmain.add_argument("--a", default="0")
-    jmain.add_argument("--beta", required=True, help="comma list, 0=b1<...<=1")
-    jmain.add_argument("--min", dest="min_map", required=True, help="p=minY pairs")
-    jmain.add_argument("--Ln", required=True)
-    jtable = jsub.add_parser("table")
-    jtable.add_argument("--s", type=int, default=None)
-    jtable.add_argument("--format", choices=["json", "table"], default="table")
-    jmu = jsub.add_parser("mu")
-    jmu.add_argument("--n", type=int, required=True)
-    jmu.add_argument("--per-dim", dest="per_dim", required=True, help="p=min pairs")
-
-    mats = sub.add_parser("matsusaka", help="very-ampleness multiples")
-    mats.add_argument("--n", type=int, required=True)
-    mats.add_argument("--Ln", required=True)
-    mats.add_argument("--LK", required=True)
-    mats.add_argument("--LB", default="0")
-    mats.add_argument("--policy", default="demailly")
-
-    morse = sub.add_parser("morse", help="asymptotic section existence")
-    morse.add_argument("--n", type=int, required=True)
-    morse.add_argument("--Fn", required=True)
-    morse.add_argument("--FG", required=True)
-
-    mult = sub.add_parser("mult-ideal", help="monomial multiplier ideal")
-    mult.add_argument("--alpha", required=True, help="comma list of exponents")
-
-    lel = sub.add_parser("lelong", help="density quadrature for t -> (t^u, t^v)")
-    lel.add_argument("--u", type=int, required=True)
-    lel.add_argument("--v", type=int, required=True)
-    lel.add_argument("--radii", default="0.1,0.01,0.001")
-    lel.add_argument("--samples", type=int, default=4096)
-
-    poly = sub.add_parser("poly", help="numerical polynomial windows")
-    poly.add_argument("--coeffs", required=True, help="binomial-basis coefficients")
-    poly.add_argument("--window", choices=["a", "b", "c"], required=True)
-    poly.add_argument("--m0", type=int, required=True)
-    poly.add_argument("--N", type=int, default=None)
-    poly.add_argument("--k", type=int, default=None)
-
-    ht = sub.add_parser("ht", help="convexity inequalities for nef data")
-    hsub = ht.add_subparsers(dest="variant", required=True)
-    hprod = hsub.add_parser("products")
-    hprod.add_argument("--selfints", required=True, help="comma list u_j^n")
-    hprod.add_argument("--mixed", required=True, help="u_1...u_n")
-    hchain = hsub.add_parser("chain")
-    hchain.add_argument("--Ln", required=True)
-    hchain.add_argument("--LH", required=True)
-    hchain.add_argument("--LnpHp", required=True)
-    hchain.add_argument("--n", type=int, required=True)
-    hchain.add_argument("--p", type=int, required=True)
-    hdiag = hsub.add_parser("diag")
-    hdiag.add_argument("--lambdas", required=True)
-    hdiag.add_argument("--p", type=int, required=True)
-
-    return parser
+def _report(args: Namespace, theorem: str, threshold, verdict: str, **details) -> BoundReport:
+    inputs = {k: v for k, v in vars(args).items() if k not in NOT_ECHOED}
+    return BoundReport(theorem, inputs, threshold, verdict, details)
 
 
-def _run_bounds(args: argparse.Namespace) -> BoundReport:
-    if args.variant == "siu":
-        spec = adjoint.JetSpec(tuple(parse_int_list(args.jets)))
-        threshold = adjoint.siu_jet_threshold(args.n, spec)
-        return BoundReport(
-            theorem="siu-jets",
-            inputs={"n": args.n, "jets": list(spec.orders)},
-            threshold=threshold,
-            verdict=f"jets generated by 2K+mL+G for m >= {threshold}",
-        )
-    if args.variant == "reider":
-        divisors = parse_pairs(args.divisors)
-        res = adjoint.reider_check(args.L2, args.mode, divisors)
-        return BoundReport(
-            theorem="reider",
-            inputs={"L2": args.L2, "mode": args.mode, "divisors": [list(d) for d in divisors]},
-            threshold=5 if args.mode == "spanned" else 10,
-            verdict=res.outcome.value,
-            details={"matched": [list(d) for d in res.matched]},
-        )
-    if args.variant == "bes":
-        divisors = parse_pairs(args.divisors)
-        res = adjoint.bes_check(args.L2, args.p, divisors)
-        return BoundReport(
-            theorem="bes-jets",
-            inputs={"L2": args.L2, "p": args.p, "divisors": [list(d) for d in divisors]},
-            threshold=4 * args.p,
-            verdict=res.outcome.value,
-            details={"matched": [list(d) for d in res.matched]},
-        )
-    if args.variant == "pluri":
-        m0, degree = adjoint.pluricanonical_bounds(args.n, args.case, args.Kn)
-        return BoundReport(
-            theorem="pluricanonical",
-            inputs={"n": args.n, "case": args.case, "Kn": args.Kn},
-            threshold=m0,
-            verdict=f"{'m' if args.case == 'general_type' else '-m'}K very ample for m >= {m0}",
-            details={"embedding_degree": degree},
-        )
-    if args.variant == "surface":
-        spec = adjoint.JetSpec(tuple(parse_int_list(args.jets)))
-        return adjoint.surface_nadel_criterion(spec, args.L2, args.minLC)
-    raise InputError(f"unknown bounds variant {args.variant!r}")
+def _siu(a: Namespace, tol: Fraction) -> BoundReport:
+    m = adjoint.siu_jet_threshold(a.n, adjoint.JetSpec(tuple(a.jets)))
+    return _report(a, "siu-jets", m, f"jets generated by 2K+mL+G for m >= {m}")
 
 
-def _run_jets(args: argparse.Namespace, tol: Fraction) -> BoundReport | None:
-    if args.variant == "main":
-        return jumping.main_theorem_check(
-            n=args.n,
-            sigma0=parse_q(args.sigma0),
-            a=parse_q(args.a),
-            beta=parse_q_list(args.beta),
-            minY=parse_int_map(args.min_map),
-            Ln=parse_q(args.Ln),
-            tol=tol,
-        )
-    if args.variant == "table":
-        table = jumping.corollary118_table(args.s)
-        if args.format == "json":
-            return BoundReport(
-                theorem="surface-table",
-                inputs={"s": args.s},
-                threshold=None,
-                verdict="table",
-                details={
-                    "spanned": list(table["spanned"]),
-                    "separation": [list(p) for p in table["separation"]],
-                    "constants": table["constants"],
-                    **({"jets": list(table["jets"])} if "jets" in table else {}),
-                },
-            )
-        print(render_surface_table(table))
-        return None
-    if args.variant == "mu":
-        per_dim = parse_int_map(args.per_dim)
-        mu = jumping.mu_invariant(per_dim, args.n, tol)
-        return BoundReport(
-            theorem="mu-invariant",
-            inputs={"n": args.n, "per_dim": {str(k): v for k, v in per_dim.items()}},
-            threshold=mu,
-            verdict="upper bound computed from declared minima",
-        )
-    raise InputError(f"unknown jets variant {args.variant!r}")
+def _outcome(a: Namespace, theorem: str, threshold: int, res: adjoint.CheckResult) -> BoundReport:
+    return _report(a, theorem, threshold, res.outcome.value, matched=res.matched)
+
+
+def _pluri(a: Namespace, tol: Fraction) -> BoundReport:
+    m0, degree = adjoint.pluricanonical_bounds(a.n, a.case, a.Kn)
+    verdict = f"{'m' if a.case == 'general_type' else '-m'}K very ample for m >= {m0}"
+    return _report(a, "pluricanonical", m0, verdict, embedding_degree=degree)
+
+
+def _surface_table(a: Namespace, tol: Fraction) -> BoundReport | None:
+    table = jumping.corollary118_table(a.s)
+    if a.format == "json":
+        return _report(a, "surface-table", None, "table", **table)
+    print(render_surface_table(table))
+    return None
 
 
 def render_surface_table(table: dict) -> str:
-    lines = [
-        "| criterion | L^2 > | L.C > |",
-        "|---|---|---|",
-        f"| spanned | {table['spanned'][0]} | {table['spanned'][1]} |",
-    ]
-    for a, b in table["separation"]:
-        lines.append(f"| separation | {a} | {b} |")
-    if "jets" in table:
-        lines.append(f"| s-jets | {table['jets'][0]} | {table['jets'][1]} |")
     c = table["constants"]
-    lines.append(
-        f"| constants | spanned for m >= {c['spanned_m']} | very ample for m >= {c['very_ample_m']} |"
-    )
-    return "\n".join(lines)
+    rows = [("spanned", *table["spanned"])]
+    rows += [("separation", *pair) for pair in table["separation"]]
+    rows += [("s-jets", *table["jets"])] if "jets" in table else []
+    rows.append(("constants", f"spanned for m >= {c['spanned_m']}",
+                 f"very ample for m >= {c['very_ample_m']}"))
+    lines = ["| criterion | L^2 > | L.C > |", "|---|---|---|"]
+    return "\n".join(lines + [f"| {name} | {l2} | {lc} |" for name, l2, lc in rows])
 
 
-def _run_matsusaka(args: argparse.Namespace, tol: Fraction) -> BoundReport:
-    policy: str | int = args.policy
-    if isinstance(policy, str) and policy.lstrip("-").isdigit():
-        policy = int(policy)
-    inputs = matsusaka.MatsusakaInputs.of(
-        n=args.n,
-        Ln=parse_q(args.Ln),
-        LB=parse_q(args.LB),
-        LK=parse_q(args.LK),
-        lambda_policy=policy,
-    )
-    report = matsusaka.matsusaka_main(inputs, tol)
-    if args.n == 2 and inputs.LB == 0:
-        fdb, factor4 = matsusaka.fdb_surface_bound(
-            inputs.Ln, inputs.LK + 4 * inputs.Ln
-        )
+def _matsusaka(a: Namespace, tol: Fraction) -> BoundReport:
+    inputs = matsusaka.MatsusakaInputs.of(a.n, a.Ln, a.LB, a.LK, a.policy)
+    report = matsusaka.matsusaka_main(inputs)
+    if a.n == 2 and a.LB == 0:
+        fdb, factor4 = matsusaka.fdb_surface_bound(a.Ln, a.LK + 4 * a.Ln)
         report.details["surface_comparison"] = {"fdb": fdb, "factor4": factor4}
     return report
 
 
-def _run_morse(args: argparse.Namespace) -> BoundReport:
-    Fn, FG = parse_q(args.Fn), parse_q(args.FG)
-    m = convexity.morse_existence_threshold(Fn, FG, args.n)
-    return BoundReport(
-        theorem="morse-existence",
-        inputs={"n": args.n, "Fn": Fn, "FG": FG},
-        threshold=m,
-        verdict=f"some multiple of mF-G has a section for m >= {m}",
-        details={"trapani_lower": convexity.trapani_lower(Fn, FG, args.n)},
+def _morse(a: Namespace, tol: Fraction) -> BoundReport:
+    m = convexity.morse_existence_threshold(a.Fn, a.FG, a.n)
+    return _report(
+        a, "morse-existence", m, f"some multiple of mF-G has a section for m >= {m}",
+        trapani_lower=convexity.trapani_lower(a.Fn, a.FG, a.n),
     )
 
 
-def _run_mult_ideal(args: argparse.Namespace) -> BoundReport:
-    alpha = tuple(parse_q(a) for a in args.alpha.split(","))
-    weights = multiplier.MonomialWeightData.of(*alpha)
-    ideal = multiplier.monomial_multiplier_ideal(weights)
-    return BoundReport(
-        theorem="monomial-multiplier-ideal",
-        inputs={"alpha": list(alpha)},
-        threshold=None,
-        verdict="trivial" if ideal.is_trivial else "nontrivial",
-        details={"generators": [list(g) for g in ideal.sorted_generators()]},
+def _mult_ideal(a: Namespace, tol: Fraction) -> BoundReport:
+    ideal = multiplier.monomial_multiplier_ideal(multiplier.MonomialWeightData.of(*a.alpha))
+    verdict = "trivial" if ideal.is_trivial else "nontrivial"
+    return _report(a, "monomial-multiplier-ideal", None, verdict,
+                   generators=ideal.sorted_generators())
+
+
+def _lelong(a: Namespace, tol: Fraction) -> BoundReport:
+    estimates = lelong.lelong_numeric(lelong.ParamCurve(a.u, a.v), a.radii, a.samples)
+    verdict = f"area ratio tends to the multiplicity {a.u}"
+    report = _report(a, "density-quadrature", a.u, verdict, estimates=estimates)
+    report.inputs["radii"] = [str(r) for r in a.radii]
+    return report
+
+
+# window -> (search, the flag that bounds it)
+WINDOWS = {"a": (numpoly.window_a, "N"), "b": (numpoly.window_b, "k"),
+           "c": (numpoly.window_c, "N")}
+
+
+def _poly(a: Namespace, tol: Fraction) -> BoundReport:
+    P = numpoly.NumericalPolynomial(tuple(a.coeffs))
+    search, flag = WINDOWS[a.window]
+    if getattr(a, flag) is None:
+        raise InputError(f"window {a.window} needs --{flag}")
+    m = search(P, a.m0, getattr(a, flag))
+    return _report(a, f"poly-window-{a.window}", m, f"P({m}) meets the window-{a.window} target")
+
+
+def _inequality(a: Namespace, theorem: str, res: convexity.InequalityResult) -> BoundReport:
+    return _report(a, theorem, res.slack, res.verdict.value, equality=res.equality)
+
+
+INT = {"type": int, "required": True}
+Q = {"type": parse_q, "required": True}
+Q_LIST = {"type": parse_q_list, "required": True}
+DIVISORS = {"type": parse_pairs, "default": "", "help": "L.D:D^2 pairs"}
+
+HELP = {
+    "bounds": "adjoint-bundle thresholds",
+    "jets": "jumping-value criteria",
+    "matsusaka": "very-ampleness multiples",
+    "morse": "asymptotic section existence",
+    "mult-ideal": "monomial multiplier ideal",
+    "lelong": "density quadrature for t -> (t^u, t^v)",
+    "poly": "numerical polynomial windows",
+    "ht": "convexity inequalities for nef data",
+}
+
+# subcommand path -> ({flag: argparse kwargs}, run)
+COMMANDS: dict[tuple[str, ...], tuple[dict[str, dict], Callable]] = {
+    ("bounds", "siu"): (
+        {"--n": INT,
+         "--jets": {"type": parse_int_list, "default": "1", "help": "comma list of jet orders"}},
+        _siu,
+    ),
+    ("bounds", "reider"): (
+        {"--L2": INT, "--mode": {"choices": ["spanned", "separation"], "required": True},
+         "--divisors": DIVISORS},
+        lambda a, tol: _outcome(a, "reider", 5 if a.mode == "spanned" else 10,
+                                adjoint.reider_check(a.L2, a.mode, a.divisors)),
+    ),
+    ("bounds", "bes"): (
+        {"--L2": INT, "--p": INT, "--divisors": DIVISORS},
+        lambda a, tol: _outcome(a, "bes-jets", 4 * a.p, adjoint.bes_check(a.L2, a.p, a.divisors)),
+    ),
+    ("bounds", "pluri"): (
+        {"--n": INT, "--case": {"choices": ["general_type", "fano"], "required": True},
+         "--Kn": {"type": int, "help": "|K^n|"}},
+        _pluri,
+    ),
+    ("bounds", "surface"): (
+        {"--jets": {"type": parse_int_list, "default": "0"}, "--L2": INT, "--minLC": INT},
+        lambda a, tol: adjoint.surface_nadel_criterion(adjoint.JetSpec(tuple(a.jets)),
+                                                       a.L2, a.minLC),
+    ),
+    ("jets", "main"): (
+        {"--n": INT, "--sigma0": Q, "--a": {"type": parse_q, "default": "0"},
+         "--beta": {**Q_LIST, "help": "comma list, 0=b1<...<=1"},
+         "--min": {"dest": "minY", "type": parse_int_map, "required": True, "help": "p=minY pairs"},
+         "--Ln": Q},
+        lambda a, tol: jumping.main_theorem_check(a.n, a.sigma0, a.a, a.beta, a.minY, a.Ln, tol),
+    ),
+    ("jets", "table"): (
+        {"--s": {"type": int}, "--format": {"choices": ["json", "table"], "default": "table"}},
+        _surface_table,
+    ),
+    ("jets", "mu"): (
+        {"--n": INT, "--per-dim": {"type": parse_int_map, "required": True, "help": "p=min pairs"}},
+        lambda a, tol: _report(a, "mu-invariant", jumping.mu_invariant(a.per_dim, a.n, tol),
+                               "upper bound computed from declared minima"),
+    ),
+    ("matsusaka",): (
+        {"--n": INT, "--Ln": Q, "--LK": Q, "--LB": {"type": parse_q, "default": "0"},
+         "--policy": {"type": parse_policy, "default": "demailly"}},
+        _matsusaka,
+    ),
+    ("morse",): ({"--n": INT, "--Fn": Q, "--FG": Q}, _morse),
+    ("mult-ideal",): ({"--alpha": {**Q_LIST, "help": "comma list of exponents"}}, _mult_ideal),
+    ("lelong",): (
+        {"--u": INT, "--v": INT, "--radii": {"type": parse_radii, "default": "0.1,0.01,0.001"},
+         "--samples": {"type": int, "default": 4096}},
+        _lelong,
+    ),
+    ("poly",): (
+        {"--coeffs": {"type": parse_int_list, "required": True,
+                      "help": "binomial-basis coefficients"},
+         "--window": {"choices": WINDOWS, "required": True},
+         "--m0": INT, "--N": {"type": int}, "--k": {"type": int}},
+        _poly,
+    ),
+    ("ht", "products"): (
+        {"--selfints": {**Q_LIST, "help": "comma list u_j^n"},
+         "--mixed": {**Q, "help": "u_1...u_n"}},
+        lambda a, tol: _inequality(a, "ht-products",
+                                   convexity.ht_products(a.selfints, a.mixed, tol)),
+    ),
+    ("ht", "chain"): (
+        {"--Ln": Q, "--LH": Q, "--LnpHp": Q, "--n": INT, "--p": INT},
+        lambda a, tol: _inequality(a, "ht-chain",
+                                   convexity.ht_mixed_chain(a.Ln, a.LH, a.LnpHp, a.n, a.p)),
+    ),
+    ("ht", "diag"): (
+        {"--lambdas": Q_LIST, "--p": INT},
+        lambda a, tol: _inequality(a, "ht-diag", convexity.diag_form_check(a.lambdas, a.p)),
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="posbounds", description="Exact-arithmetic positivity bound calculators."
     )
-
-
-def _run_lelong(args: argparse.Namespace) -> BoundReport:
-    curve = lelong.ParamCurve(args.u, args.v)
-    radii = [float(parse_q(r)) for r in args.radii.split(",")]
-    estimates = lelong.lelong_numeric(curve, radii, args.samples)
-    return BoundReport(
-        theorem="density-quadrature",
-        inputs={"u": args.u, "v": args.v, "radii": [str(r) for r in radii]},
-        threshold=args.u,
-        verdict=f"area ratio tends to the multiplicity {args.u}",
-        details={"estimates": [[r, nu] for r, nu in estimates]},
-    )
-
-
-def _run_poly(args: argparse.Namespace) -> BoundReport:
-    P = numpoly.NumericalPolynomial(tuple(parse_int_list(args.coeffs)))
-    if args.window == "a":
-        if args.N is None:
-            raise InputError("window a needs --N")
-        m = numpoly.window_a(P, args.m0, args.N)
-    elif args.window == "b":
-        if args.k is None:
-            raise InputError("window b needs --k")
-        m = numpoly.window_b(P, args.m0, args.k)
-    else:
-        if args.N is None:
-            raise InputError("window c needs --N")
-        m = numpoly.window_c(P, args.m0, args.N)
-    return BoundReport(
-        theorem=f"poly-window-{args.window}",
-        inputs={"coeffs": list(P.coeffs), "m0": args.m0, "N": args.N, "k": args.k},
-        threshold=m,
-        verdict=f"P({m}) meets the window-{args.window} target",
-    )
-
-
-def _run_ht(args: argparse.Namespace, tol: Fraction) -> BoundReport:
-    if args.variant == "products":
-        res = convexity.ht_products(parse_q_list(args.selfints), parse_q(args.mixed), tol)
-        inputs = {"selfints": parse_q_list(args.selfints), "mixed": parse_q(args.mixed)}
-        name = "ht-products"
-    elif args.variant == "chain":
-        res = convexity.ht_mixed_chain(
-            parse_q(args.Ln), parse_q(args.LH), parse_q(args.LnpHp), args.n, args.p
-        )
-        inputs = {
-            "Ln": parse_q(args.Ln),
-            "LH": parse_q(args.LH),
-            "LnpHp": parse_q(args.LnpHp),
-            "n": args.n,
-            "p": args.p,
-        }
-        name = "ht-chain"
-    elif args.variant == "diag":
-        res = convexity.diag_form_check(parse_q_list(args.lambdas), args.p)
-        inputs = {"lambdas": parse_q_list(args.lambdas), "p": args.p}
-        name = "ht-diag"
-    else:
-        raise InputError(f"unknown ht variant {args.variant!r}")
-    return BoundReport(
-        theorem=name,
-        inputs=inputs,
-        threshold=res.slack,
-        verdict=res.verdict.value,
-        details={"equality": res.equality},
-    )
-
-
-def compare(profiles: Sequence[dict], theorems: Sequence[str]) -> list[dict]:
-    """Evaluate each requested threshold on each profile and mark the
-    minimal very-ampleness multiple.
-
-    A profile is {"name", "n", "mu", "Ln", "LK"}; supported theorem ids are
-    "siu-jets", "jet-multiples", and "matsusaka"."""
-    rows = []
-    for prof in profiles:
-        row: dict = {"profile": prof.get("name", "?")}
-        values: dict[str, Fraction] = {}
-        for theorem in theorems:
-            if theorem == "siu-jets":
-                values[theorem] = Fraction(
-                    adjoint.siu_jet_threshold(prof["n"], adjoint.JetSpec((1,)))
-                )
-            elif theorem == "jet-multiples":
-                values[theorem] = Fraction(
-                    jumping.theorem1117_threshold(prof["n"], 1, prof["mu"])
-                )
-            elif theorem == "matsusaka":
-                bound = matsusaka.matsusaka_very_ample(
-                    prof["n"], prof["Ln"], prof["LK"]
-                )
-                values[theorem] = bound.hi
-            else:
-                raise InputError(f"unknown theorem id {theorem!r}")
-        row["thresholds"] = {k: values[k] for k in sorted(values)}
-        if values:
-            best = min(sorted(values), key=lambda k: values[k])
-            row["minimal"] = best
-        rows.append(row)
-    return rows
+    commands = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for (name, *variant), (flags, run) in COMMANDS.items():
+        if not variant:
+            leaf = commands.add_parser(name, help=HELP[name])
+        else:
+            if name not in groups:
+                group = commands.add_parser(name, help=HELP[name])
+                groups[name] = group.add_subparsers(dest="variant", required=True)
+            leaf = groups[name].add_parser(variant[0])
+        for flag, kwargs in flags.items():
+            leaf.add_argument(flag, **kwargs)
+        leaf.set_defaults(run=run)
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 2 on bad flags already; normalize other codes
-        return EXIT_INPUT if exc.code not in (0,) else 0
+        # argparse exits 2 on usage errors and 0 after --help
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        tol = default_tol()
-        if args.command == "bounds":
-            report = _run_bounds(args)
-        elif args.command == "jets":
-            report = _run_jets(args, tol)
-            if report is None:
-                return EXIT_OK
-        elif args.command == "matsusaka":
-            report = _run_matsusaka(args, tol)
-        elif args.command == "morse":
-            report = _run_morse(args)
-        elif args.command == "mult-ideal":
-            report = _run_mult_ideal(args)
-        elif args.command == "lelong":
-            report = _run_lelong(args)
-        elif args.command == "poly":
-            report = _run_poly(args)
-        elif args.command == "ht":
-            report = _run_ht(args, tol)
-        else:
-            raise InputError(f"unknown command {args.command!r}")
-    except (InputError, ValueError, KeyError, ZeroDivisionError, numpoly.WindowNotFound) as exc:
+        report = args.run(args, default_tol())
+    except (ValueError, KeyError, ZeroDivisionError, numpoly.WindowNotFound) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ArithmeticError as exc:
         print(f"bracket certification failed: {exc}", file=sys.stderr)
         return EXIT_BRACKET
-    emit(report)
+    if report is not None:
+        print(json.dumps(report.to_json(), sort_keys=True))
     return EXIT_OK
 
 

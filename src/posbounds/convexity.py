@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .core import Bracket, QLike, binom, bracket_prod, elem_sym, pow_bracket
+from .core import Bracket, QLike, binom, bracket_prod, certify, elem_sym, pow_bracket
 
 
 class Verdict(Enum):
@@ -75,15 +75,16 @@ def ht_products(
     brackets = [b if isinstance(b, Bracket) else Bracket.point(b) for b in selfints]
     if any(b.lo < 0 for b in brackets):
         raise ValueError("self-intersections of nef classes must be nonnegative")
-    tol = Fraction(tol)
-    for attempt_tol in (tol, tol / 1024):
-        gm = bracket_prod(pow_bracket_interval(b, Fraction(1, n), attempt_tol) for b in brackets)
+
+    def attempt(t: Fraction) -> tuple[bool, Bracket]:
+        gm = bracket_prod(pow_bracket_interval(b, Fraction(1, n), t) for b in brackets)
         slack = Bracket.point(mixed) - gm
-        if slack.lo >= 0:
-            return InequalityResult(Verdict.HOLDS, slack)
-        if slack.hi < 0:
-            return InequalityResult(Verdict.VIOLATED, slack)
-    return InequalityResult(Verdict.UNKNOWN, slack)
+        return slack.lo >= 0 or slack.hi < 0, slack
+
+    decided, slack = certify(attempt, Fraction(tol), 2)
+    if not decided:
+        return InequalityResult(Verdict.UNKNOWN, slack)
+    return InequalityResult(Verdict.HOLDS if slack.lo >= 0 else Verdict.VIOLATED, slack)
 
 
 def pow_bracket_interval(b: Bracket, e: Fraction, tol: Fraction) -> Bracket:

@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 Q = Fraction
 QLike = Union[int, Fraction]
+T = TypeVar("T")
 
 
 def binom(n: int, k: int) -> int:
@@ -177,6 +178,19 @@ def nth_root_bracket(r: QLike, q: int, tol: QLike) -> Bracket:
     if exact and lo ** q == r:
         return Bracket.point(lo)
     return Bracket(lo, Fraction(t + 1, scale))
+
+
+def certify(
+    attempt: Callable[[Fraction], tuple[bool, T]], tol: Fraction, rounds: int
+) -> tuple[bool, T]:
+    """Refinement loop: call attempt(tol / 1024**k) for k = 0..rounds-1
+    (rounds >= 1) and return the first (True, result), or the last
+    (False, result)."""
+    for k in range(rounds):
+        ok, result = attempt(tol / 1024**k)
+        if ok:
+            break
+    return ok, result
 
 
 def pow_bracket(x: QLike, e: QLike, tol: QLike) -> Bracket:

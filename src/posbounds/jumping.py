@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .core import Bracket, QLike, bracket_min, elem_sym, pow_bracket
+from .core import Bracket, QLike, bracket_min, certify, elem_sym, pow_bracket
 from .report import BoundReport
 
 from .adjoint import JetSpec
@@ -83,28 +83,31 @@ def sigma_sequence(
     if not (0 < sigma0 < Ln):
         raise ValueError("need 0 < sigma0 < L^n")
     q = 1 - sigma0 / Ln
-    for attempt_tol in (tol, tol / 1024, tol / 1024 ** 2):
+
+    def attempt(t: Fraction) -> tuple[bool, list[Bracket]]:
         sigmas = []
         for p in range(1, n):
-            root = pow_bracket(q, Fraction(p, n), attempt_tol)
+            root = pow_bracket(q, Fraction(p, n), t)
             sigmas.append((Bracket.point(1) - root) * Bracket.point(Ln))
         ok = all(s.lo > sigma0 * p / n and s.hi < sigma0 for p, s in enumerate(sigmas, 1))
-        ok = ok and all(a.hi < b.lo for a, b in zip(sigmas, sigmas[1:]))
-        if ok:
-            return SigmaSequence(n, sigma0, tuple(sigmas))
-    raise ArithmeticError("could not certify sigma bounds at the given tolerance")
+        return ok and all(a.hi < b.lo for a, b in zip(sigmas, sigmas[1:])), sigmas
+
+    ok, sigmas = certify(attempt, tol, 3)
+    if not ok:
+        raise ArithmeticError("could not certify sigma bounds at the given tolerance")
+    return SigmaSequence(n, sigma0, tuple(sigmas))
 
 
 def _rhs_bracket(
-    b_prefix: Sequence[Fraction], a: Fraction, sigma: SigmaSequence, minY: int
+    b_prefix: Sequence[Fraction], a: Fraction, sigma: SigmaSequence, divisor: QLike
 ) -> Bracket:
-    """(1/minY) sum_{j=0..p-1} S_j(b) a^j sigma_{p-j} as a bracket."""
+    """(1/divisor) sum_{j=0..p-1} S_j(b) a^j sigma_{p-j} as a bracket."""
     p = len(b_prefix)
     total = Bracket.point(Fraction(0))
     for j in range(p):
         coeff = elem_sym(list(b_prefix), j) * a ** j
         total = total + Bracket.point(coeff) * sigma[p - j]
-    return total * Bracket.point(Fraction(1, minY))
+    return total * Bracket.point(1 / Fraction(divisor))
 
 
 def recursion_bound(
@@ -197,17 +200,12 @@ def main_theorem_check(
     satisfied = True
     margins: dict[str, Fraction] = {}
     for p in range(1, n):
-        prefix = betas[:p]
-        denom = math.prod(betas[p] - bj for bj in prefix)
-        rhs = Bracket.point(Fraction(0))
-        for j in range(p):
-            coeff = elem_sym(prefix, j) * a ** j
-            rhs = rhs + Bracket.point(coeff) * sigma[p - j]
-        rhs = rhs * Bracket.point(1 / denom)
         if p not in minY:
             satisfied = False
             margins[str(p)] = None
             continue
+        prefix = betas[:p]
+        rhs = _rhs_bracket(prefix, a, sigma, math.prod(betas[p] - bj for bj in prefix))
         margins[str(p)] = Fraction(minY[p]) - rhs.hi
         if not (Fraction(minY[p]) > rhs.hi):
             satisfied = False

@@ -2,10 +2,9 @@
 
 Existence windows for sections of mL - B, the explicit main bound with its
 internal recursion, the two published policies for the auxiliary constant
-lambda_n, and the surface specialisations.  Every printed exponent here turns
-out to be an integer, so the bounds are exact rationals; pow_bracket is still
-used so a hypothetical fractional exponent would degrade gracefully to a
-rounded-up bracket instead of crashing.
+lambda_n, and the surface specialisations.  Every exponent in these bounds
+is an integer (see _main_exponents), so they are computed with exact integer
+powers of rationals and reported as point Brackets.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .core import Bracket, QLike, pow_bracket
+from .core import Bracket, QLike
 from .report import BoundReport
 
 
@@ -110,34 +109,32 @@ class MatsusakaInputs:
         return self.LB + self.resolved_LH()
 
 
-def _main_exponents(n: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    pre = Fraction(3 ** (n - 1) - 1, 2)
-    ebh = Fraction(3 ** (n - 1) + 1, 2)
-    eh = 3 ** (n - 2) * (Fraction(n, 2) - Fraction(3, 4)) - Fraction(1, 4)
-    eln = 3 ** (n - 2) * (Fraction(n, 2) - Fraction(1, 4)) + Fraction(1, 4)
+def _main_exponents(n: int) -> tuple[int, int, int, int]:
+    # Every exponent here and in matsusaka_very_ample is an integer: 3^(n-1) is
+    # odd, and 3^(n-2)(2n-3) = 1, 3^(n-2)(2n-1) = 3^(n-2)(2n+3) = -1 (mod 4),
+    # because mod 4, 3^(n-2) = 3 and 2n = 2 for odd n, 3^(n-2) = 1 and 2n = 0
+    # for even n.
+    pre = (3 ** (n - 1) - 1) // 2
+    ebh = (3 ** (n - 1) + 1) // 2
+    eh = (3 ** (n - 2) * (2 * n - 3) - 1) // 4  # 3^(n-2)(n/2 - 3/4) - 1/4
+    eln = (3 ** (n - 2) * (2 * n - 1) + 1) // 4  # 3^(n-2)(n/2 - 1/4) + 1/4
     return pre, ebh, eh, eln
 
 
-def matsusaka_main(
-    inputs: MatsusakaInputs, tol: QLike = Fraction(1, 10**12)
-) -> BoundReport:
+def matsusaka_main(inputs: MatsusakaInputs) -> BoundReport:
     """The explicit bound: mL - B is very ample whenever
     m >= (2n)^((3^(n-1)-1)/2) (LBH)^((3^(n-1)+1)/2) (LH)^(e_H) / (L^n)^(e_L)
     with e_H = 3^(n-2)(n/2 - 3/4) - 1/4 and e_L = 3^(n-2)(n/2 - 1/4) + 1/4."""
     n = inputs.n
     if inputs.Ln == 0:
         raise ValueError("L^n must be positive")
-    tol = Fraction(tol)
     LH = inputs.resolved_LH()
     LBH = inputs.resolved_LBH()
+    if LH < 0 or LBH < 0:
+        raise ValueError("L^(n-1).H and L^(n-1).(B+H) must be nonnegative")
     pre, ebh, eh, eln = _main_exponents(n)
-    bound = (
-        pow_bracket(Fraction(2 * n), pre, tol)
-        * pow_bracket(LBH, ebh, tol)
-        * pow_bracket(LH, eh, tol)
-        * pow_bracket(inputs.Ln, -eln, tol)
-    )
-    m_int = math.ceil(bound.hi)
+    bound = (2 * n) ** pre * LBH ** ebh * LH ** eh / inputs.Ln ** eln
+    m_int = math.ceil(bound)
     return BoundReport(
         theorem="matsusaka-main",
         inputs={
@@ -147,11 +144,9 @@ def matsusaka_main(
             "LK": inputs.LK,
             "LH": LH,
             "LBH": LBH,
-            "lambda": lambda_n(n, inputs.lambda_policy)
-            if inputs.LH is None
-            else None,
+            "lambda": lambda_n(n, inputs.lambda_policy) if inputs.LH is None else None,
         },
-        threshold=bound,
+        threshold=Bracket.point(bound),
         verdict=f"mL-B very ample for all integers m >= {m_int}",
         details={"m_integer": m_int, "exponents": {"pre": pre, "LBH": ebh, "LH": eh, "Ln": eln}},
     )
@@ -162,24 +157,22 @@ def matsusaka_very_ample(
     Ln: QLike,
     LK: QLike,
     policy: Union[str, int] = "demailly",
-    tol: QLike = Fraction(1, 10**12),
 ) -> Bracket:
     """Closed form of the B = 0 case: mL very ample for
     m >= (2n)^((3^(n-1)-1)/2) lambda_n^e (L^n)^(3^(n-2)) (n+2+LK/L^n)^e
     with e = 3^(n-2)(n/2 + 3/4) + 1/4."""
     if n < 2:
         raise ValueError("need n >= 2")
-    Ln, LK, tol = Fraction(Ln), Fraction(LK), Fraction(tol)
+    Ln, LK = Fraction(Ln), Fraction(LK)
     if Ln < 1:
         raise ValueError("L^n must be >= 1")
+    if n + 2 + LK / Ln < 0:
+        raise ValueError("n + 2 + L^(n-1).K / L^n must be nonnegative")
     lam = lambda_n(n, policy)
-    e = 3 ** (n - 2) * (Fraction(n, 2) + Fraction(3, 4)) + Fraction(1, 4)
-    pre = Fraction(3 ** (n - 1) - 1, 2)
-    return (
-        pow_bracket(Fraction(2 * n), pre, tol)
-        * pow_bracket(Fraction(lam), e, tol)
-        * pow_bracket(Ln, Fraction(3 ** (n - 2)), tol)
-        * pow_bracket(n + 2 + LK / Ln, e, tol)
+    e = (3 ** (n - 2) * (2 * n + 3) + 1) // 4  # 3^(n-2)(n/2 + 3/4) + 1/4
+    pre = (3 ** (n - 1) - 1) // 2
+    return Bracket.point(
+        (2 * n) ** pre * Fraction(lam) ** e * Ln ** (3 ** (n - 2)) * (n + 2 + LK / Ln) ** e
     )
 
 

@@ -7,7 +7,6 @@ from posbounds.cli import (
     EXIT_BRACKET,
     EXIT_INPUT,
     EXIT_OK,
-    compare,
     main,
     parse_int_map,
     parse_pairs,
@@ -183,18 +182,6 @@ def test_exit_code_on_bracket_failure(capsys, monkeypatch):
     )
     assert code == EXIT_BRACKET
     capsys.readouterr()
-
-
-def test_compare_profiles():
-    rows = compare(
-        [{"name": "surface", "n": 2, "mu": 1, "Ln": 1, "LK": 0}],
-        ["siu-jets", "jet-multiples"],
-    )
-    assert rows[0]["thresholds"] == {"jet-multiples": 48, "siu-jets": 23}
-    assert rows[0]["minimal"] == "siu-jets"
-    assert compare([], ["siu-jets"]) == []
-    rows = compare([{"name": "big-mu", "n": 2, "mu": 1000, "Ln": 1, "LK": 0}], ["siu-jets", "jet-multiples"])
-    assert rows[0]["minimal"] == "jet-multiples"
 
 
 def test_output_ordering_deterministic(capsys):

@@ -1,0 +1,110 @@
+"""Golden stdout for the command line front-end.
+
+Every command in the README's ``## CLI`` block, plus one or more calls for
+each subcommand the README leaves out, is run through ``cli.main`` and its
+stdout compared byte for byte with ``cli_golden.json``.  The only exception
+is the numpy quadrature in ``lelong``, whose estimates are compared at a
+relative tolerance of 1e-12.  Malformed flags must be refused as usage
+errors: exit 2, nothing on stdout, no traceback.
+"""
+
+import json
+import math
+import shlex
+from pathlib import Path
+
+import pytest
+
+from posbounds.cli import EXIT_INPUT, EXIT_OK, main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+EXTRA_COMMANDS = [
+    "bounds siu --n 3 --jets 0,1,2",
+    "bounds reider --L2 5 --mode spanned --divisors 1:0",
+    "bounds bes --L2 9 --p 2 --divisors 3:1,5:2",
+    "bounds pluri --n 3 --case fano",
+    "bounds pluri --n 2 --case general_type --Kn 4",
+    "bounds surface --jets 0,1 --L2 40 --minLC 30",
+    "jets main --n 3 --sigma0 8 --a 1 --beta 0,1/27,1 --min 1=300 --Ln 64",
+    "jets main --n 2 --sigma0 70 --a 0 --beta 0,1 --min 1=3 --Ln 64",
+    "jets mu --n 3 --per-dim 1=3,2=9,3=20",
+    "jets table",
+    "jets table --format json",
+    "jets table --s 2 --format json",
+    "matsusaka --n 2 --Ln 3 --LK 1/2",
+    "matsusaka --n 3 --Ln 2 --LK 3 --LB 1 --policy angehrn-siu",
+    "morse --n 3 --Fn 5/2 --FG 7",
+    "mult-ideal --alpha 3/2,5/2,7",
+    "lelong --u 3 --v 5 --radii 0.5,0.05 --samples 2000",
+    "poly --coeffs 1,2,1 --window b --m0 0 --k 3",
+    "poly --coeffs 0,1 --window c --m0 0 --N 7",
+    "ht products --selfints 2,3 --mixed 3",
+    "ht products --selfints 4,4 --mixed 4",
+    "ht chain --Ln 4 --LH 6 --LnpHp 9 --n 2 --p 2",
+    "ht diag --lambdas 1,1,1 --p 1",
+]
+
+
+def readme_commands() -> list[str]:
+    """The ``posbounds ...`` lines of the README's ``## CLI`` code block."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        shlex.join(shlex.split(line, comments=True)[1:])
+        for line in block.splitlines()
+        if line.startswith("posbounds ")
+    ]
+
+
+def all_commands() -> list[str]:
+    return readme_commands() + EXTRA_COMMANDS
+
+
+def run(capsys, command: str) -> tuple[int, str, str]:
+    code = main(shlex.split(command))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_readme_lists_cli_commands():
+    assert len(readme_commands()) >= 10
+
+
+@pytest.mark.parametrize("command", all_commands())
+def test_cli_stdout_matches_golden(capsys, command):
+    golden = json.loads(GOLDEN.read_text())
+    assert command in golden, f"no golden output for {command!r}"
+    code, out, _ = run(capsys, command)
+    assert code == EXIT_OK
+    if not command.startswith("lelong "):
+        assert out == golden[command]
+        return
+    got, want = json.loads(out), json.loads(golden[command])
+    got_est, want_est = got["details"].pop("estimates"), want["details"].pop("estimates")
+    assert got == want
+    assert [r for r, _ in got_est] == [r for r, _ in want_est]
+    for (_, nu), (_, nu_want) in zip(got_est, want_est):
+        assert math.isclose(nu, nu_want, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "command, env",
+    [
+        ("bounds reider --L2 10 --mode spanned --divisors 1-2", None),
+        ("jets main --n 2 --sigma0 4 --beta 0,1 --min 1:3 --Ln 5", None),
+        ("jets main --n 2 --sigma0 4 --beta 0,x --min 1=3 --Ln 5", None),
+        ("bounds siu --n 2 --jets a", None),
+        ("morse --n 2 --Fn 1/0 --FG 3", None),
+        ("morse --n 2 --Fn 2 --FG 3", "abc"),
+    ],
+)
+def test_malformed_input_is_a_usage_error(capsys, monkeypatch, command, env):
+    if env is not None:
+        monkeypatch.setenv("POSBOUNDS_TOL", env)
+    code, out, err = run(capsys, command)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "Traceback" not in err

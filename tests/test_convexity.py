@@ -51,6 +51,9 @@ def test_ht_products_bracket_inputs():
     assert res.verdict is Verdict.HOLDS
     res = ht_products([Bracket(Fraction(8), Fraction(9)), 9], 1)
     assert res.verdict is Verdict.VIOLATED
+    # the slack interval [-0.47..., 0] straddles 0 after every refinement
+    res = ht_products([Bracket(Fraction(4), Fraction(5)), 4], 4)
+    assert res.verdict is Verdict.UNKNOWN and res.slack.lo < 0 and res.slack.hi == 0
 
 
 def test_ht_products_rejects_negative():

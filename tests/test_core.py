@@ -12,6 +12,7 @@ from posbounds.core import (
     bracket_min,
     bracket_prod,
     ceil_q,
+    certify,
     elem_sym,
     floor_q,
     iroot,
@@ -162,3 +163,15 @@ def test_pow_bracket_zero_and_one():
 def test_golden_sqrt5_bracket():
     b = pow_bracket(Fraction(5), Fraction(1, 2), Fraction(1, 10**12))
     assert abs(float(b.lo) - math.sqrt(5)) < 1e-11
+
+
+def test_certify_refines_by_1024_until_the_first_success():
+    seen = []
+
+    def attempt(t):
+        seen.append(t)
+        return t < Fraction(1, 1000), t
+
+    assert certify(attempt, Fraction(1), 3) == (True, Fraction(1, 1024))
+    assert seen == [Fraction(1), Fraction(1, 1024)]
+    assert certify(lambda t: (False, t), Fraction(1), 2) == (False, Fraction(1, 1024))
