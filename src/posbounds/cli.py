@@ -25,15 +25,12 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import adjoint, convexity, jumping, lelong, matsusaka, multiplier, numpoly
+from .core import InputError  # argparse turns it into a usage error
 from .report import BoundReport
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BRACKET = 3
-
-
-class InputError(ValueError):
-    """Malformed caller input; argparse turns it into a usage error."""
 
 
 def parse_q(text: str) -> Fraction:

@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .core import Bracket, QLike, binom, bracket_prod, certify, elem_sym, pow_bracket
+from .core import Bracket, InputError, QLike, binom, bracket_prod, certify, elem_sym, pow_bracket
 
 
 class Verdict(Enum):
@@ -57,6 +57,8 @@ def ht_products(
     A Violated verdict flags nef-inconsistent input data.
     """
     n = len(selfints)
+    if n == 0:
+        raise InputError("selfints must list at least one self-intersection")
     mixed = Fraction(mixed)
     exact_inputs = [s for s in selfints if not isinstance(s, Bracket)]
     if len(exact_inputs) == n:
@@ -123,6 +125,8 @@ def diag_form_check(lambdas: Sequence[QLike], p: int) -> InequalityResult:
     """Certify p!(n-p)! S_p(lambda) >= n! (lambda_1...lambda_n)^(p/n),
     with exact equality detection (equality iff all lambda equal)."""
     vals = [Fraction(v) for v in lambdas]
+    if not vals:
+        raise InputError("lambdas must list at least one eigenvalue")
     if any(v <= 0 for v in vals):
         raise ValueError("eigenvalues must be positive")
     n = len(vals)

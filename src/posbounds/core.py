@@ -19,6 +19,10 @@ QLike = Union[int, Fraction]
 T = TypeVar("T")
 
 
+class InputError(ValueError):
+    """Malformed caller input; the CLI reports it as an input error (exit 2)."""
+
+
 def binom(n: int, k: int) -> int:
     """C(n, k) as an exact integer; 0 outside the range 0 <= k <= n."""
     if k < 0 or k > n:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .core import Bracket, QLike, bracket_min, certify, elem_sym, pow_bracket
+from .core import Bracket, InputError, QLike, bracket_min, certify, elem_sym, pow_bracket
 from .report import BoundReport
 
 from .adjoint import JetSpec
@@ -333,6 +333,10 @@ def mu_invariant(
     Computed from declared minima only, so the result is an upper bound for
     the true infimum.  Homogeneous: scaling F^p.Y by k^p scales mu by k.
     """
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
+    if not per_dim:
+        raise InputError("per_dim must declare the minima for p = 1..n")
     missing = [p for p in range(1, n + 1) if p not in per_dim]
     if missing:
         raise ValueError(f"missing per-dimension minima for p in {missing}")

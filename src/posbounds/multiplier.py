@@ -2,12 +2,16 @@
 
 The monomial case: for the weight log(|z_1|^a1 + ... + |z_p|^ap) the ideal is
 generated by the monomials z^beta with sum_j (beta_j + 1)/a_j > 1, strictly
-(the boundary integral diverges).  A dyadic quadrature oracle double-checks
-the integrability criterion at desk scale (p <= 2); it is test support only.
+(the boundary integral diverges).  Its minimal generators come straight from
+the staircase of least last exponents, one exact floor per prefix (Howald,
+Multiplier ideals of monomial ideals, Trans. AMS 353 (2001)).  A dyadic
+quadrature oracle double-checks the integrability criterion at desk scale
+(p <= 2); it is test support only.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -54,32 +58,28 @@ def membership_criterion(alpha: Sequence[Fraction], beta: Sequence[int]) -> bool
 
 
 def monomial_multiplier_ideal(w: MonomialWeightData) -> MonomialIdeal:
+    """Minimal generators of the multiplier ideal, read off the staircase.
+
+    With integer weights w_j = L / alpha_j (L the lcm of the numerators) the
+    criterion reads sum_j (beta_j + 1) w_j > L, so for each prefix
+    beta_1..beta_{p-1} the least last exponent is
+    max(0, floor((L - sum_{j<p} (beta_j + 1) w_j) / w_p)), that is
+    floor(alpha_p (1 - sum_{j<p} (beta_j + 1)/alpha_j)) clamped at 0.  The
+    prefix with that last exponent is a minimal generator iff lowering any
+    positive prefix entry strictly raises the least last exponent.  A minimal
+    generator has beta_j <= ceil(alpha_j) (beta_j + 1 > alpha_j alone meets
+    the criterion), so only the prefix box is visited: O(prefix box * p).
+    """
     alpha = w.alpha
-    p = len(alpha)
-    # beta_j + 1 > alpha_j alone satisfies the criterion, so minimal
-    # generators live in the box beta_j <= ceil(alpha_j).
-    box = [ceil_q(a) for a in alpha]
-    members: list[tuple[int, ...]] = []
-    for beta in _box_iter(box):
-        if membership_criterion(alpha, beta):
-            members.append(beta)
-    minimal = [
-        b
-        for b in members
-        if not any(
-            other != b and all(o <= x for o, x in zip(other, b)) for other in members
-        )
-    ]
-    return MonomialIdeal(frozenset(minimal))
-
-
-def _box_iter(box: list[int]):
-    if not box:
-        yield ()
-        return
-    for b in range(box[0] + 1):
-        for rest in _box_iter(box[1:]):
-            yield (b,) + rest
+    L = math.lcm(*(a.numerator for a in alpha))
+    *head, last = [a.denominator * (L // a.numerator) for a in alpha]
+    generators = []
+    for prefix in itertools.product(*(range(ceil_q(a) + 1) for a in alpha[:-1])):
+        rest = L - sum((b + 1) * wj for b, wj in zip(prefix, head))
+        least = max(0, rest // last)
+        if all(b == 0 or (rest + wj) // last > least for b, wj in zip(prefix, head)):
+            generators.append(prefix + (least,))
+    return MonomialIdeal(frozenset(generators))
 
 
 @dataclass(frozen=True)

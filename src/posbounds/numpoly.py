@@ -1,9 +1,12 @@
 """Numerical polynomials in binomial basis and the three window lemmas.
 
 P(m) = sum c_j * C(m, j) with integer c_j maps integers to integers by
-construction.  The window searches assume (caller contract) that P >= 0 on
-[m0, infinity); a failed search therefore signals a violated assertion, not a
-missing value, and raises WindowNotFound.
+construction; C(m, j) is the polynomial m (m-1) ... (m-j+1) / j!, so P is
+defined at negative m too.  The window searches assume (caller contract) that
+P >= 0 on [m0, infinity); a failed search therefore signals a violated
+assertion, not a missing value, and raises WindowNotFound.  Each search finds
+the least qualifying integer exactly, by Sturm-sequence root isolation of the
+integer polynomial d! (P(x) - target): its cost grows with log N, not N.
 """
 
 from __future__ import annotations
@@ -43,7 +46,13 @@ class NumericalPolynomial:
         return self.coeffs[-1]
 
     def __call__(self, m: int) -> int:
-        return sum(c * binom(m, j) for j, c in enumerate(self.coeffs))
+        return sum(c * _binom_poly(m, j) for j, c in enumerate(self.coeffs))
+
+
+def _binom_poly(m: int, j: int) -> int:
+    """The polynomial m (m-1) ... (m-j+1) / j! at any integer m; unlike
+    core.binom it is not 0 for negative m: C(m, j) = (-1)^j C(j - m - 1, j)."""
+    return math.comb(m, j) if m >= 0 else (-1) ** j * math.comb(j - m - 1, j)
 
 
 def leading_coeff_rr(LdY: int, d: int) -> tuple[Fraction, int]:
@@ -60,11 +69,7 @@ def window_a(P: NumericalPolynomial, m0: int, N: int) -> int:
     """Smallest m in [m0, m0 + N*d] with P(m) >= N."""
     if N < 0:
         raise ValueError("N must be nonnegative")
-    d = P.degree
-    for m in range(m0, m0 + N * d + 1):
-        if P(m) >= N:
-            return m
-    raise WindowNotFound(f"no m in [{m0}, {m0 + N * d}] with P(m) >= {N}")
+    return _first_reaching(P, N, m0, m0 + N * P.degree)
 
 
 def window_b(P: NumericalPolynomial, m0: int, k: int) -> int:
@@ -72,11 +77,8 @@ def window_b(P: NumericalPolynomial, m0: int, k: int) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     d = P.degree
-    bound = -(-P.leading * k ** d // 2 ** (d - 1))  # ceil
-    for m in range(m0, m0 + k * d + 1):
-        if P(m) >= bound:
-            return m
-    raise WindowNotFound(f"no m in [{m0}, {m0 + k * d}] with P(m) >= {bound}")
+    bound = -(-2 * P.leading * k ** d // 2 ** d)  # ceil, an int even at d = 0
+    return _first_reaching(P, bound, m0, m0 + k * d)
 
 
 def window_c(P: NumericalPolynomial, m0: int, N: int) -> int:
@@ -84,10 +86,86 @@ def window_c(P: NumericalPolynomial, m0: int, N: int) -> int:
     d = P.degree
     if N < 2 * d * d:
         raise PreconditionViolated(f"need N >= 2d^2 = {2 * d * d}, got {N}")
-    for m in range(m0, m0 + N + 1):
-        if P(m) >= N:
-            return m
-    raise WindowNotFound(f"no m in [{m0}, {m0 + N}] with P(m) >= {N}")
+    return _first_reaching(P, N, m0, m0 + N)
+
+
+def _first_reaching(P: NumericalPolynomial, target: int, lo: int, hi: int) -> int:
+    """Smallest integer m in [lo, hi] with P(m) >= target.
+
+    q = d! (P - target) has integer coefficients.  While q(m) < 0, the next
+    integer where q can be nonnegative is the ceiling of the next real root
+    above m, found by bisecting over integers on Sturm counts; q has at most
+    d distinct roots, so this costs O(d log(hi - lo)) chain evaluations.
+    """
+    chain = _sturm_chain(_shifted_power_coeffs(P, target))
+    q = chain[0]
+    m = lo  # lo <= hi for every window
+    while _horner(q, m) < 0:
+        v_m = _variations(chain, m)
+
+        def root_in(x: int) -> bool:
+            # a root in (m, x]; the Sturm count holds since q(m) != 0 != q(x)
+            return _horner(q, x) == 0 or _variations(chain, x) < v_m
+
+        if not root_in(hi):
+            raise WindowNotFound(f"no m in [{lo}, {hi}] with P(m) >= {target}")
+        below, above = m, hi  # no root in (m, below], one in (m, above]
+        while above - below > 1:
+            mid = (below + above) // 2
+            if root_in(mid):
+                above = mid
+            else:
+                below = mid
+        m = above
+    return m
+
+
+def _shifted_power_coeffs(P: NumericalPolynomial, target: int) -> list[int]:
+    """Power-basis coefficients of d! (P(x) - target), highest degree first."""
+    d = P.degree
+    out = [0] * (d + 1)  # lowest degree first while building
+    falling = [1]  # x (x-1) ... (x-j+1), lowest degree first
+    for j, c in enumerate(P.coeffs):
+        scale = c * (math.factorial(d) // math.factorial(j))
+        for i, f in enumerate(falling):
+            out[i] += scale * f
+        falling = [a - j * b for a, b in zip([0] + falling, falling + [0])]
+    out[0] -= math.factorial(d) * target
+    return out[::-1]
+
+
+def _sturm_chain(q: list[int]) -> list[list[int]]:
+    """Sturm sequence q, q', -rem(q, q'), ... (highest degree first).  Each
+    remainder is taken times a positive factor, so it stays integral and the
+    sign changes are those of the rational sequence."""
+    d = len(q) - 1
+    chain = [q, [c * (d - i) for i, c in enumerate(q[:-1])]]
+    while len(chain[-1]) > 1:
+        r, b = chain[-2], chain[-1]
+        scale, sign = abs(b[0]), 1 if b[0] > 0 else -1
+        while len(r) >= len(b):
+            pad = [0] * (len(r) - len(b))
+            r = [scale * x - sign * r[0] * y for x, y in zip(r[1:], b[1:] + pad)]
+        while r and r[0] == 0:
+            r = r[1:]
+        if not r:
+            break
+        g = math.gcd(*r)
+        chain.append([-x // g for x in r])
+    return [poly for poly in chain if poly]  # q' is empty at d = 0
+
+
+def _horner(poly: list[int], x: int) -> int:
+    v = 0
+    for c in poly:
+        v = v * x + c
+    return v
+
+
+def _variations(chain: list[list[int]], x: int) -> int:
+    """Sign changes along the chain at x, zeros dropped."""
+    signs = [v > 0 for v in (_horner(poly, x) for poly in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def iterated_difference(P: NumericalPolynomial, d: int) -> int:

@@ -158,6 +158,23 @@ def test_exit_code_on_domain_error(capsys):
     capsys.readouterr()
 
 
+def test_empty_lists_exit_2_with_the_argument_named(capsys):
+    for argv, name in [
+        (["ht", "products", "--selfints", "", "--mixed", "1"], "selfints"),
+        (["ht", "diag", "--lambdas", "", "--p", "0"], "lambdas"),
+        (["jets", "mu", "--n", "0", "--per-dim", ""], "n must be"),
+    ]:
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and name in captured.err
+
+
+def test_poly_window_b_degree_zero_target_is_an_int(capsys):
+    code = main(["poly", "--coeffs", "3", "--window", "b", "--m0", "0", "--k", "2"])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == "input error: no m in [0, 0] with P(m) >= 6\n"
+
+
 def test_tolerance_env_var(capsys, monkeypatch):
     monkeypatch.setenv("POSBOUNDS_TOL", "1/1000")
     code, doc = run_json(

@@ -16,7 +16,7 @@ from posbounds.convexity import (
     singular_morse_Aq,
     trapani_lower,
 )
-from posbounds.core import Bracket
+from posbounds.core import Bracket, InputError
 from posbounds.projective import DivisorClass, ProductSpace, h0, top_intersection
 
 pos = st.fractions(min_value=Fraction(1, 10), max_value=100, max_denominator=20)
@@ -27,6 +27,13 @@ def test_ht_products_exact_holds():
     # Simplest: equal classes give equality.
     res = ht_products([4, 4], 4)
     assert res.verdict is Verdict.HOLDS and res.equality
+
+
+def test_empty_lists_are_input_errors():
+    with pytest.raises(InputError, match="selfints"):
+        ht_products([], 1)
+    with pytest.raises(InputError, match="lambdas"):
+        diag_form_check([], 0)
 
 
 def test_ht_products_exact_violated_flags_bad_data():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from posbounds.adjoint import JetSpec
+from posbounds.core import InputError
 from posbounds.jumping import (
     JumpSequence,
     beta_schedule,
@@ -239,6 +240,15 @@ def test_mu_invariant():
     assert m.lo**2 <= 3 <= m.hi**2  # sqrt(3) bracket wins the min
     with pytest.raises(ValueError):
         mu_invariant({1: 2}, 2)
+
+
+def test_mu_invariant_validates_its_arguments():
+    with pytest.raises(InputError, match="n must be >= 1"):
+        mu_invariant({}, 0)
+    with pytest.raises(InputError, match="n must be >= 1"):
+        mu_invariant({1: 2}, 0)
+    with pytest.raises(InputError, match="per_dim"):
+        mu_invariant({}, 2)
 
 
 def test_mu_invariant_homogeneity():

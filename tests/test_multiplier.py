@@ -1,9 +1,11 @@
 """Tests for monomial and normal-crossing multiplier ideals."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from posbounds.multiplier import (
     MonomialWeightData,
@@ -15,6 +17,18 @@ from posbounds.multiplier import (
     skoda_classify,
     snc_round_down,
 )
+
+
+def box_filter_generators(alpha) -> frozenset[tuple[int, ...]]:
+    """Reference oracle: every member of the box beta_j <= ceil(alpha_j),
+    then the quadratic minimality filter that the staircase replaced."""
+    box = itertools.product(*(range(math.ceil(a) + 1) for a in alpha))
+    members = [beta for beta in box if membership_criterion(alpha, beta)]
+    return frozenset(
+        b
+        for b in members
+        if not any(other != b and all(o <= x for o, x in zip(other, b)) for other in members)
+    )
 
 
 def test_weight_validation():
@@ -48,6 +62,24 @@ def test_anisotropic_generators():
     ideal = monomial_multiplier_ideal(MonomialWeightData.of(6, 2))
     assert not ideal.contains((2, 0))
     assert ideal.contains((3, 0)) and ideal.contains((0, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@example([Fraction(2)] * 3)  # trivial ideal
+@example([Fraction(4)] * 3)  # |beta| >= 2: six generators
+@example([Fraction(7, 2), Fraction(1, 6), Fraction(3), Fraction(5, 3)])
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda p: st.lists(
+            st.fractions(min_value=Fraction(1, 6), max_value=[12, 9, 5, 3][p - 1], max_denominator=6),
+            min_size=p,
+            max_size=p,
+        )
+    )
+)
+def test_generators_match_the_box_filter(alpha):
+    ideal = monomial_multiplier_ideal(MonomialWeightData(tuple(alpha)))
+    assert ideal.generators == box_filter_generators(alpha)
 
 
 small_alpha = st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=8)

@@ -1,10 +1,11 @@
 """Tests for numerical polynomials and the window searches."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from posbounds.numpoly import (
     NumericalPolynomial,
@@ -16,6 +17,51 @@ from posbounds.numpoly import (
     window_b,
     window_c,
 )
+
+
+# Reference oracles: the linear scans the window searches replaced.
+
+def scan(P: NumericalPolynomial, target, lo: int, hi: int) -> int:
+    for m in range(lo, hi + 1):
+        if P(m) >= target:
+            return m
+    raise WindowNotFound(f"no m in [{lo}, {hi}] with P(m) >= {target}")
+
+
+def scan_window_a(P, m0, N):
+    if N < 0:
+        raise ValueError("N must be nonnegative")
+    return scan(P, N, m0, m0 + N * P.degree)
+
+
+def scan_window_b(P, m0, k):
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    d = P.degree
+    return scan(P, math.ceil(P.leading * k**d / Fraction(2) ** (d - 1)), m0, m0 + k * d)
+
+
+def scan_window_c(P, m0, N):
+    d = P.degree
+    if N < 2 * d * d:
+        raise PreconditionViolated(f"need N >= 2d^2 = {2 * d * d}, got {N}")
+    return scan(P, N, m0, m0 + N)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, WindowNotFound) as exc:
+        return type(exc), str(exc)
+
+
+def binomial_coeffs(values: list[int]) -> tuple[int, ...]:
+    """Binomial-basis coefficients from P(0..d): the forward differences at 0."""
+    coeffs = []
+    while values:
+        coeffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return tuple(coeffs)
 
 
 def nonneg_poly(rng: random.Random, degree: int) -> NumericalPolynomial:
@@ -46,6 +92,18 @@ def test_poly_is_integer_valued(coeffs, m):
     assert isinstance(P(m), int)
 
 
+def test_poly_evaluates_the_binomial_polynomial_at_negative_m():
+    assert NumericalPolynomial((1, 1))(-5) == -4
+    assert NumericalPolynomial((0, 0, 1))(-3) == 6  # (-3)(-4)/2
+    P = NumericalPolynomial((4, -7, 3, 2))
+    for m in range(-12, 13):
+        want = sum(
+            c * Fraction(math.prod(range(m - j + 1, m + 1)), math.factorial(j))
+            for j, c in enumerate(P.coeffs)
+        )
+        assert P(m) == want
+
+
 def test_leading_coeff_rr():
     frac, a_d = leading_coeff_rr(12, 3)
     assert frac == Fraction(12, 6) and a_d == 12
@@ -71,6 +129,33 @@ def test_window_b_bound_formula():
     # bound = ceil(4 * k^2 / 2) = 2 k^2; window [0, 2k].
     m = window_b(P, 0, 3)
     assert 0 <= m <= 6 and P(m) >= 18
+
+
+def test_window_b_bound_is_an_exact_int_at_degree_zero():
+    with pytest.raises(WindowNotFound, match=r"P\(m\) >= 6$"):
+        window_b(NumericalPolynomial((3,)), 0, 2)
+    big = 2**60 + 1
+    with pytest.raises(WindowNotFound, match=rf">= {2 * big}$"):
+        window_b(NumericalPolynomial((big,)), 0, 1)
+    assert window_b(NumericalPolynomial((-4,)), 5, 3) == 5  # P = -4 >= ceil(2 * -4)
+
+
+def test_window_a_cost_does_not_grow_with_N():
+    assert window_a(NumericalPolynomial((0, 1)), 0, 10**12) == 10**12
+    assert window_c(NumericalPolynomial((0, 1)), 0, 10**12) == 10**12
+    with pytest.raises(WindowNotFound):
+        window_a(NumericalPolynomial((-1, 0, -1)), 0, 10**15)
+
+
+def test_windows_step_over_a_bump_between_two_integers():
+    # P - N = x (x-1) (2x-11) - 1 is positive on part of (0, 1), then only
+    # past x = 5.5: the search must test ceil(root), not trust it.
+    N = 7
+    P = NumericalPolynomial(binomial_coeffs([N - 1 + x * (x - 1) * (2 * x - 11) for x in range(4)]))
+    assert P(1) < N and P(6) >= N
+    assert window_a(P, 0, N) == scan_window_a(P, 0, N) == 6
+    with pytest.raises(WindowNotFound):
+        window_a(NumericalPolynomial((N - 1, 0, -16)), 0, N)  # bump on (0, 1), then falls
 
 
 def test_window_c_precondition():
@@ -112,3 +197,40 @@ def test_iterated_difference_property(coeffs):
         coeffs[-1] = 3
     P = NumericalPolynomial(tuple(coeffs))
     assert iterated_difference(P, P.degree) == P.leading
+
+
+coeff_lists = st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=6).map(
+    lambda c: tuple(c[:-1]) + (c[-1] or 1,)
+)
+
+
+@st.composite
+def repeated_root_polys(draw):
+    """P = N + c * prod (x - r_i)^e_i: P - N has repeated integer roots."""
+    N = draw(st.integers(min_value=0, max_value=60))
+    factors = draw(st.lists(st.tuples(st.integers(-10, 40), st.integers(1, 3)), min_size=1, max_size=3))
+    degree = sum(e for _, e in factors)
+    assume(degree <= 5)
+    c = draw(st.sampled_from([-2, -1, 1, 3]))
+    values = [N + c * math.prod((x - r) ** e for r, e in factors) for x in range(degree + 1)]
+    return binomial_coeffs(values), N
+
+
+@settings(max_examples=300, deadline=None)
+@example(((-1,), None), 3, 0, 1)  # N = 0 and P = -1 never meets it
+@example(((0, -1), None), 0, 0, 1)  # N = 0, P(m0) = 0 meets it
+@example(((5, -3, 1), None), -4, 0, 1)
+@given(
+    st.one_of(coeff_lists.map(lambda c: (c, None)), repeated_root_polys()),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=0, max_value=200),
+    st.integers(min_value=-1, max_value=12),
+)
+def test_windows_match_the_linear_scan(poly_and_N, m0, N, k):
+    coeffs, root_N = poly_and_N
+    if root_N is not None:
+        N = root_N
+    P = NumericalPolynomial(coeffs)
+    assert outcome(window_a, P, m0, N) == outcome(scan_window_a, P, m0, N)
+    assert outcome(window_b, P, m0, k) == outcome(scan_window_b, P, m0, k)
+    assert outcome(window_c, P, m0, N) == outcome(scan_window_c, P, m0, N)
