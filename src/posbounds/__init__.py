@@ -5,7 +5,7 @@ Submodules:
 - ``core``: rationals, certified brackets, rational powers.
 - ``projective``: intersection numbers on products of projective spaces.
 - ``multiplier``: monomial and normal-crossing multiplier ideals.
-- ``lelong``: Lelong numbers, density quadrature, Seshadri thresholds.
+- ``lelong``: Lelong numbers, certified curve densities, Seshadri thresholds.
 - ``numpoly``: numerical polynomials and window searches.
 - ``convexity``: mixed-product inequalities and Morse-type counting.
 - ``adjoint``: jet-generation thresholds and surface criteria.

@@ -4,9 +4,9 @@
 keyword arguments whose ``type`` parses every value exactly once, and to a
 ``run(args, tol)`` that returns the ``BoundReport`` to print (None when it
 printed a Markdown table itself).  Reports built here echo the parsed flags
-as ``inputs``, except the presentation flags ``--format``, ``--window`` and
-``--samples``; ``jets main``, ``matsusaka`` and ``bounds surface`` print the
-report their bound function builds.
+as ``inputs``, except the presentation flags ``--format`` and ``--window``;
+``jets main``, ``matsusaka`` and ``bounds surface`` print the report their
+bound function builds.
 
 Exit codes: 0 when a verdict was computed (including "unsatisfied"), 2 on
 input errors (a malformed flag is an argparse usage error), 3 when bracket
@@ -64,11 +64,6 @@ def parse_pairs(text: str) -> list[tuple[int, int]]:
     return _int_pairs(text, ":")
 
 
-def parse_radii(text: str) -> list[float]:
-    """Nonempty comma list of rationals, as the floats the quadrature takes."""
-    return [float(parse_q(part)) for part in text.split(",")]
-
-
 def parse_policy(text: str) -> str | int:
     """A named lambda policy, or an explicit integer lambda."""
     return int(text) if text.lstrip("-").isdigit() else text
@@ -85,7 +80,7 @@ def default_tol() -> Fraction:
 
 
 # not echoed into inputs: the subcommand path, its runner, presentation flags
-NOT_ECHOED = {"command", "variant", "run", "format", "window", "samples"}
+NOT_ECHOED = {"command", "variant", "run", "format", "window"}
 
 
 def _report(args: Namespace, theorem: str, threshold, verdict: str, **details) -> BoundReport:
@@ -152,11 +147,9 @@ def _mult_ideal(a: Namespace, tol: Fraction) -> BoundReport:
 
 
 def _lelong(a: Namespace, tol: Fraction) -> BoundReport:
-    estimates = lelong.lelong_numeric(lelong.ParamCurve(a.u, a.v), a.radii, a.samples)
+    estimates = lelong.lelong_numeric(lelong.ParamCurve(a.u, a.v), a.radii, tol)
     verdict = f"area ratio tends to the multiplicity {a.u}"
-    report = _report(a, "density-quadrature", a.u, verdict, estimates=estimates)
-    report.inputs["radii"] = [str(r) for r in a.radii]
-    return report
+    return _report(a, "density-quadrature", a.u, verdict, estimates=estimates)
 
 
 # window -> (search, the flag that bounds it)
@@ -188,7 +181,7 @@ HELP = {
     "matsusaka": "very-ampleness multiples",
     "morse": "asymptotic section existence",
     "mult-ideal": "monomial multiplier ideal",
-    "lelong": "density quadrature for t -> (t^u, t^v)",
+    "lelong": "certified closed-form density for t -> (t^u, t^v)",
     "poly": "numerical polynomial windows",
     "ht": "convexity inequalities for nef data",
 }
@@ -244,8 +237,7 @@ COMMANDS: dict[tuple[str, ...], tuple[dict[str, dict], Callable]] = {
     ("morse",): ({"--n": INT, "--Fn": Q, "--FG": Q}, _morse),
     ("mult-ideal",): ({"--alpha": {**Q_LIST, "help": "comma list of exponents"}}, _mult_ideal),
     ("lelong",): (
-        {"--u": INT, "--v": INT, "--radii": {"type": parse_radii, "default": "0.1,0.01,0.001"},
-         "--samples": {"type": int, "default": 4096}},
+        {"--u": INT, "--v": INT, "--radii": {"type": parse_q_list, "default": "0.1,0.01,0.001"}},
         _lelong,
     ),
     ("poly",): (

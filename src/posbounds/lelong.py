@@ -2,8 +2,9 @@
 
 Currents are restricted to finite divisor data (coefficients times components
 with per-point multiplicities); that carries all the arithmetic the bound
-modules need.  A desk-scale quadrature verifies that the area-ratio density
-of a cuspidal parameter curve t -> (t^u, t^v) tends to the multiplicity u.
+modules need.  The area-ratio density of a cuspidal parameter curve
+t -> (t^u, t^v) has a closed form, certified here in integer arithmetic, that
+tends to the multiplicity u.
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
-import numpy as np
-
-from .core import QLike
+from .core import InputError, QLike
 
 
 def ord_at_origin(poly: Mapping[tuple[int, ...], int]) -> int:
@@ -88,49 +87,52 @@ class ParamCurve:
 
 
 def lelong_numeric(
-    curve: ParamCurve, radii: Sequence[float], samples: int = 4096
-) -> list[tuple[float, float]]:
-    """Area-ratio estimates nu(T, 0, r) for the current of integration over
-    the curve, at the given strictly decreasing radii in (0, 1].
+    curve: ParamCurve, radii: Sequence[QLike | float], tol: QLike = Fraction(1, 10**12)
+) -> list[tuple[QLike | float, Fraction]]:
+    """Certified area-ratio densities nu(T, 0, r) of the current of
+    integration over the curve, at the given strictly decreasing radii in
+    (0, 1].
 
-    The pullback area density is u^2 |t|^(2u-2) + v^2 |t|^(2v-2) over the
-    parameter region |t^u|^2 + |t^v|^2 <= r^2; the ratio to pi r^2 is a
-    nondecreasing function of r tending to the multiplicity u.
+    Let X = R^2 be the root in (0, 1] of X^u + X^v = r^2.  The pullback area
+    over |t| <= R is pi (u X^u + v X^v), so nu(r) = u + (v - u) X^v / r^2,
+    nondecreasing in r and tending to the multiplicity u.  Each radius is
+    returned as given, paired with an exact lower bound nu_lo satisfying
+    u <= nu_lo <= nu(r) <= nu_lo + tol.
     """
-    if samples < 1000:
-        raise ValueError("quadrature resolution must be >= 1000 sample points")
+    tol = Fraction(tol)
+    if tol <= 0:
+        raise InputError("tolerance must be positive")
     radii = list(radii)
+    if not radii:
+        raise InputError("need at least one radius")
     if any(r <= 0 or r > 1 for r in radii):
-        raise ValueError("radii must lie in (0, 1]")
+        raise InputError("radii must lie in (0, 1]")
     if any(b >= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly decreasing")
-    u, v = curve.u, curve.v
-    out = []
-    for r in radii:
-        R = _param_radius(u, v, r)
-        # Radial quadrature on a geometrically graded grid: the integrand is
-        # singular in derivative at 0, so refine toward the origin.
-        edges = R * np.geomspace(1e-8, 1.0, samples + 1)
-        edges[0] = 0.0
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        widths = np.diff(edges)
-        density = u * u * mids ** (2 * u - 1) + v * v * mids ** (2 * v - 1)
-        integral = 2.0 * math.pi * float(np.dot(density, widths))
-        out.append((r, integral / (math.pi * r * r)))
-    return out
+        raise InputError("radii must be strictly decreasing")
+    return [(r, _density_lower(curve.u, curve.v, Fraction(r) ** 2, tol)) for r in radii]
 
 
-def _param_radius(u: int, v: int, r: float) -> float:
-    """Solve R^(2u) + R^(2v) = r^2 for R in (0, 1] by bisection."""
-    target = r * r
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid ** (2 * u) + mid ** (2 * v) <= target:
+def _density_lower(u: int, v: int, r2: Fraction, tol: Fraction) -> Fraction:
+    """nu = u + (v - u) X^v / r2 rounded down to within tol, in integers.
+
+    Bisect X on the grid 2^-k.  Over one cell nu grows by at most
+    (v - u) v 2^-k / r2 (X <= 1), which the choice of k keeps below tol/2;
+    rounding the lower end down to the grid 2^-j <= tol/2 spends the rest.
+    """
+    p, q = r2.numerator, r2.denominator
+    k = max(0, (2 * (v - u) * v * q * tol.denominator).bit_length()
+            - (p * tol.numerator).bit_length() + 1)
+    j = max(0, (2 * tol.denominator).bit_length() - tol.numerator.bit_length() + 1)
+    # largest a with (a/2^k)^u + (a/2^k)^v <= p/q; a = 2^k fails, as 2 > r2
+    top, shift = p << (k * v), k * (v - u)
+    lo, hi = 0, 1 << k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if q * ((mid**u << shift) + mid**v) <= top:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return u + Fraction(((v - u) * q * lo**v << j) // top, 1 << j)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Bound reports and their lossless JSON encoding.
 
 Rationals serialize as {"num":..., "den":...} and brackets as
-{"lo":..., "hi":...}; no float round-trips anywhere.  The schema is strict:
-documents carry "schema": 1 and unknown fields are rejected.
+{"lo":..., "hi":...}; floats are refused, so no float round-trips anywhere.
+The schema is strict: documents carry "schema": 1 and unknown fields are
+rejected.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ def value_to_json(v: Any) -> Any:
             return int(v)
         return {"num": v.numerator, "den": v.denominator}
     if isinstance(v, bool) or isinstance(v, int) or isinstance(v, str) or v is None:
-        return v
-    if isinstance(v, float):
         return v
     if isinstance(v, Mapping):
         return {str(k): value_to_json(x) for k, x in v.items()}

@@ -155,12 +155,12 @@ def test_criterion_07_polynomial_windows():
 def test_criterion_08_density_quadrature():
     radii = [0.1, 0.01, 0.001]
     for (u, v) in [(2, 3), (3, 4)]:
-        out = lelong_numeric(ParamCurve(u, v), radii, samples=4096)
+        out = lelong_numeric(ParamCurve(u, v), radii)
         estimates = [nu for _, nu in out]
         for bigger, smaller in zip(estimates, estimates[1:]):
             assert smaller <= bigger + 1e-3  # nondecreasing in r
         assert abs(estimates[-1] - u) / u < 0.05
-    report_line(8, "multiplicity from the area-ratio quadrature")
+    report_line(8, "multiplicity from the certified area-ratio density")
 
 
 def test_criterion_09_inequality_property_suites():

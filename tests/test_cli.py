@@ -1,7 +1,11 @@
 """End-to-end tests for the command line front-end."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from posbounds.cli import (
     EXIT_BRACKET,
@@ -116,12 +120,21 @@ def test_mult_ideal(capsys):
 
 
 def test_lelong(capsys):
-    code, doc = run_json(
-        capsys, "lelong", "--u", "2", "--v", "3", "--radii", "0.1,0.01", "--samples", "2000"
-    )
+    code, doc = run_json(capsys, "lelong", "--u", "2", "--v", "3", "--radii", "0.1,0.01")
     assert code == EXIT_OK
-    estimates = doc["details"]["estimates"]
+    estimates = BoundReport.from_json(doc).details["estimates"]
     assert abs(estimates[-1][1] - 2.0) < 0.05
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", "import posbounds.cli, sys; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "False\n"
 
 
 def test_poly_window(capsys):

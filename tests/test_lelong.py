@@ -1,10 +1,13 @@
-"""Tests for Lelong-number arithmetic and the density quadrature."""
+"""Tests for Lelong-number arithmetic and the certified curve density."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from posbounds.core import InputError
 from posbounds.lelong import (
     Component,
     CurveData,
@@ -90,19 +93,73 @@ def test_param_curve_validation():
 
 
 def test_lelong_numeric_smooth_curve_gives_one():
-    out = lelong_numeric(ParamCurve(1, 2), [0.1, 0.01], samples=2000)
+    out = lelong_numeric(ParamCurve(1, 2), [0.1, 0.01])
     for _, nu in out:
         assert abs(nu - 1.0) < 0.2
     assert out[0][1] >= out[1][1] - 1e-6
 
 
 def test_lelong_numeric_input_validation():
-    with pytest.raises(ValueError):
-        lelong_numeric(ParamCurve(2, 3), [0.1], samples=10)
+    with pytest.raises(InputError):
+        lelong_numeric(ParamCurve(2, 3), [])
     with pytest.raises(ValueError):
         lelong_numeric(ParamCurve(2, 3), [0.01, 0.1])
     with pytest.raises(ValueError):
         lelong_numeric(ParamCurve(2, 3), [2.0])
+
+
+def test_lelong_numeric_never_below_the_multiplicity():
+    # the area ratio is u + (v - u) X^v / r^2 >= u at every radius
+    [(_, nu)] = lelong_numeric(ParamCurve(3, 7), [0.001])
+    assert nu >= 3
+
+
+# (u, v, r, nu): X = R^2 is rational, so nu(r) = u + (v - u) X^v / r^2 is exact
+EXACT = [(1, 2, Fraction(2, 3), Fraction(5, 4)), (2, 3, Fraction(45, 64), Fraction(59, 25))]
+
+
+@pytest.mark.parametrize("u, v, r, nu", EXACT)
+def test_lelong_numeric_brackets_exact_densities(u, v, r, nu):
+    tol = Fraction(1, 10**12)
+    [(r_out, lo)] = lelong_numeric(ParamCurve(u, v), [r], tol)
+    assert r_out == r
+    assert u <= lo <= nu <= lo + tol
+
+
+def density_at_least(u: int, v: int, r: Fraction, y: Fraction) -> bool:
+    """Whether nu(r) >= y, decided exactly without solving for X.
+
+    nu >= y iff X^v >= Y := (y - u) r^2 / (v - u), and as X^u + X^v = r^2
+    grows with X, iff Y^(u/v) + Y <= r^2, i.e. iff Y^u <= (r^2 - Y)^v.
+    """
+    Y = (y - u) * r**2 / (v - u)
+    return Y <= 0 or (Y <= r**2 and Y**u <= (r**2 - Y) ** v)
+
+
+def test_lelong_numeric_is_within_tol_below_the_density():
+    rng = random.Random(2)
+    for _ in range(400):
+        u = rng.randint(1, 6)
+        v = u + rng.choice([d for d in range(1, 5) if math.gcd(u, u + d) == 1])
+        r = Fraction(rng.randint(1, 10**6), 10**6)
+        tol = Fraction(1, 10 ** rng.randint(1, 30))
+        [(_, lo)] = lelong_numeric(ParamCurve(u, v), [r], tol)
+        assert lo >= u
+        assert density_at_least(u, v, r, lo)
+        assert not density_at_least(u, v, r, lo + tol)
+
+
+def test_area_formula_against_exact_riemann_sums():
+    # nu(r) = (2 / r^2) * integral_0^R (u^2 s^(2u-1) + v^2 s^(2v-1)) ds, and the
+    # integrand is convex, so midpoint sums fall below it and trapezoid sums above
+    u, v, r, R, cells = 2, 3, Fraction(45, 64), Fraction(3, 4), 400
+    f = lambda s: u * u * s ** (2 * u - 1) + v * v * s ** (2 * v - 1)
+    h = R / cells
+    midpoint = h * sum(f((i + Fraction(1, 2)) * h) for i in range(cells))
+    trapezoid = h * (sum(f(i * h) for i in range(1, cells)) + f(R) / 2)  # f(0) = 0
+    lower, upper = 2 * midpoint / r**2, 2 * trapezoid / r**2
+    assert lower < Fraction(59, 25) < upper
+    assert upper - lower < Fraction(1, 10**4)
 
 
 def test_seshadri_upper_bound():

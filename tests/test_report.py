@@ -36,6 +36,11 @@ def test_unserializable_rejected():
         value_to_json(object())
 
 
+def test_floats_rejected():
+    with pytest.raises(TypeError):
+        value_to_json({"estimate": [0.5]})
+
+
 def test_report_round_trip():
     report = BoundReport(
         theorem="example",
