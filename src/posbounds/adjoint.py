@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import binom
+from .core import InputError, binom
 from .report import BoundReport
 
 
@@ -24,6 +24,8 @@ class JetSpec:
     orders: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not self.orders:
+            raise InputError("jets must list at least one jet order")
         if any(s < 0 for s in self.orders):
             raise ValueError("jet orders must be nonnegative")
 
@@ -102,6 +104,8 @@ def pluricanonical_bounds(
     """(m0, embedding degree): mK very ample for m >= C(3n+1,n)+4 in the
     general-type case, -mK very ample for m >= C(3n+1,n) in the Fano case;
     degree of the embedding is m0^n |K^n| when |K^n| is supplied."""
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
     base = binom(3 * n + 1, n)
     if sign == "general_type":
         m0 = base + 4

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import adjoint, convexity, jumping, lelong, matsusaka, multiplier, numpoly
-from .core import InputError  # argparse turns it into a usage error
+from .core import DEFAULT_TOL, InputError  # argparse turns InputError into a usage error
 from .report import BoundReport
 
 EXIT_OK = 0
@@ -72,7 +72,7 @@ def parse_policy(text: str) -> str | int:
 def default_tol() -> Fraction:
     raw = os.environ.get("POSBOUNDS_TOL")
     if raw is None:
-        return Fraction(1, 10**12)
+        return DEFAULT_TOL
     tol = parse_q(raw)
     if tol <= 0:
         raise InputError("POSBOUNDS_TOL must be positive")
@@ -293,7 +293,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         report = args.run(args, default_tol())
-    except (ValueError, KeyError, ZeroDivisionError, numpoly.WindowNotFound) as exc:
+    except (ValueError, KeyError, ZeroDivisionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ArithmeticError as exc:

@@ -14,7 +14,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .core import Bracket, InputError, QLike, binom, bracket_prod, certify, elem_sym, pow_bracket
+from .core import (
+    DEFAULT_TOL, Bracket, InputError, QLike, binom, bracket_prod, certify, elem_sym, pow_bracket,
+)
 
 
 class Verdict(Enum):
@@ -50,7 +52,7 @@ class MixedNumbers:
 def ht_products(
     selfints: Sequence[Union[Bracket, QLike]],
     mixed: QLike,
-    tol: QLike = Fraction(1, 10**12),
+    tol: QLike = DEFAULT_TOL,
 ) -> InequalityResult:
     """Certify u_1...u_n >= (u_1^n)^(1/n) ... (u_n^n)^(1/n) for nef classes.
 
@@ -60,20 +62,6 @@ def ht_products(
     if n == 0:
         raise InputError("selfints must list at least one self-intersection")
     mixed = Fraction(mixed)
-    exact_inputs = [s for s in selfints if not isinstance(s, Bracket)]
-    if len(exact_inputs) == n:
-        vals = [Fraction(s) for s in exact_inputs]
-        if any(v < 0 for v in vals):
-            raise ValueError("self-intersections of nef classes must be nonnegative")
-        prod = math.prod(vals)
-        # mixed >= prod^(1/n)  <=>  mixed^n >= prod (mixed >= 0 for nef data)
-        if mixed < 0:
-            verdict = Verdict.VIOLATED
-        else:
-            lhs, rhs = mixed ** n, prod
-            verdict = Verdict.HOLDS if lhs >= rhs else Verdict.VIOLATED
-        slack = Bracket.point(mixed) - _geometric_mean_bracket(vals, Fraction(tol))
-        return InequalityResult(verdict, slack, equality=mixed >= 0 and mixed ** n == prod)
     brackets = [b if isinstance(b, Bracket) else Bracket.point(b) for b in selfints]
     if any(b.lo < 0 for b in brackets):
         raise ValueError("self-intersections of nef classes must be nonnegative")
@@ -83,6 +71,13 @@ def ht_products(
         slack = Bracket.point(mixed) - gm
         return slack.lo >= 0 or slack.hi < 0, slack
 
+    if not any(isinstance(s, Bracket) for s in selfints):
+        prod = math.prod(b.lo for b in brackets)
+        # mixed >= prod^(1/n)  <=>  mixed^n >= prod (mixed >= 0 for nef data)
+        holds = mixed >= 0 and mixed ** n >= prod
+        return InequalityResult(Verdict.HOLDS if holds else Verdict.VIOLATED,
+                                attempt(Fraction(tol))[1],
+                                equality=mixed >= 0 and mixed ** n == prod)
     decided, slack = certify(attempt, Fraction(tol), 2)
     if not decided:
         return InequalityResult(Verdict.UNKNOWN, slack)
@@ -94,13 +89,8 @@ def pow_bracket_interval(b: Bracket, e: Fraction, tol: Fraction) -> Bracket:
     if e <= 0:
         raise ValueError("interval powers only implemented for positive exponents")
     lo = pow_bracket(b.lo, e, tol)
-    hi = pow_bracket(b.hi, e, tol)
+    hi = lo if b.is_point else pow_bracket(b.hi, e, tol)
     return Bracket(lo.lo, hi.hi)
-
-
-def _geometric_mean_bracket(vals: Sequence[Fraction], tol: Fraction) -> Bracket:
-    n = len(vals)
-    return bracket_prod(pow_bracket(v, Fraction(1, n), tol) for v in vals)
 
 
 def ht_mixed_chain(Ln: QLike, LH: QLike, LnpHp: QLike, n: int, p: int) -> InequalityResult:
@@ -156,6 +146,8 @@ def morse_existence_threshold(Fn: QLike, FG: QLike, n: int) -> int:
     """Smallest integer m with m > n * F^(n-1).G / F^n (strict); some
     multiple of mF - G then has a section."""
     Fn, FG = Fraction(Fn), Fraction(FG)
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
     if Fn <= 0:
         raise ValueError("F^n must be positive (F big)")
     if FG < 0:

@@ -18,6 +18,8 @@ Q = Fraction
 QLike = Union[int, Fraction]
 T = TypeVar("T")
 
+DEFAULT_TOL = Fraction(1, 10**12)
+
 
 class InputError(ValueError):
     """Malformed caller input; the CLI reports it as an input error (exit 2)."""
@@ -195,6 +197,18 @@ def certify(
         if ok:
             break
     return ok, result
+
+
+def bisect(ok: Callable[[int], bool], lo: int, hi: int) -> int:
+    """Largest integer x in [lo, hi) with ok(x), given ok(lo) and ok monotone
+    (true, then false).  ok(hi) is never called."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def pow_bracket(x: QLike, e: QLike, tol: QLike) -> Bracket:

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .core import Bracket, InputError, QLike, bracket_min, certify, elem_sym, pow_bracket
+from .core import (
+    DEFAULT_TOL, Bracket, InputError, QLike, bisect, bracket_min, certify, elem_sym, pow_bracket,
+)
 from .report import BoundReport
 
 from .adjoint import JetSpec
@@ -58,8 +60,6 @@ class SigmaSequence:
 def sigma0_for(jets: JetSpec, n: int, very_ample_special: bool = False) -> Fraction:
     """sigma0 = sum (n + s_j)^n; the single-point 1-jet case admits the
     sharper value 2 n^n when very_ample_special is requested."""
-    if not jets.orders:
-        raise ValueError("need at least one jet order")
     if very_ample_special and jets.orders == (1,):
         return Fraction(2 * n ** n)
     return Fraction(sum((n + s) ** n for s in jets.orders))
@@ -72,7 +72,7 @@ def sigma0_very_ample_readings(n: int) -> dict[str, int]:
 
 
 def sigma_sequence(
-    sigma0: QLike, Ln: QLike, n: int, tol: QLike = Fraction(1, 10**12)
+    sigma0: QLike, Ln: QLike, n: int, tol: QLike = DEFAULT_TOL
 ) -> SigmaSequence:
     """sigma_p = (1 - (1 - sigma0/L^n)^(p/n)) L^n for p = 1..n-1.
 
@@ -115,7 +115,7 @@ def recursion_bound(
     a: QLike,
     sigma: SigmaSequence,
     minY: int,
-    tol: QLike = Fraction(1, 10**12),
+    tol: QLike = DEFAULT_TOL,
 ) -> Bracket:
     """Bracket for the next jumping value b_{p+1}: the unique x > b_p with
     (x - b_1)...(x - b_p) equal to the recursion right-hand side."""
@@ -137,23 +137,20 @@ def recursion_bound(
 
 
 def _increasing_root(b: Sequence[Fraction], target: Fraction, tol: Fraction) -> Bracket:
-    """Solve prod(x - b_j) = target for x > b[-1] by bisection."""
+    """Solve f(x) = prod(x - b_j) = target for x > b[-1] by bisection on the
+    grid x_i = b[-1] + width i / 2^s, whose cells are at most tol wide."""
+    lo, width = b[-1], 1
+    while math.prod(lo + width - bj for bj in b) < target:
+        width *= 2
+    # f(lo) = 0 <= target <= f(lo + width), f strictly increasing
+    s = (math.ceil(width / tol) - 1).bit_length()
+    p, q = lo.numerator, lo.denominator
 
-    def f(x: Fraction) -> Fraction:
-        return math.prod(x - bj for bj in b)
+    def x(i: int) -> Fraction:
+        return Fraction((p << s) + q * width * i, q << s)
 
-    lo = b[-1]
-    hi = lo + 1
-    while f(hi) < target:
-        hi = lo + 2 * (hi - lo)
-    # f(lo) = 0 <= target <= f(hi), f strictly increasing on [lo, hi]
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if f(mid) <= target:
-            lo = mid
-        else:
-            hi = mid
-    return Bracket(lo, hi)
+    i = bisect(lambda i: math.prod(x(i) - bj for bj in b) <= target, 0, 1 << s)
+    return Bracket(x(i), x(i + 1))
 
 
 def main_theorem_check(
@@ -163,7 +160,7 @@ def main_theorem_check(
     beta: Sequence[QLike],
     minY: Mapping[int, int],
     Ln: QLike,
-    tol: QLike = Fraction(1, 10**12),
+    tol: QLike = DEFAULT_TOL,
     nef_twist: bool = False,
 ) -> BoundReport:
     """Main numerical criterion: L^n > sigma0 and, for each p = 1..n-1,
@@ -231,7 +228,7 @@ def _beta_exponent(n: int, p: int) -> Fraction:
     return Fraction(n * (n - p), p - 1)
 
 
-def beta_schedule(n: int, tol: QLike = Fraction(1, 10**12)) -> list[Bracket]:
+def beta_schedule(n: int, tol: QLike = DEFAULT_TOL) -> list[Bracket]:
     """The standard schedule beta_p = n^(-n(n-p)/(p-1)) for 2 <= p <= n-1,
     with beta_1 = 0 and beta_n = 1.
 
@@ -258,21 +255,17 @@ def beta_schedule(n: int, tol: QLike = Fraction(1, 10**12)) -> list[Bracket]:
     return out
 
 
-def cn_constant(n: int, tol: QLike = Fraction(1, 10**12)) -> Bracket:
+def cn_constant(n: int, tol: QLike = DEFAULT_TOL) -> Bracket:
     """C_n = prod_{2 <= p <= n-1} (1 + (2n+1) beta_p) / (1 - beta_p) with
     beta_p = n^(-n(n-p)/(p-1)); the p=1 factor is 1 by the beta_1 = 0
     convention.  Exact rational whenever every exponent is an integer."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    tol = Fraction(tol)
-    result = Bracket.point(Fraction(1))
-    for p in range(2, n):
-        beta = pow_bracket(Fraction(1, n), _beta_exponent(n, p), tol)
-        factor = (Bracket.point(1) + Bracket.point(2 * n + 1) * beta) / (
-            Bracket.point(1) - beta
-        )
-        result = result * factor
-    return result
+    lo = hi = Fraction(1)
+    # each factor is positive and increasing in beta_p on [0, 1), so the ends
+    # of the beta brackets give the ends of the product
+    for beta in beta_schedule(n, tol)[1:-1]:
+        lo *= (1 + (2 * n + 1) * beta.lo) / (1 - beta.lo)
+        hi *= (1 + (2 * n + 1) * beta.hi) / (1 - beta.hi)
+    return Bracket(lo, hi)
 
 
 def lemma1115_threshold(n: int, s: int, special: bool = False) -> int:
@@ -326,7 +319,7 @@ def corollary118_table(s: int | None = None) -> dict:
 
 
 def mu_invariant(
-    per_dim: Mapping[int, int], n: int, tol: QLike = Fraction(1, 10**12)
+    per_dim: Mapping[int, int], n: int, tol: QLike = DEFAULT_TOL
 ) -> Bracket:
     """mu(F) = min over p = 1..n of (min over p-dimensional Y of F^p.Y)^(1/p).
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
-from .core import InputError, QLike
+from .core import DEFAULT_TOL, InputError, QLike, bisect
 
 
 def ord_at_origin(poly: Mapping[tuple[int, ...], int]) -> int:
@@ -87,7 +87,7 @@ class ParamCurve:
 
 
 def lelong_numeric(
-    curve: ParamCurve, radii: Sequence[QLike | float], tol: QLike = Fraction(1, 10**12)
+    curve: ParamCurve, radii: Sequence[QLike | float], tol: QLike = DEFAULT_TOL
 ) -> list[tuple[QLike | float, Fraction]]:
     """Certified area-ratio densities nu(T, 0, r) of the current of
     integration over the curve, at the given strictly decreasing radii in
@@ -125,13 +125,7 @@ def _density_lower(u: int, v: int, r2: Fraction, tol: Fraction) -> Fraction:
     j = max(0, (2 * tol.denominator).bit_length() - tol.numerator.bit_length() + 1)
     # largest a with (a/2^k)^u + (a/2^k)^v <= p/q; a = 2^k fails, as 2 > r2
     top, shift = p << (k * v), k * (v - u)
-    lo, hi = 0, 1 << k
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if q * ((mid**u << shift) + mid**v) <= top:
-            lo = mid
-        else:
-            hi = mid
+    lo = bisect(lambda a: q * ((a**u << shift) + a**v) <= top, 0, 1 << k)
     return u + Fraction(((v - u) * q * lo**v << j) // top, 1 << j)
 
 

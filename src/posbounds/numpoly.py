@@ -15,15 +15,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import binom
+from .core import InputError, binom, bisect
 
 
-class WindowNotFound(Exception):
+class WindowNotFound(InputError):
     """No qualifying integer in the stated window: the caller's
     nonnegativity assertion must have been false."""
 
 
-class PreconditionViolated(ValueError):
+class PreconditionViolated(InputError):
     pass
 
 
@@ -109,14 +109,7 @@ def _first_reaching(P: NumericalPolynomial, target: int, lo: int, hi: int) -> in
 
         if not root_in(hi):
             raise WindowNotFound(f"no m in [{lo}, {hi}] with P(m) >= {target}")
-        below, above = m, hi  # no root in (m, below], one in (m, above]
-        while above - below > 1:
-            mid = (below + above) // 2
-            if root_in(mid):
-                above = mid
-            else:
-                below = mid
-        m = above
+        m = bisect(lambda x: not root_in(x), m, hi) + 1  # least x with a root in (m, x]
     return m
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from posbounds.core import InputError
 from posbounds.adjoint import (
     CheckOutcome,
     JetSpec,
@@ -23,6 +24,8 @@ from posbounds.adjoint import (
 def test_jet_spec_validation():
     with pytest.raises(ValueError):
         JetSpec((-1,))
+    with pytest.raises(InputError, match="jets must list"):
+        JetSpec(())
     assert JetSpec.very_ample().orders == (1,)
 
 
@@ -73,6 +76,8 @@ def test_pluricanonical_golden():
         pluricanonical_bounds(2, "general_type", Kn_abs=0)
     with pytest.raises(ValueError):
         pluricanonical_bounds(2, "calabi-yau")
+    with pytest.raises(InputError, match="n must be >= 1"):
+        pluricanonical_bounds(0, "fano")
 
 
 def test_reider_spanned():

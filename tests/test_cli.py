@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from posbounds.cli import (
     EXIT_BRACKET,
     EXIT_INPUT,
@@ -180,6 +182,19 @@ def test_empty_lists_exit_2_with_the_argument_named(capsys):
         assert main(argv) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == "" and name in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "pluri", "--n", "0", "--case", "fano"], "n must be >= 1, got 0"),
+    (["morse", "--n", "0", "--Fn", "1", "--FG", "0"], "n must be >= 1, got 0"),
+    (["bounds", "siu", "--n", "2", "--jets", ""], "jets must list at least one jet order"),
+    (["bounds", "surface", "--jets", "", "--L2", "1", "--minLC", "1"],
+     "jets must list at least one jet order"),
+])
+def test_degenerate_inputs_exit_2(capsys, argv, message):
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"input error: {message}\n"
 
 
 def test_poly_window_b_degree_zero_target_is_an_int(capsys):

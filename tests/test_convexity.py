@@ -123,6 +123,8 @@ def test_morse_existence_threshold_strict():
     assert morse_existence_threshold(5, 3, 2) == 2
     with pytest.raises(ValueError):
         morse_existence_threshold(0, 1, 2)
+    with pytest.raises(InputError, match="n must be >= 1"):
+        morse_existence_threshold(1, 0, 0)
 
 
 def test_morse_threshold_sufficient_on_product_fixture():

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from posbounds.core import (
     Bracket,
     binom,
+    bisect,
     bracket_min,
     bracket_prod,
     ceil_q,
@@ -175,3 +176,22 @@ def test_certify_refines_by_1024_until_the_first_success():
     assert certify(attempt, Fraction(1), 3) == (True, Fraction(1, 1024))
     assert seen == [Fraction(1), Fraction(1, 1024)]
     assert certify(lambda t: (False, t), Fraction(1), 2) == (False, Fraction(1, 1024))
+
+
+def test_bisect_never_calls_ok_at_hi():
+    calls = []
+
+    def always(x):
+        calls.append(x)
+        return True
+
+    assert bisect(always, 5, 13) == 12
+    assert bisect(always, 7, 8) == 7
+    assert calls and 13 not in calls and 8 not in calls
+    assert min(calls) > 5  # ok(lo) is given, not asked
+
+
+@given(st.integers(-50, 50), st.integers(1, 100), st.data())
+def test_bisect_finds_the_last_true_point(lo, size, data):
+    last = data.draw(st.integers(lo, lo + size - 1))
+    assert bisect(lambda x: x <= last, lo, lo + size) == last

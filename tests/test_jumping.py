@@ -1,13 +1,16 @@
 """Tests for the sigma sequence, the jump recursion, and derived thresholds."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from posbounds.adjoint import JetSpec
-from posbounds.core import InputError
+from posbounds.core import Bracket, InputError, pow_bracket
 from posbounds.jumping import (
+    _increasing_root,
+    _rhs_bracket,
     JumpSequence,
     beta_schedule,
     cn_constant,
@@ -98,6 +101,62 @@ def test_recursion_bound_quadratic_case():
     assert val_lo <= rhs.hi and val_hi >= rhs.lo
 
 
+def root_by_fraction_bisection(b, target, tol):
+    """Halve [b_p, b_p + 2^e] in Fractions until it is at most tol wide: the
+    reference for the integer-indexed bisection."""
+
+    def f(x):
+        return math.prod(x - bj for bj in b)
+
+    lo = b[-1]
+    hi = lo + 1
+    while f(hi) < target:
+        hi = lo + 2 * (hi - lo)
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if f(mid) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return Bracket(lo, hi)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(min_value=2, max_value=4),
+    st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100), max_denominator=100),
+    st.data(),
+)
+def test_recursion_bound_matches_fraction_bisection(n, ratio, data):
+    Ln = data.draw(st.fractions(min_value=1, max_value=200, max_denominator=12))
+    sigma = sigma_sequence(ratio * Ln, Ln, n)
+    rest = data.draw(st.lists(st.fractions(min_value=0, max_value=3, max_denominator=12),
+                              max_size=n - 2))
+    b = [Fraction(0)] + sorted(rest)
+    a = data.draw(st.fractions(min_value=0, max_value=3, max_denominator=12))
+    minY = data.draw(st.integers(min_value=1, max_value=50))
+    tol = data.draw(st.sampled_from([Fraction(1, 10**12), Fraction(1, 3), Fraction(2),
+                                     Fraction(1, 10**40)]))
+    rhs = _rhs_bracket(b, a, sigma, minY)
+    if len(b) == 1:
+        expected = rhs  # b_1 = 0
+    else:
+        expected = Bracket(root_by_fraction_bisection(b, rhs.lo, tol).lo,
+                           root_by_fraction_bisection(b, rhs.hi, tol).hi)
+    assert recursion_bound(b, a, sigma, minY, tol) == expected
+
+
+def test_increasing_root_on_exact_grid_hits():
+    # f(x_i) == target at a grid point: the bracket starts there, as in the
+    # reference
+    b = [Fraction(0), Fraction(1)]
+    for x in (Fraction(9, 8), Fraction(5, 4), Fraction(3, 2), Fraction(2)):
+        target = x * (x - 1)
+        expected = root_by_fraction_bisection(b, target, Fraction(1, 8))
+        assert _increasing_root(b, target, Fraction(1, 8)) == expected
+        assert expected.lo == x or x == 2
+
+
 def test_recursion_bound_antitone_in_minY():
     s = sigma_sequence(4, 5, 2)
     loose = recursion_bound([Fraction(0)], 0, s, 1)
@@ -182,6 +241,23 @@ def test_cn_constant_golden():
     assert c3.is_point and c3.lo == Fraction(17, 13)
     c5 = cn_constant(5)
     assert c5.hi < 3
+
+
+def cn_by_bracket_products(n, tol):
+    """C_n by Bracket interval products over fresh pow_brackets: the reference
+    for the endpoint formula over beta_schedule."""
+    result = Bracket.point(1)
+    for p in range(2, n):
+        beta = pow_bracket(Fraction(1, n), Fraction(n * (n - p), p - 1), tol)
+        factor = (Bracket.point(1) + Bracket.point(2 * n + 1) * beta) / (Bracket.point(1) - beta)
+        result = result * factor
+    return result
+
+
+@pytest.mark.parametrize("tol", [Fraction(1, 10**12), Fraction(1, 10**30)])
+def test_cn_constant_matches_bracket_products(tol):
+    for n in range(2, 33):
+        assert cn_constant(n, tol) == cn_by_bracket_products(n, tol)
 
 
 def test_chained_recursion_stays_below_beta():
