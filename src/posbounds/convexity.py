@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .core import (
-    DEFAULT_TOL, Bracket, InputError, QLike, binom, bracket_prod, certify, elem_sym, pow_bracket,
+    DEFAULT_TOL, Bracket, InputError, QLike, binom, bracket_prod, certify, check_tol, elem_sym,
+    pow_bracket,
 )
 
 
@@ -61,7 +62,7 @@ def ht_products(
     n = len(selfints)
     if n == 0:
         raise InputError("selfints must list at least one self-intersection")
-    mixed = Fraction(mixed)
+    mixed, tol = Fraction(mixed), check_tol(tol)
     brackets = [b if isinstance(b, Bracket) else Bracket.point(b) for b in selfints]
     if any(b.lo < 0 for b in brackets):
         raise ValueError("self-intersections of nef classes must be nonnegative")
@@ -76,9 +77,9 @@ def ht_products(
         # mixed >= prod^(1/n)  <=>  mixed^n >= prod (mixed >= 0 for nef data)
         holds = mixed >= 0 and mixed ** n >= prod
         return InequalityResult(Verdict.HOLDS if holds else Verdict.VIOLATED,
-                                attempt(Fraction(tol))[1],
+                                attempt(tol)[1],
                                 equality=mixed >= 0 and mixed ** n == prod)
-    decided, slack = certify(attempt, Fraction(tol), 2)
+    decided, slack = certify(attempt, tol, 2)
     if not decided:
         return InequalityResult(Verdict.UNKNOWN, slack)
     return InequalityResult(Verdict.HOLDS if slack.lo >= 0 else Verdict.VIOLATED, slack)

@@ -25,6 +25,19 @@ class InputError(ValueError):
     """Malformed caller input; the CLI reports it as an input error (exit 2)."""
 
 
+class CertificationFailed(ArithmeticError):
+    """A bracket could not be certified within the refinement rounds; the CLI
+    reports it as a certification failure (exit 3)."""
+
+
+def check_tol(tol: QLike) -> Fraction:
+    """The tolerance as a Fraction; raises InputError unless it is positive."""
+    tol = Fraction(tol)
+    if tol <= 0:
+        raise InputError("tolerance must be positive")
+    return tol
+
+
 def binom(n: int, k: int) -> int:
     """C(n, k) as an exact integer; 0 outside the range 0 <= k <= n."""
     if k < 0 or k > n:
@@ -55,7 +68,18 @@ def ceil_q(x: QLike) -> int:
 
 
 def iroot(a: int, q: int) -> tuple[int, bool]:
-    """Integer floor q-th root of a >= 0, plus whether it is exact."""
+    """Integer floor q-th root of a >= 0, plus whether it is exact.
+
+    Newton's method on integers with a precision-doubling seed (Brent &
+    Zimmermann, Modern Computer Arithmetic, 2010, sec. 1.5.2).  With r0 the
+    floor root of a >> qk, floor(a / 2^(qk)) < (r0 + 1)^q, so the seed
+    (r0 + 1) << k lies above a^(1/q).  From any point above the root the
+    integer Newton step stays at or above the floor root and strictly
+    decreases until it reaches it, so the loop ends exactly there.  k is
+    about half the root's bits, less log2(2q), so that the first step lands
+    on the floor root or one above it.  Roots under about 2^64 are seeded
+    from the bit length instead.
+    """
     if a < 0:
         raise ValueError("iroot of negative integer")
     if q < 1:
@@ -65,16 +89,18 @@ def iroot(a: int, q: int) -> tuple[int, bool]:
     if q == 2:
         r = math.isqrt(a)
         return r, r * r == a
-    # Newton iteration on integers, seeded from the bit length.
-    x = 1 << -(-a.bit_length() // q)
+    n = a.bit_length()
+    k = ((n - 1) // q - (2 * q).bit_length()) // 2
+    if k < 32:
+        x = 1 << -(-n // q)
+    else:
+        x = (iroot(a >> q * k, q)[0] + 1) << k
     while True:
-        y = ((q - 1) * x + a // x ** (q - 1)) // q
+        p = x ** (q - 1)
+        y = ((q - 1) * x + a // p) // q
         if y >= x:
-            break
+            return x, p * x == a
         x = y
-    while x ** q > a:
-        x -= 1
-    return x, x ** q == a
 
 
 @dataclass(frozen=True)
@@ -122,6 +148,8 @@ class Bracket:
 
     def __mul__(self, other: Union["Bracket", QLike]) -> "Bracket":
         other = _as_bracket(other)
+        if self.lo >= 0 and other.lo >= 0:
+            return Bracket(self.lo * other.lo, self.hi * other.hi)
         products = [
             self.lo * other.lo,
             self.lo * other.hi,
@@ -164,13 +192,11 @@ def bracket_prod(brackets: Iterable[Union[Bracket, QLike]]) -> Bracket:
 def nth_root_bracket(r: QLike, q: int, tol: QLike) -> Bracket:
     """Certified bracket for r^(1/q), r >= 0, q >= 1; exact on perfect powers."""
     r = Fraction(r)
-    tol = Fraction(tol)
+    tol = check_tol(tol)
     if r < 0:
         raise ValueError("nth root of negative rational")
     if q < 1:
         raise ValueError("root index must be >= 1")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     if q == 1 or r in (0, 1):
         return Bracket.point(r)
     num_root, num_exact = iroot(r.numerator, q)
@@ -219,6 +245,7 @@ def pow_bracket(x: QLike, e: QLike, tol: QLike) -> Bracket:
     """
     x = Fraction(x)
     e = Fraction(e)
+    tol = check_tol(tol)
     if x < 0:
         raise ValueError("pow_bracket base must be nonnegative")
     if x == 0:

@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .core import (
-    DEFAULT_TOL, Bracket, InputError, QLike, bisect, bracket_min, certify, elem_sym, pow_bracket,
+    DEFAULT_TOL, Bracket, CertificationFailed, InputError, QLike, bisect, bracket_min, certify,
+    check_tol, elem_sym, pow_bracket,
 )
 from .report import BoundReport
 
@@ -79,7 +80,7 @@ def sigma_sequence(
     Post-checked (bracket-certified, with refinement): sigma0 p/n < sigma_p
     < sigma0, and the sequence is strictly increasing in p.
     """
-    sigma0, Ln, tol = Fraction(sigma0), Fraction(Ln), Fraction(tol)
+    sigma0, Ln, tol = Fraction(sigma0), Fraction(Ln), check_tol(tol)
     if not (0 < sigma0 < Ln):
         raise ValueError("need 0 < sigma0 < L^n")
     q = 1 - sigma0 / Ln
@@ -94,7 +95,7 @@ def sigma_sequence(
 
     ok, sigmas = certify(attempt, tol, 3)
     if not ok:
-        raise ArithmeticError("could not certify sigma bounds at the given tolerance")
+        raise CertificationFailed("could not certify sigma bounds at the given tolerance")
     return SigmaSequence(n, sigma0, tuple(sigmas))
 
 
@@ -121,6 +122,7 @@ def recursion_bound(
     (x - b_1)...(x - b_p) equal to the recursion right-hand side."""
     b = [Fraction(x) for x in b_prefix]
     a = Fraction(a)
+    tol = check_tol(tol)
     if a < 0:
         raise ValueError("a must be nonnegative")
     if minY < 1:
@@ -131,8 +133,8 @@ def recursion_bound(
     p = len(b)
     if p == 1:
         return Bracket(b[0] + rhs.lo, b[0] + rhs.hi)
-    lo_root = _increasing_root(b, rhs.lo, Fraction(tol))
-    hi_root = _increasing_root(b, rhs.hi, Fraction(tol))
+    lo_root = _increasing_root(b, rhs.lo, tol)
+    hi_root = _increasing_root(b, rhs.hi, tol)
     return Bracket(lo_root.lo, hi_root.hi)
 
 
@@ -170,7 +172,7 @@ def main_theorem_check(
     Brackets are rounded up on the threshold side.  A missing minY entry
     makes the report unsatisfied (the inequality cannot be certified).
     """
-    sigma0, a, Ln = Fraction(sigma0), Fraction(a), Fraction(Ln)
+    sigma0, a, Ln, tol = Fraction(sigma0), Fraction(a), Fraction(Ln), check_tol(tol)
     betas = [Fraction(x) for x in beta]
     if len(betas) != n or betas[0] != 0 or any(
         y <= x for x, y in zip(betas[1:], betas[2:])
@@ -237,6 +239,7 @@ def beta_schedule(n: int, tol: QLike = DEFAULT_TOL) -> list[Bracket]:
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    tol = check_tol(tol)
     exps = [_beta_exponent(n, p) for p in range(2, n)]
     # beta strictly increasing <=> exponents strictly decreasing; the ratio
     # beta_p/beta_{p+1} = n^-(e_p - e_{p+1}) increases <=> gaps decrease,
@@ -250,7 +253,7 @@ def beta_schedule(n: int, tol: QLike = DEFAULT_TOL) -> list[Bracket]:
         raise AssertionError("beta ratio is not increasing at the top")
     out = [Bracket.point(Fraction(0))]
     for e in exps:
-        out.append(pow_bracket(Fraction(1, n), e, Fraction(tol)))
+        out.append(pow_bracket(Fraction(1, n), e, tol))
     out.append(Bracket.point(Fraction(1)))
     return out
 
@@ -333,7 +336,7 @@ def mu_invariant(
     missing = [p for p in range(1, n + 1) if p not in per_dim]
     if missing:
         raise ValueError(f"missing per-dimension minima for p in {missing}")
-    tol = Fraction(tol)
+    tol = check_tol(tol)
     roots = []
     for p in range(1, n + 1):
         v = per_dim[p]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
-from .core import DEFAULT_TOL, InputError, QLike, bisect
+from .core import DEFAULT_TOL, InputError, QLike, bisect, check_tol
 
 
 def ord_at_origin(poly: Mapping[tuple[int, ...], int]) -> int:
@@ -99,9 +99,7 @@ def lelong_numeric(
     returned as given, paired with an exact lower bound nu_lo satisfying
     u <= nu_lo <= nu(r) <= nu_lo + tol.
     """
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise InputError("tolerance must be positive")
+    tol = check_tol(tol)
     radii = list(radii)
     if not radii:
         raise InputError("need at least one radius")

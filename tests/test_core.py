@@ -4,10 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from posbounds.convexity import ht_products
 from posbounds.core import (
     Bracket,
+    InputError,
     binom,
     bisect,
     bracket_min,
@@ -20,6 +22,14 @@ from posbounds.core import (
     nth_root_bracket,
     pow_bracket,
 )
+from posbounds.jumping import (
+    beta_schedule,
+    cn_constant,
+    main_theorem_check,
+    mu_invariant,
+    sigma_sequence,
+)
+from posbounds.lelong import ParamCurve, lelong_numeric
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 pos_rationals = st.fractions(min_value=Fraction(1, 100), max_value=1000, max_denominator=100)
@@ -68,6 +78,56 @@ def test_iroot_floor_contract(a, q):
     assert exact == (r**q == a)
 
 
+def iroot_by_plain_newton(a, q):
+    """Reference: integer Newton seeded from the bit length alone."""
+    if a in (0, 1) or q == 1:
+        return a, True
+    x = 1 << -(-a.bit_length() // q)
+    while True:
+        y = ((q - 1) * x + a // x ** (q - 1)) // q
+        if y >= x:
+            break
+        x = y
+    while x**q > a:
+        x -= 1
+    return x, x**q == a
+
+
+@st.composite
+def large_root_inputs(draw):
+    q = draw(st.integers(2, 16))
+    kind = draw(st.sampled_from(["bits", "power", "power-1", "power+1", "two", "threshold"]))
+    if kind == "two":
+        return 1 << draw(st.integers(0, 40000)), q
+    if kind.startswith("power"):
+        r = draw(st.integers(2, 1 << 40000 // q))
+        return r**q + {"power": 0, "power-1": -1, "power+1": 1}[kind], q
+    if kind == "threshold":
+        # iroot seeds from a recursive root once its k reaches 32, i.e. from
+        # q (64 + bitlen(2q)) + 1 bits; straddle that on both sides.
+        bits = q * (64 + (2 * q).bit_length()) + draw(st.integers(-2 * q, 2 * q))
+    else:
+        bits = draw(st.integers(1, 40000))
+    return draw(st.integers(1 << bits - 1, (1 << bits) - 1)), q
+
+
+@settings(deadline=None, max_examples=300)
+@given(large_root_inputs())
+def test_iroot_matches_plain_newton_on_large_inputs(case):
+    a, q = case
+    r, exact = iroot(a, q)
+    assert (r, exact) == iroot_by_plain_newton(a, q)
+    assert r**q <= a < (r + 1) ** q
+
+
+def test_iroot_on_perfect_powers_near_the_threshold():
+    for q in range(3, 17):
+        bits = q * (64 + (2 * q).bit_length())
+        for r in ((1 << bits // q) - 1, 1 << bits // q, (1 << bits // q + 1) - 1, 3 ** (bits // q)):
+            for a in (r**q - 1, r**q, r**q + 1):
+                assert iroot(a, q) == iroot_by_plain_newton(a, q)
+
+
 def test_bracket_rejects_reversed_endpoints():
     with pytest.raises(ValueError):
         Bracket(Fraction(1), Fraction(0))
@@ -83,6 +143,17 @@ def test_bracket_arithmetic_soundness(a, b, c, d):
             assert (x + y).contains(xv + yv)
             assert (x - y).contains(xv - yv)
             assert (x * y).contains(xv * yv)
+
+
+nonneg_rationals = st.fractions(min_value=0, max_value=1000, max_denominator=100)
+
+
+@given(nonneg_rationals, nonneg_rationals, nonneg_rationals, nonneg_rationals)
+def test_bracket_product_of_nonnegative_brackets_is_the_four_product_hull(a, b, c, d):
+    x = Bracket(min(a, b), max(a, b))
+    y = Bracket(min(c, d), max(c, d))
+    products = [x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi]
+    assert x * y == Bracket(min(products), max(products))
 
 
 @given(rationals, rationals, pos_rationals, pos_rationals)
@@ -154,6 +225,26 @@ def test_pow_bracket_domain_errors():
         pow_bracket(Fraction(-1), Fraction(1, 2), Fraction(1, 10**6))
     with pytest.raises(ValueError):
         pow_bracket(Fraction(0), Fraction(-1), Fraction(1, 10**6))
+
+
+@pytest.mark.parametrize("call", [
+    lambda tol: nth_root_bracket(2, 3, tol),
+    lambda tol: pow_bracket(2, 3, tol),
+    lambda tol: pow_bracket(2, Fraction(1, 3), tol),
+    lambda tol: sigma_sequence(4, 5, 2, tol),
+    lambda tol: main_theorem_check(2, 4, 0, [0, 1], {1: 3}, 5, tol),
+    lambda tol: main_theorem_check(2, 5, 0, [0, 1], {1: 3}, 5, tol),
+    lambda tol: beta_schedule(4, tol),
+    lambda tol: beta_schedule(2, tol),
+    lambda tol: cn_constant(4, tol),
+    lambda tol: mu_invariant({1: 2, 2: 3}, 2, tol),
+    lambda tol: ht_products([2, 3], 3, tol),
+    lambda tol: lelong_numeric(ParamCurve(2, 3), [Fraction(1, 2)], tol),
+])
+@pytest.mark.parametrize("tol", [0, -1])
+def test_nonpositive_tolerance_is_an_input_error(call, tol):
+    with pytest.raises(InputError, match="tolerance must be positive"):
+        call(tol)
 
 
 def test_pow_bracket_zero_and_one():

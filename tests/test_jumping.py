@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from posbounds.adjoint import JetSpec
-from posbounds.core import Bracket, InputError, pow_bracket
+from posbounds.core import Bracket, CertificationFailed, InputError, pow_bracket
 from posbounds.jumping import (
     _increasing_root,
     _rhs_bracket,
@@ -63,6 +63,14 @@ def test_sigma_sequence_validation():
         sigma_sequence(5, 5, 2)
     with pytest.raises(ValueError):
         sigma_sequence(0, 5, 2)
+
+
+def test_sigma_sequence_certification_failure_is_an_arithmetic_error():
+    # Tolerance 1 cannot separate sigma_1 from sigma0 p/n for this
+    # near-degenerate ratio, even after two refinements.
+    with pytest.raises(CertificationFailed, match="could not certify sigma bounds") as info:
+        sigma_sequence(Fraction(1, 1000), 1, 2, tol=1)
+    assert isinstance(info.value, ArithmeticError)
 
 
 @settings(deadline=None, max_examples=50)
@@ -172,6 +180,9 @@ def test_recursion_bound_validation():
         recursion_bound([Fraction(0)], -1, s, 1)
     with pytest.raises(ValueError):
         recursion_bound([Fraction(0)], 0, s, 0)
+    for tol in (0, -1):
+        with pytest.raises(InputError, match="tolerance must be positive"):
+            recursion_bound([Fraction(0)], 0, s, 3, tol=tol)
 
 
 def test_main_theorem_surface_reduction():
