@@ -48,6 +48,13 @@ def siu_jet_threshold(n: int, jets: JetSpec) -> int:
     return 2 + sum(binom(3 * n + 2 * s - 1, n) for s in jets.orders)
 
 
+def siu_report(n: int, jets: Sequence[int]) -> BoundReport:
+    """The siu-jets report for the jet orders ``jets`` at distinct points."""
+    m = siu_jet_threshold(n, JetSpec(tuple(jets)))
+    return BoundReport("siu-jets", {"n": n, "jets": jets}, m,
+                       f"jets generated by 2K+mL+G for m >= {m}")
+
+
 def very_ample_threshold(n: int, reading: str = "one_point_s1") -> int:
     """Very-ampleness specialisation of siu_jet_threshold.
 
@@ -121,6 +128,14 @@ def pluricanonical_bounds(
     return m0, degree
 
 
+def pluri_report(n: int, case: str, Kn: int | None = None) -> BoundReport:
+    """The pluricanonical report; ``case`` is "general_type" or "fano"."""
+    m0, degree = pluricanonical_bounds(n, case, Kn)
+    verdict = f"{'m' if case == 'general_type' else '-m'}K very ample for m >= {m0}"
+    return BoundReport("pluricanonical", {"n": n, "case": case, "Kn": Kn}, m0, verdict,
+                       {"embedding_degree": degree})
+
+
 class CheckOutcome(Enum):
     INAPPLICABLE = "inapplicable"
     EXCEPTION = "exception"
@@ -157,6 +172,15 @@ def reider_check(
     return CheckResult(CheckOutcome.CRITERION_HOLDS)
 
 
+def reider_report(
+    L2: int, mode: str, divisors: Sequence[tuple[int, int]] = ()
+) -> BoundReport:
+    """The Reider report; its threshold is the least L^2 the mode needs."""
+    res = reider_check(L2, mode, divisors)
+    return BoundReport("reider", {"L2": L2, "mode": mode, "divisors": divisors},
+                       5 if mode == "spanned" else 10, res.outcome.value, {"matched": res.matched})
+
+
 def bes_check(L2: int, p: int, divisors: Sequence[tuple[int, int]] = ()) -> CheckResult:
     """Beltrametti-Sommese p-jet criterion: applicable when L^2 > 4p; a
     divisor is exceptional when L.D - p <= D^2 < L.D / 2 (upper bound strict,
@@ -175,6 +199,13 @@ def bes_check(L2: int, p: int, divisors: Sequence[tuple[int, int]] = ()) -> Chec
     return CheckResult(CheckOutcome.CRITERION_HOLDS)
 
 
+def bes_report(L2: int, p: int, divisors: Sequence[tuple[int, int]] = ()) -> BoundReport:
+    """The Beltrametti-Sommese report; its threshold is 4p, which L^2 must exceed."""
+    res = bes_check(L2, p, divisors)
+    return BoundReport("bes-jets", {"L2": L2, "p": p, "divisors": divisors}, 4 * p,
+                       res.outcome.value, {"matched": res.matched})
+
+
 def surface_nadel_criterion(jets: JetSpec, L2: int, minLC: int) -> BoundReport:
     """Surface jet criterion with p = sum (2 + s_j)^2: satisfied iff both
     L^2 > p and min L.C > p (strict)."""
@@ -187,3 +218,8 @@ def surface_nadel_criterion(jets: JetSpec, L2: int, minLC: int) -> BoundReport:
         verdict="satisfied" if satisfied else "unsatisfied",
         details={"L2_ok": L2 > p, "LC_ok": minLC > p},
     )
+
+
+def surface_report(jets: Sequence[int], L2: int, minLC: int) -> BoundReport:
+    """surface_nadel_criterion for the jet orders ``jets``."""
+    return surface_nadel_criterion(JetSpec(tuple(jets)), L2, minLC)

@@ -18,6 +18,7 @@ from .core import (
     DEFAULT_TOL, Bracket, InputError, QLike, binom, bracket_prod, certify, check_tol, elem_sym,
     pow_bracket,
 )
+from .report import BoundReport
 
 
 class Verdict(Enum):
@@ -85,6 +86,19 @@ def ht_products(
     return InequalityResult(Verdict.HOLDS if slack.lo >= 0 else Verdict.VIOLATED, slack)
 
 
+def _inequality_report(theorem: str, inputs: dict, res: InequalityResult) -> BoundReport:
+    """An inequality's report: the certified slack is its threshold."""
+    return BoundReport(theorem, inputs, res.slack, res.verdict.value, {"equality": res.equality})
+
+
+def ht_products_report(
+    selfints: Sequence[Union[Bracket, QLike]], mixed: QLike, tol: QLike = DEFAULT_TOL
+) -> BoundReport:
+    """ht_products as a report."""
+    return _inequality_report("ht-products", {"selfints": selfints, "mixed": mixed},
+                              ht_products(selfints, mixed, tol))
+
+
 def pow_bracket_interval(b: Bracket, e: Fraction, tol: Fraction) -> Bracket:
     """x^e over an interval of nonnegative x (monotone for e > 0)."""
     if e <= 0:
@@ -112,6 +126,12 @@ def ht_mixed_chain(Ln: QLike, LH: QLike, LnpHp: QLike, n: int, p: int) -> Inequa
     return InequalityResult(verdict, slack, equality=lhs_p == rhs_p)
 
 
+def ht_chain_report(Ln: QLike, LH: QLike, LnpHp: QLike, n: int, p: int) -> BoundReport:
+    """ht_mixed_chain as a report."""
+    return _inequality_report("ht-chain", {"Ln": Ln, "LH": LH, "LnpHp": LnpHp, "n": n, "p": p},
+                              ht_mixed_chain(Ln, LH, LnpHp, n, p))
+
+
 def diag_form_check(lambdas: Sequence[QLike], p: int) -> InequalityResult:
     """Certify p!(n-p)! S_p(lambda) >= n! (lambda_1...lambda_n)^(p/n),
     with exact equality detection (equality iff all lambda equal)."""
@@ -131,6 +151,11 @@ def diag_form_check(lambdas: Sequence[QLike], p: int) -> InequalityResult:
     verdict = Verdict.HOLDS if lhs_n >= rhs_n else Verdict.VIOLATED
     slack = Bracket.point(lhs_n - rhs_n)
     return InequalityResult(verdict, slack, equality=lhs_n == rhs_n)
+
+
+def ht_diag_report(lambdas: Sequence[QLike], p: int) -> BoundReport:
+    """diag_form_check as a report."""
+    return _inequality_report("ht-diag", {"lambdas": lambdas, "p": p}, diag_form_check(lambdas, p))
 
 
 def morse_strong_rhs(mixed: MixedNumbers, q: int) -> Fraction:
@@ -160,6 +185,14 @@ def trapani_lower(Fn: QLike, FG: QLike, n: int) -> Fraction:
     """Lower bound F^n - n F^(n-1).G for n!(h^0 - h^1)/k^n; positive means
     some multiple of F - G has sections."""
     return Fraction(Fn) - n * Fraction(FG)
+
+
+def morse_report(n: int, Fn: QLike, FG: QLike) -> BoundReport:
+    """The morse-existence report, with Trapani's lower bound in its details."""
+    m = morse_existence_threshold(Fn, FG, n)
+    return BoundReport("morse-existence", {"n": n, "Fn": Fn, "FG": FG}, m,
+                       f"some multiple of mF-G has a section for m >= {m}",
+                       {"trapani_lower": trapani_lower(Fn, FG, n)})
 
 
 def singular_morse_Aq(n: int, q: int, b: QLike, cup_uq_times: QLike) -> Fraction:

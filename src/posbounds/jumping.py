@@ -178,44 +178,24 @@ def main_theorem_check(
         y <= x for x, y in zip(betas[1:], betas[2:])
     ) or (n > 1 and betas[1] <= 0) or betas[-1] > 1:
         raise ValueError("beta must satisfy 0 = beta_1 < ... < beta_n <= 1")
-    inputs = {
-        "n": n,
-        "sigma0": sigma0,
-        "a": a,
-        "beta": betas,
-        "minY": {str(p): v for p, v in minY.items()},
-        "Ln": Ln,
-    }
     details: dict = {"nef_twist": nef_twist}
     if sigma0 >= Ln:
-        return BoundReport(
-            theorem="jumping-main",
-            inputs=inputs,
-            threshold=sigma0,
-            verdict="unsatisfied",
-            details={**details, "reason": "L^n does not exceed sigma0"},
-        )
-    sigma = sigma_sequence(sigma0, Ln, n, tol)
-    satisfied = True
-    margins: dict[str, Fraction] = {}
-    for p in range(1, n):
-        if p not in minY:
-            satisfied = False
-            margins[str(p)] = None
-            continue
-        prefix = betas[:p]
-        rhs = _rhs_bracket(prefix, a, sigma, math.prod(betas[p] - bj for bj in prefix))
-        margins[str(p)] = Fraction(minY[p]) - rhs.hi
-        if not (Fraction(minY[p]) > rhs.hi):
-            satisfied = False
-    details["margins"] = margins
-    return BoundReport(
-        theorem="jumping-main",
-        inputs=inputs,
-        threshold=sigma0,
-        verdict="satisfied" if satisfied else "unsatisfied",
-        details=details,
-    )
+        details["reason"] = "L^n does not exceed sigma0"
+        satisfied = False
+    else:
+        sigma = sigma_sequence(sigma0, Ln, n, tol)
+        margins: dict[str, Fraction | None] = {}
+        for p in range(1, n):
+            prefix = betas[:p]
+            divisor = math.prod(betas[p] - bj for bj in prefix)
+            margins[str(p)] = (Fraction(minY[p]) - _rhs_bracket(prefix, a, sigma, divisor).hi
+                               if p in minY else None)
+        details["margins"] = margins
+        satisfied = all(m is not None and m > 0 for m in margins.values())
+    inputs = {"n": n, "sigma0": sigma0, "a": a, "beta": betas,
+              "minY": {str(p): v for p, v in minY.items()}, "Ln": Ln}
+    return BoundReport("jumping-main", inputs, sigma0,
+                       "satisfied" if satisfied else "unsatisfied", details)
 
 
 def lemma1111_check(t: Sequence[QLike], n: int) -> bool:
@@ -321,6 +301,11 @@ def corollary118_table(s: int | None = None) -> dict:
     return table
 
 
+def surface_table_report(s: int | None = None) -> BoundReport:
+    """corollary118_table as a report; the table is its details."""
+    return BoundReport("surface-table", {"s": s}, None, "table", corollary118_table(s))
+
+
 def mu_invariant(
     per_dim: Mapping[int, int], n: int, tol: QLike = DEFAULT_TOL
 ) -> Bracket:
@@ -344,6 +329,12 @@ def mu_invariant(
             raise ValueError("per-dimension minima must be positive integers")
         roots.append(pow_bracket(Fraction(v), Fraction(1, p), tol))
     return bracket_min(roots)
+
+
+def mu_report(n: int, per_dim: Mapping[int, int], tol: QLike = DEFAULT_TOL) -> BoundReport:
+    """The mu-invariant report: mu_invariant as its threshold bracket."""
+    return BoundReport("mu-invariant", {"n": n, "per_dim": per_dim}, mu_invariant(per_dim, n, tol),
+                       "upper bound computed from declared minima")
 
 
 def lemma1116_consistency(s: int, per_dim: Mapping[int, int]) -> bool:

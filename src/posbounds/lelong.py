@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
 from .core import DEFAULT_TOL, InputError, QLike, bisect, check_tol
+from .report import BoundReport
 
 
 def ord_at_origin(poly: Mapping[tuple[int, ...], int]) -> int:
@@ -87,8 +88,8 @@ class ParamCurve:
 
 
 def lelong_numeric(
-    curve: ParamCurve, radii: Sequence[QLike | float], tol: QLike = DEFAULT_TOL
-) -> list[tuple[QLike | float, Fraction]]:
+    curve: ParamCurve, radii: Sequence[QLike], tol: QLike = DEFAULT_TOL
+) -> list[tuple[QLike, Fraction]]:
     """Certified area-ratio densities nu(T, 0, r) of the current of
     integration over the curve, at the given strictly decreasing radii in
     (0, 1].
@@ -108,6 +109,13 @@ def lelong_numeric(
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise InputError("radii must be strictly decreasing")
     return [(r, _density_lower(curve.u, curve.v, Fraction(r) ** 2, tol)) for r in radii]
+
+
+def lelong_report(u: int, v: int, radii: Sequence[QLike], tol: QLike = DEFAULT_TOL) -> BoundReport:
+    """The density report for t -> (t^u, t^v): lelong_numeric at each radius."""
+    estimates = lelong_numeric(ParamCurve(u, v), radii, tol)
+    return BoundReport("density-quadrature", {"u": u, "v": v, "radii": radii}, u,
+                       f"area ratio tends to the multiplicity {u}", {"estimates": estimates})
 
 
 def _density_lower(u: int, v: int, r2: Fraction, tol: Fraction) -> Fraction:

@@ -152,6 +152,19 @@ def matsusaka_main(inputs: MatsusakaInputs) -> BoundReport:
     )
 
 
+def matsusaka_report(
+    n: int, Ln: QLike, LK: QLike, LB: QLike = 0, policy: Union[str, int] = "demailly"
+) -> BoundReport:
+    """matsusaka_main for the given data; for surfaces with B = 0 the details
+    add the sharper surface bound and the factor-4 bound as
+    ``surface_comparison``."""
+    report = matsusaka_main(MatsusakaInputs.of(n, Ln, LB, LK, policy))
+    if n == 2 and LB == 0:
+        fdb, factor4 = fdb_surface_bound(Ln, LK + 4 * Ln)
+        report.details["surface_comparison"] = {"fdb": fdb, "factor4": factor4}
+    return report
+
+
 def matsusaka_very_ample(
     n: int,
     Ln: QLike,

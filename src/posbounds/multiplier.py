@@ -4,9 +4,7 @@ The monomial case: for the weight log(|z_1|^a1 + ... + |z_p|^ap) the ideal is
 generated by the monomials z^beta with sum_j (beta_j + 1)/a_j > 1, strictly
 (the boundary integral diverges).  Its minimal generators come straight from
 the staircase of least last exponents, one exact floor per prefix (Howald,
-Multiplier ideals of monomial ideals, Trans. AMS 353 (2001)).  A dyadic
-quadrature oracle double-checks the integrability criterion at desk scale
-(p <= 2); it is test support only.
+Multiplier ideals of monomial ideals, Trans. AMS 353 (2001)).
 """
 
 from __future__ import annotations
@@ -19,6 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import QLike, ceil_q
+from .report import BoundReport
 
 
 @dataclass(frozen=True)
@@ -82,6 +81,14 @@ def monomial_multiplier_ideal(w: MonomialWeightData) -> MonomialIdeal:
     return MonomialIdeal(frozenset(generators))
 
 
+def mult_ideal_report(alpha: Sequence[QLike]) -> BoundReport:
+    """The monomial-multiplier-ideal report: minimal generators, no threshold."""
+    ideal = monomial_multiplier_ideal(MonomialWeightData.of(*alpha))
+    return BoundReport("monomial-multiplier-ideal", {"alpha": alpha}, None,
+                       "trivial" if ideal.is_trivial else "nontrivial",
+                       {"generators": ideal.sorted_generators()})
+
+
 @dataclass(frozen=True)
 class SNCDivisorData:
     coeffs: tuple[Fraction, ...]
@@ -128,47 +135,3 @@ def skoda_classify(nu: QLike, n: int) -> SkodaResult:
         s = math.floor(nu - n)
         return SkodaResult(SkodaClass.CONTAINED_IN_POWER, power=s + 1)
     return SkodaResult(SkodaClass.INDETERMINATE)
-
-
-def integrability_oracle(
-    alpha: Sequence[QLike], beta: Sequence[int], grid: int = 2048
-) -> bool:
-    """Numerically decide convergence of the corner integral
-
-        int_{[0,1]^p} t^((beta+1)/alpha) / (t_1+...+t_p) prod dt_j/t_j
-
-    by dyadic-corner refinement: the integral converges iff the dyadic shell
-    sums decay geometrically.  Test support only; p <= 2.
-    """
-    alpha = [Fraction(a) for a in alpha]
-    if any(a <= 0 for a in alpha):
-        raise ValueError("alpha must be positive")
-    p = len(alpha)
-    if p < 1 or p > 2:
-        raise ValueError("oracle is desk-scale only (p <= 2)")
-    if len(beta) != p:
-        raise ValueError("beta must have the same length as alpha")
-    if grid < 64:
-        raise ValueError("grid resolution must be >= 64")
-    e = [float(Fraction(b + 1, 1) / a) for b, a in zip(beta, alpha)]
-    k1, k2 = grid // 2, grid
-    slope = (_shell_log2(e, k1) - _shell_log2(e, k2)) / (k2 - k1)
-    # Convergence exponent is min(e_1, ..., e_p, sum e - 1); its distance from
-    # zero is bounded below by the rational structure of the inputs, so a
-    # grid-scaled cutoff separates the two regimes.
-    return slope > 3.0 / grid
-
-
-def _shell_log2(e: list[float], k: int) -> float:
-    """log2 of the dyadic shell sum at depth k (cells with max index = k)."""
-    ln2 = math.log(2.0)
-    if len(e) == 1:
-        return -k * (e[0] - 1.0)
-    terms = []
-    for i in range(k + 1):
-        # cell (i, k):  2^{-(i e1 + k e2)} / (2^{-i} + 2^{-k})
-        terms.append(-(i * e[0] + k * e[1]) + min(i, k) - math.log1p(2.0 ** (-abs(i - k))) / ln2)
-        if i < k:
-            terms.append(-(k * e[0] + i * e[1]) + min(i, k) - math.log1p(2.0 ** (-abs(i - k))) / ln2)
-    m = max(terms)
-    return m + math.log(sum(2.0 ** (t - m) for t in terms)) / ln2

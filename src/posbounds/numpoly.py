@@ -14,8 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .core import InputError, binom, bisect
+from .report import BoundReport
 
 
 class WindowNotFound(InputError):
@@ -87,6 +89,25 @@ def window_c(P: NumericalPolynomial, m0: int, N: int) -> int:
     if N < 2 * d * d:
         raise PreconditionViolated(f"need N >= 2d^2 = {2 * d * d}, got {N}")
     return _first_reaching(P, N, m0, m0 + N)
+
+
+# window -> (search, the argument that bounds it)
+WINDOWS = {"a": (window_a, "N"), "b": (window_b, "k"), "c": (window_c, "N")}
+
+
+def poly_report(
+    coeffs: Sequence[int], window: str, m0: int, N: int | None = None, k: int | None = None
+) -> BoundReport:
+    """The window search ``window`` for P = sum coeffs[j] C(m, j) from m0 on;
+    window b is bounded by k, windows a and c by N."""
+    P = NumericalPolynomial(tuple(coeffs))
+    search, name = WINDOWS[window]
+    bound = {"N": N, "k": k}[name]
+    if bound is None:
+        raise InputError(f"window {window} needs --{name}")
+    m = search(P, m0, bound)
+    return BoundReport(f"poly-window-{window}", {"coeffs": coeffs, "m0": m0, "N": N, "k": k}, m,
+                       f"P({m}) meets the window-{window} target")
 
 
 def _first_reaching(P: NumericalPolynomial, target: int, lo: int, hi: int) -> int:

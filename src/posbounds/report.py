@@ -2,8 +2,8 @@
 
 Rationals serialize as {"num":..., "den":...} and brackets as
 {"lo":..., "hi":...}; floats are refused, so no float round-trips anywhere.
-The schema is strict: documents carry "schema": 1 and unknown fields are
-rejected.
+The schema is strict: documents carry "schema": 1 and exactly the six
+report fields; a missing or unknown field is rejected.
 """
 
 from __future__ import annotations
@@ -65,16 +65,16 @@ class BoundReport:
 
     @staticmethod
     def from_json(data: dict) -> "BoundReport":
-        allowed = {"schema", "theorem", "inputs", "threshold", "verdict", "details"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValueError(f"unknown report fields: {sorted(unknown)}")
-        if data.get("schema") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema version {data.get('schema')!r}")
+        fields = {"schema", "theorem", "inputs", "threshold", "verdict", "details"}
+        if set(data) != fields:
+            unknown, missing = sorted(set(data) - fields), sorted(fields - set(data))
+            raise ValueError(f"unknown report fields: {unknown}, missing: {missing}")
+        if data["schema"] != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema version {data['schema']!r}")
         return BoundReport(
             theorem=data["theorem"],
-            inputs=value_from_json(data.get("inputs", {})),
-            threshold=value_from_json(data.get("threshold")),
-            verdict=data.get("verdict", "threshold-only"),
-            details=value_from_json(data.get("details", {})),
+            inputs=value_from_json(data["inputs"]),
+            threshold=value_from_json(data["threshold"]),
+            verdict=data["verdict"],
+            details=value_from_json(data["details"]),
         )

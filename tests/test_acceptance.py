@@ -17,14 +17,10 @@ from posbounds.jumping import (
 )
 from posbounds.lelong import ParamCurve, lelong_numeric
 from posbounds.matsusaka import MatsusakaInputs, matsusaka_main, mbar_recursion
-from posbounds.multiplier import (
-    SkodaClass,
-    integrability_oracle,
-    membership_criterion,
-    skoda_classify,
-)
+from posbounds.multiplier import SkodaClass, membership_criterion, skoda_classify
 from posbounds.numpoly import NumericalPolynomial, window_a, window_b, window_c
 from posbounds.projective import DivisorClass, ProductSpace, h0, top_intersection
+from quadrature_oracle import integrability_oracle
 
 
 def report_line(num: int, label: str) -> None:

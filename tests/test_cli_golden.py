@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from posbounds import adjoint, convexity, numpoly
 from posbounds.cli import EXIT_INPUT, EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,6 +78,17 @@ def test_cli_stdout_matches_golden(capsys, command):
     code, out, _ = run(capsys, command)
     assert code == EXIT_OK
     assert out == golden[command]
+
+
+def test_report_functions_print_the_golden_lines():
+    golden = json.loads(GOLDEN.read_text())
+    for command, report in [
+        ("bounds siu --n 3 --jets 0,1,2", adjoint.siu_report(3, [0, 1, 2])),
+        ("poly --coeffs 1,2,1 --window b --m0 0 --k 3",
+         numpoly.poly_report([1, 2, 1], "b", 0, k=3)),
+        ("ht products --selfints 2,3 --mixed 3", convexity.ht_products_report([2, 3], 3)),
+    ]:
+        assert json.dumps(report.to_json(), sort_keys=True) + "\n" == golden[command], command
 
 
 @pytest.mark.parametrize(

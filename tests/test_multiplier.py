@@ -11,12 +11,12 @@ from posbounds.multiplier import (
     MonomialWeightData,
     SkodaClass,
     SNCDivisorData,
-    integrability_oracle,
     membership_criterion,
     monomial_multiplier_ideal,
     skoda_classify,
     snc_round_down,
 )
+from quadrature_oracle import integrability_oracle
 
 
 def box_filter_generators(alpha) -> frozenset[tuple[int, ...]]:
@@ -143,3 +143,34 @@ def test_oracle_agrees_on_cusp_sample():
     alpha = [Fraction(3), Fraction(2)]
     for beta in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]:
         assert integrability_oracle(alpha, beta) == membership_criterion(alpha, beta)
+
+
+def test_oracle_refuses_a_margin_below_its_resolution():
+    # e = 1001/1000 gives the convergence rate 1/1000 <= 7/2048; the
+    # quadrature alone called this integrable weight divergent.
+    with pytest.raises(ValueError, match="resolution"):
+        integrability_oracle([Fraction(1000, 1001)], (0,))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.fractions(min_value=Fraction(1, 50), max_value=Fraction(3, 4), max_denominator=50),
+    st.fractions(min_value=-12, max_value=12, max_denominator=20),
+    st.booleans(),
+    st.sampled_from([64, 128, 256]),
+)
+@example(Fraction(1, 25), Fraction(97, 20), False, 128)  # m = 4.85/128: quadrature says False
+@example(Fraction(1, 5), Fraction(141, 20), False, 128)  # m = 7.05/128
+def test_oracle_is_right_or_refuses_near_the_boundary(x, c, e1_is_margin, grid):
+    # beta = 0, so e_j = 1/alpha_j; the margin, e_1 or sum e - 1, lies near c/grid
+    if e1_is_margin:
+        e1, e2 = (abs(c) + Fraction(1, 20)) / grid, 1 + x
+    else:
+        e1, e2 = x, 1 - x + c / grid
+    alpha = [1 / e1, 1 / e2]
+    margin = min(e1, e2, e1 + e2 - 1)
+    if 0 < margin <= Fraction(7, grid):
+        with pytest.raises(ValueError, match="resolution"):
+            integrability_oracle(alpha, (0, 0), grid)
+    else:
+        assert integrability_oracle(alpha, (0, 0), grid) == membership_criterion(alpha, (0, 0))

@@ -82,3 +82,12 @@ def test_fraction_round_trip_property(q):
 def test_bracket_round_trip_property(a, b):
     br = Bracket(min(a, b), max(a, b))
     assert value_from_json(value_to_json(br)) == br
+
+
+def test_report_rejects_missing_fields():
+    doc = BoundReport(theorem="x", verdict="satisfied").to_json()
+    del doc["verdict"]
+    with pytest.raises(ValueError, match=r"missing: \['verdict'\]"):
+        BoundReport.from_json(doc)
+    with pytest.raises(ValueError, match=r"missing: \['details', 'inputs', 'threshold', 'verdict'\]"):
+        BoundReport.from_json({"schema": 1, "theorem": "x"})
