@@ -2,9 +2,11 @@
 
 ``COMMANDS`` maps each subcommand path to its flags, given as argparse
 keyword arguments whose ``type`` parses every value exactly once, and to the
-family function that returns its ``BoundReport``.  ``main`` passes it the
-parsed flags, plus ``tol`` where it takes one, and prints the report as one
-JSON line (``jets table --format table`` prints a Markdown table instead).
+module-qualified name of the family function that returns its report, such
+as ``"adjoint.siu_report"``.  ``main`` imports that one module only after
+argparse accepts the command line, calls the function with the parsed flags
+(plus ``tol`` where it takes one) and prints the report as one JSON line
+(``jets table --format table`` prints a Markdown table).
 
 Exit codes: 0 when a verdict was computed (including "unsatisfied"), 2 on
 input errors (a malformed flag is an argparse usage error), 3 when bracket
@@ -15,16 +17,15 @@ default tolerance 10^-12; numbers may be any rational ("3/7", "0.25", "4").
 from __future__ import annotations
 
 import argparse
+import importlib
 import inspect
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
-from . import adjoint, convexity, jumping, lelong, matsusaka, multiplier, numpoly
 from .core import DEFAULT_TOL, InputError  # argparse turns InputError into a usage error
-from .report import BoundReport
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -104,72 +105,70 @@ HELP = {
     "ht": "convexity inequalities for nef data",
 }
 
-# subcommand path -> ({flag: argparse kwargs}, report function)
-COMMANDS: dict[tuple[str, ...], tuple[dict[str, dict], Callable[..., BoundReport]]] = {
+# subcommand path -> ({flag: argparse kwargs}, "module.report_function")
+COMMANDS: dict[tuple[str, ...], tuple[dict[str, dict], str]] = {
     ("bounds", "siu"): (
         {"--n": INT,
          "--jets": {"type": parse_int_list, "default": "1", "help": "comma list of jet orders"}},
-        adjoint.siu_report,
+        "adjoint.siu_report",
     ),
     ("bounds", "reider"): (
         {"--L2": INT, "--mode": {"choices": ["spanned", "separation"], "required": True},
          "--divisors": DIVISORS},
-        adjoint.reider_report,
+        "adjoint.reider_report",
     ),
-    ("bounds", "bes"): ({"--L2": INT, "--p": INT, "--divisors": DIVISORS}, adjoint.bes_report),
+    ("bounds", "bes"): ({"--L2": INT, "--p": INT, "--divisors": DIVISORS}, "adjoint.bes_report"),
     ("bounds", "pluri"): (
         {"--n": INT, "--case": {"choices": ["general_type", "fano"], "required": True},
          "--Kn": {"type": int, "help": "|K^n|"}},
-        adjoint.pluri_report,
+        "adjoint.pluri_report",
     ),
     ("bounds", "surface"): (
         {"--jets": {"type": parse_int_list, "default": "0"}, "--L2": INT, "--minLC": INT},
-        adjoint.surface_report,
+        "adjoint.surface_report",
     ),
     ("jets", "main"): (
         {"--n": INT, "--sigma0": Q, "--a": {"type": parse_q, "default": "0"},
          "--beta": {**Q_LIST, "help": "comma list, 0=b1<...<=1"},
          "--min": {"dest": "minY", "type": parse_int_map, "required": True, "help": "p=minY pairs"},
          "--Ln": Q},
-        jumping.main_theorem_check,
+        "jumping.main_theorem_check",
     ),
     ("jets", "table"): (
         {"--s": {"type": int}, "--format": {"choices": ["json", "table"], "default": "table"}},
-        jumping.surface_table_report,
+        "jumping.surface_table_report",
     ),
     ("jets", "mu"): (
         {"--n": INT, "--per-dim": {"type": parse_int_map, "required": True, "help": "p=min pairs"}},
-        jumping.mu_report,
+        "jumping.mu_report",
     ),
     ("matsusaka",): (
         {"--n": INT, "--Ln": Q, "--LK": Q, "--LB": {"type": parse_q, "default": "0"},
          "--policy": {"type": parse_policy, "default": "demailly"}},
-        matsusaka.matsusaka_report,
+        "matsusaka.matsusaka_report",
     ),
-    ("morse",): ({"--n": INT, "--Fn": Q, "--FG": Q}, convexity.morse_report),
-    ("mult-ideal",): (
-        {"--alpha": {**Q_LIST, "help": "comma list of exponents"}}, multiplier.mult_ideal_report,
-    ),
+    ("morse",): ({"--n": INT, "--Fn": Q, "--FG": Q}, "convexity.morse_report"),
+    ("mult-ideal",): ({"--alpha": {**Q_LIST, "help": "comma list of exponents"}},
+                      "multiplier.mult_ideal_report"),
     ("lelong",): (
         {"--u": INT, "--v": INT, "--radii": {"type": parse_q_list, "default": "0.1,0.01,0.001"}},
-        lelong.lelong_report,
+        "lelong.lelong_report",
     ),
     ("poly",): (
         {"--coeffs": {"type": parse_int_list, "required": True,
                       "help": "binomial-basis coefficients"},
-         "--window": {"choices": numpoly.WINDOWS, "required": True},
+         "--window": {"choices": ("a", "b", "c"), "required": True},
          "--m0": INT, "--N": {"type": int}, "--k": {"type": int}},
-        numpoly.poly_report,
+        "numpoly.poly_report",
     ),
     ("ht", "products"): (
         {"--selfints": {**Q_LIST, "help": "comma list u_j^n"},
          "--mixed": {**Q, "help": "u_1...u_n"}},
-        convexity.ht_products_report,
+        "convexity.ht_products_report",
     ),
-    ("ht", "chain"): (
-        {"--Ln": Q, "--LH": Q, "--LnpHp": Q, "--n": INT, "--p": INT}, convexity.ht_chain_report,
-    ),
-    ("ht", "diag"): ({"--lambdas": Q_LIST, "--p": INT}, convexity.ht_diag_report),
+    ("ht", "chain"): ({"--Ln": Q, "--LH": Q, "--LnpHp": Q, "--n": INT, "--p": INT},
+                      "convexity.ht_chain_report"),
+    ("ht", "diag"): ({"--lambdas": Q_LIST, "--p": INT}, "convexity.ht_diag_report"),
 }
 
 
@@ -199,7 +198,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 after --help
         return EXIT_INPUT if exc.code else EXIT_OK
-    report_of = args.pop("report")
+    module, _, name = args.pop("report").rpartition(".")
+    report_of = getattr(importlib.import_module(f".{module}", __package__), name)
     del args["command"]
     args.pop("variant", None)
     as_table = args.pop("format", "json") == "table"

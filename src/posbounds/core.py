@@ -77,8 +77,10 @@ def iroot(a: int, q: int) -> tuple[int, bool]:
     integer Newton step stays at or above the floor root and strictly
     decreases until it reaches it, so the loop ends exactly there.  k is
     about half the root's bits, less log2(2q), so that the first step lands
-    on the floor root or one above it.  Roots under about 2^64 are seeded
-    from the bit length instead.
+    on the floor root or one above it.  For q <= 16, roots under about 2^64
+    are seeded from the bit length instead.  For larger q that seed, up to
+    twice the root, would take about q steps, so the recursion goes on down
+    to roots of at most bitlen(2q) + 2 bits, which ``bisect`` finds.
     """
     if a < 0:
         raise ValueError("iroot of negative integer")
@@ -91,10 +93,13 @@ def iroot(a: int, q: int) -> tuple[int, bool]:
         return r, r * r == a
     n = a.bit_length()
     k = ((n - 1) // q - (2 * q).bit_length()) // 2
-    if k < 32:
-        x = 1 << -(-n // q)
-    else:
+    if k >= 32 or q > 16 and k > 0:
         x = (iroot(a >> q * k, q)[0] + 1) << k
+    elif q <= 16:
+        x = 1 << -(-n // q)
+    else:  # 2^((n-1)//q) <= root < 2^ceil(n/q)
+        r = bisect(lambda x: x**q <= a, 1 << (n - 1) // q, 1 << -(-n // q))
+        return r, r**q == a
     while True:
         p = x ** (q - 1)
         y = ((q - 1) * x + a // p) // q

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import (
     DEFAULT_TOL, Bracket, CertificationFailed, InputError, QLike, bisect, bracket_min, certify,
@@ -20,7 +20,8 @@ from .core import (
 )
 from .report import BoundReport
 
-from .adjoint import JetSpec
+if TYPE_CHECKING:  # annotation only; jets subcommands need not load adjoint
+    from .adjoint import JetSpec
 
 
 @dataclass(frozen=True)

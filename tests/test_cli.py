@@ -1,5 +1,8 @@
 """End-to-end tests for the command line front-end."""
 
+import argparse
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from posbounds import numpoly
 from posbounds.cli import (
+    COMMANDS,
     EXIT_BRACKET,
     EXIT_INPUT,
     EXIT_OK,
@@ -128,15 +133,57 @@ def test_lelong(capsys):
     assert abs(estimates[-1][1] - 2.0) < 0.05
 
 
-def test_cli_import_leaves_numpy_unloaded():
+LOADED_BY_MAIN = """
+import contextlib, io, json, sys
+from posbounds import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    cli.main(sys.argv[1:])
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("posbounds."))))
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, families",
+    [
+        (["bounds", "siu", "--n", "2", "--jets", "1"], ["adjoint"]),
+        (["jets", "mu", "--n", "2", "--per-dim", "1=4,2=9"], ["jumping"]),
+        (["--help"], []),
+        (["poly", "--coeffs", "1", "--window", "d", "--m0", "0"], []),
+    ],
+    ids=["bounds-siu", "jets-mu", "help", "usage-error"],
+)
+def test_cli_imports_only_the_family_it_runs(argv, families):
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run(
-        [sys.executable, "-c", "import posbounds.cli, sys; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", LOADED_BY_MAIN, *argv],
         env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    assert out == "False\n"
+    ).stdout.splitlines()
+    expected = sorted(f"posbounds.{name}" for name in ["cli", "core", "report", *families])
+    assert json.loads(out[0]) == expected
+    assert out[1] == "False"
+
+
+@pytest.mark.parametrize("path", list(COMMANDS), ids=" ".join)
+def test_command_table_resolves(path):
+    flags, qualified = COMMANDS[path]
+    module, _, name = qualified.rpartition(".")
+    report_of = getattr(importlib.import_module(f"posbounds.{module}"), name)
+    assert callable(report_of)
+    parser = argparse.ArgumentParser()
+    dests = {parser.add_argument(flag, **kwargs).dest for flag, kwargs in flags.items()}
+    dests.discard("format")  # main consumes --format itself
+    signature = inspect.signature(report_of)
+    assert "tol" not in dests and dests <= signature.parameters.keys()
+    # main's call binds: every required parameter is a flag, and tol goes
+    # only to a function that takes it
+    signature.bind(**dict.fromkeys(dests | ({"tol"} & signature.parameters.keys())))
+
+
+def test_window_choices_are_the_numpoly_windows():
+    assert COMMANDS[("poly",)][0]["--window"]["choices"] == tuple(numpoly.WINDOWS)
 
 
 def test_poly_window(capsys):

@@ -1,6 +1,7 @@
 """Unit and property tests for rationals, brackets, and rational powers."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,34 @@ def test_iroot_on_perfect_powers_near_the_threshold():
         for r in ((1 << bits // q) - 1, 1 << bits // q, (1 << bits // q + 1) - 1, 3 ** (bits // q)):
             for a in (r**q - 1, r**q, r**q + 1):
                 assert iroot(a, q) == iroot_by_plain_newton(a, q)
+
+
+def large_index_cases():
+    """For q > 16: 40q and 40q + 1 bits straddle a power of two in the root,
+    where a bit-length seed would be up to twice the root; q (bitlen(2q) + 2)
+    + 1 bits is where bisection hands over to the recursive seed; a < 2^q
+    has root 1."""
+    for q in (17, 100, 300, 1000):
+        rng = random.Random(q)
+        handover = q * ((2 * q).bit_length() + 2)
+        for bits in (40 * q, 40 * q + 1, handover, handover + 1):
+            yield q, f"random-{bits}bits", rng.getrandbits(bits) | 1 << bits - 1
+        small = (1 << (2 * q).bit_length() + 1) + 1  # bitlen(2q) + 2 bits
+        yield q, "small-power-1", small**q - 1
+        yield q, "small-power", small**q
+        yield q, "power-1", ((1 << 40) + 3) ** q - 1
+        yield q, "power", ((1 << 40) + 3) ** q
+        yield q, "power+1", (3 << 39) ** q + 1
+        yield q, "two-1", (1 << 40 * q) - 1
+        yield q, "below-2^q", (1 << q) - 1
+        yield q, "2^q", 1 << q
+
+
+@pytest.mark.parametrize(
+    "q, a", [pytest.param(q, a, id=f"q{q}-{name}") for q, name, a in large_index_cases()]
+)
+def test_iroot_large_index_matches_plain_newton(q, a):
+    assert iroot(a, q) == iroot_by_plain_newton(a, q)
 
 
 def test_bracket_rejects_reversed_endpoints():
