@@ -27,7 +27,7 @@ class JetSpec:
         if not self.orders:
             raise InputError("jets must list at least one jet order")
         if any(s < 0 for s in self.orders):
-            raise ValueError("jet orders must be nonnegative")
+            raise InputError("jet orders must be nonnegative")
 
     @staticmethod
     def of(*orders: int) -> "JetSpec":
@@ -44,7 +44,7 @@ def siu_jet_threshold(n: int, jets: JetSpec) -> int:
     """m such that 2K+mL+G generates the requested jets:
     m >= 2 + sum C(3n + 2 s_j - 1, n)."""
     if n < 1:
-        raise ValueError("dimension must be >= 1")
+        raise InputError("dimension must be >= 1")
     return 2 + sum(binom(3 * n + 2 * s - 1, n) for s in jets.orders)
 
 
@@ -66,7 +66,7 @@ def very_ample_threshold(n: int, reading: str = "one_point_s1") -> int:
         return siu_jet_threshold(n, JetSpec((1,)))
     if reading == "two_points_s0":
         return siu_jet_threshold(n, JetSpec((0, 0)))
-    raise ValueError(f"unknown reading {reading!r}")
+    raise InputError(f"unknown reading {reading!r}")
 
 
 def siu_degree_conditions(n: int, jets: JetSpec) -> dict[int, Fraction]:
@@ -74,11 +74,8 @@ def siu_degree_conditions(n: int, jets: JetSpec) -> dict[int, Fraction]:
     generated by 2K+(n+1)L+G provided L^d.Y strictly exceeds
     2^(d-1)/floor(n/d)^d * sum C(3n + 2 s_j - 1, n) for every d."""
     if n < 1:
-        raise ValueError("dimension must be >= 1")
-    total = sum(binom(3 * n + 2 * s - 1, n) for s in jets.orders)
-    return {
-        d: Fraction(2 ** (d - 1), (n // d) ** d) * total for d in range(1, n + 1)
-    }
+        raise InputError("dimension must be >= 1")
+    return _degree_conditions(n, sum(binom(3 * n + 2 * s - 1, n) for s in jets.orders))
 
 
 def corollary85_threshold(n: int) -> int:
@@ -90,18 +87,21 @@ def theorem87_conditions(n: int, jets: JetSpec) -> dict[int, Fraction]:
     """Per-dimension thresholds for jet generation by 2K+L:
     L^d.Y > 2^(d-1)/floor(n/d)^d * sum C((n+1)(4n+2s_j+1)-2, n)."""
     if n < 1:
-        raise ValueError("dimension must be >= 1")
-    total = sum(binom((n + 1) * (4 * n + 2 * s + 1) - 2, n) for s in jets.orders)
-    return {
-        d: Fraction(2 ** (d - 1), (n // d) ** d) * total for d in range(1, n + 1)
-    }
+        raise InputError("dimension must be >= 1")
+    return _degree_conditions(
+        n, sum(binom((n + 1) * (4 * n + 2 * s + 1) - 2, n) for s in jets.orders))
+
+
+def _degree_conditions(n: int, total: int) -> dict[int, Fraction]:
+    """{d: 2^(d-1)/floor(n/d)^d * total} for d = 1..n."""
+    return {d: Fraction(2 ** (d - 1), (n // d) ** d) * total for d in range(1, n + 1)}
 
 
 def lemma86_transfer(mu: int, n: int, s_j: int) -> int:
     """Jet order mu(n + s_j) + 1 required of mu*F so that K+F yields
     s_j-jets."""
     if mu < 1:
-        raise ValueError("mu must be a positive integer")
+        raise InputError("mu must be a positive integer")
     return mu * (n + s_j) + 1
 
 
@@ -119,11 +119,11 @@ def pluricanonical_bounds(
     elif sign == "fano":
         m0 = base
     else:
-        raise ValueError(f"unknown case {sign!r}")
+        raise InputError(f"unknown case {sign!r}")
     degree = None
     if Kn_abs is not None:
         if Kn_abs <= 0:
-            raise ValueError("|K^n| must be positive")
+            raise InputError("|K^n| must be positive")
         degree = m0 ** n * Kn_abs
     return m0, degree
 
@@ -163,7 +163,7 @@ def reider_check(
     elif mode == "separation":
         min_L2, exceptions = 10, REIDER_SEPARATION_EXCEPTIONS
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InputError(f"unknown mode {mode!r}")
     if L2 < min_L2:
         return CheckResult(CheckOutcome.INAPPLICABLE)
     matched = tuple(d for d in divisors if tuple(d) in exceptions)
@@ -186,7 +186,7 @@ def bes_check(L2: int, p: int, divisors: Sequence[tuple[int, int]] = ()) -> Chec
     divisor is exceptional when L.D - p <= D^2 < L.D / 2 (upper bound strict,
     compared exactly at the rational midpoint)."""
     if p < 1:
-        raise ValueError("p must be a positive integer")
+        raise InputError("p must be a positive integer")
     if L2 <= 4 * p:
         return CheckResult(CheckOutcome.INAPPLICABLE)
     matched = tuple(

@@ -10,8 +10,11 @@ argparse accepts the command line, calls the function with the parsed flags
 
 Exit codes: 0 when a verdict was computed (including "unsatisfied"), 2 on
 input errors (a malformed flag is an argparse usage error), 3 when bracket
-certification failed even after refinement.  POSBOUNDS_TOL overrides the
-default tolerance 10^-12; numbers may be any rational ("3/7", "0.25", "4").
+certification failed even after refinement, and 1 on an internal error (a
+bug), reported as one line on stderr.  The code that raises decides: a
+family module raises ``InputError`` or ``CertificationFailed``, and any other
+exception is a bug.  POSBOUNDS_TOL overrides the default tolerance 10^-12;
+numbers may be any rational ("3/7", "0.25", "4").
 """
 
 from __future__ import annotations
@@ -25,9 +28,11 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .core import DEFAULT_TOL, InputError  # argparse turns InputError into a usage error
+# argparse turns the InputError of a type= parser into a usage error
+from .core import DEFAULT_TOL, CertificationFailed, InputError
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_BRACKET = 3
 
@@ -207,16 +212,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         tol = default_tol()  # validated for every command
         report = report_of(**args, tol=tol) if takes_tol else report_of(**args)
-    except (ValueError, KeyError, ZeroDivisionError) as exc:
+        print(render_surface_table(report.details) if as_table
+              else json.dumps(report.to_json(), sort_keys=True))
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ArithmeticError as exc:
+    except CertificationFailed as exc:
         print(f"bracket certification failed: {exc}", file=sys.stderr)
         return EXIT_BRACKET
-    if as_table:
-        print(render_surface_table(report.details))
-    else:
-        print(json.dumps(report.to_json(), sort_keys=True))
+    except Exception as exc:  # a bug: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_OK
 
 

@@ -66,7 +66,7 @@ def ht_products(
     mixed, tol = Fraction(mixed), check_tol(tol)
     brackets = [b if isinstance(b, Bracket) else Bracket.point(b) for b in selfints]
     if any(b.lo < 0 for b in brackets):
-        raise ValueError("self-intersections of nef classes must be nonnegative")
+        raise InputError("self-intersections of nef classes must be nonnegative")
 
     def attempt(t: Fraction) -> tuple[bool, Bracket]:
         gm = bracket_prod(pow_bracket_interval(b, Fraction(1, n), t) for b in brackets)
@@ -102,10 +102,16 @@ def ht_products_report(
 def pow_bracket_interval(b: Bracket, e: Fraction, tol: Fraction) -> Bracket:
     """x^e over an interval of nonnegative x (monotone for e > 0)."""
     if e <= 0:
-        raise ValueError("interval powers only implemented for positive exponents")
+        raise InputError("interval powers only implemented for positive exponents")
     lo = pow_bracket(b.lo, e, tol)
     hi = lo if b.is_point else pow_bracket(b.hi, e, tol)
     return Bracket(lo.lo, hi.hi)
+
+
+def _at_least(big: Fraction, small: Fraction) -> InequalityResult:
+    """The exact inequality big >= small, with slack big - small."""
+    verdict = Verdict.HOLDS if big >= small else Verdict.VIOLATED
+    return InequalityResult(verdict, Bracket.point(big - small), equality=big == small)
 
 
 def ht_mixed_chain(Ln: QLike, LH: QLike, LnpHp: QLike, n: int, p: int) -> InequalityResult:
@@ -115,15 +121,11 @@ def ht_mixed_chain(Ln: QLike, LH: QLike, LnpHp: QLike, n: int, p: int) -> Inequa
     (L^(n-p).H^p) * (L^n)^(p-1) <= (L^(n-1).H)^p.
     """
     if not (1 <= p <= n):
-        raise ValueError("need 1 <= p <= n")
+        raise InputError("need 1 <= p <= n")
     Ln, LH, LnpHp = Fraction(Ln), Fraction(LH), Fraction(LnpHp)
     if min(Ln, LH, LnpHp) < 0:
-        raise ValueError("intersection numbers must be nonnegative")
-    lhs_p = LnpHp * Ln ** (p - 1)
-    rhs_p = LH ** p
-    verdict = Verdict.HOLDS if lhs_p <= rhs_p else Verdict.VIOLATED
-    slack = Bracket.point(rhs_p - lhs_p)
-    return InequalityResult(verdict, slack, equality=lhs_p == rhs_p)
+        raise InputError("intersection numbers must be nonnegative")
+    return _at_least(LH ** p, LnpHp * Ln ** (p - 1))
 
 
 def ht_chain_report(Ln: QLike, LH: QLike, LnpHp: QLike, n: int, p: int) -> BoundReport:
@@ -139,18 +141,14 @@ def diag_form_check(lambdas: Sequence[QLike], p: int) -> InequalityResult:
     if not vals:
         raise InputError("lambdas must list at least one eigenvalue")
     if any(v <= 0 for v in vals):
-        raise ValueError("eigenvalues must be positive")
+        raise InputError("eigenvalues must be positive")
     n = len(vals)
     if not (0 <= p <= n):
-        raise ValueError("need 0 <= p <= n")
+        raise InputError("need 0 <= p <= n")
     lhs = math.factorial(p) * math.factorial(n - p) * elem_sym(vals, p)
     prod = math.prod(vals)
     # lhs >= n! prod^(p/n)  <=>  lhs^n >= (n!)^n prod^p  (both sides positive)
-    lhs_n = lhs ** n
-    rhs_n = Fraction(math.factorial(n)) ** n * prod ** p
-    verdict = Verdict.HOLDS if lhs_n >= rhs_n else Verdict.VIOLATED
-    slack = Bracket.point(lhs_n - rhs_n)
-    return InequalityResult(verdict, slack, equality=lhs_n == rhs_n)
+    return _at_least(lhs ** n, Fraction(math.factorial(n)) ** n * prod ** p)
 
 
 def ht_diag_report(lambdas: Sequence[QLike], p: int) -> BoundReport:
@@ -162,7 +160,7 @@ def morse_strong_rhs(mixed: MixedNumbers, q: int) -> Fraction:
     """Right side of the asymptotic strong Morse inequality (coefficient of
     k^n/n!): sum over j <= q of (-1)^(q-j) C(n,j) F^(n-j).G^j."""
     if not (0 <= q <= mixed.n):
-        raise ValueError("need 0 <= q <= n")
+        raise InputError("need 0 <= q <= n")
     return sum(
         ((-1) ** (q - j)) * binom(mixed.n, j) * mixed[j] for j in range(q + 1)
     )
@@ -175,9 +173,9 @@ def morse_existence_threshold(Fn: QLike, FG: QLike, n: int) -> int:
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     if Fn <= 0:
-        raise ValueError("F^n must be positive (F big)")
+        raise InputError("F^n must be positive (F big)")
     if FG < 0:
-        raise ValueError("F^(n-1).G must be nonnegative")
+        raise InputError("F^(n-1).G must be nonnegative")
     return math.floor(n * FG / Fn) + 1
 
 
@@ -202,10 +200,10 @@ def singular_morse_Aq(n: int, q: int, b: QLike, cup_uq_times: QLike) -> Fraction
     jumping value b_(n-q+1).
     """
     if not (0 <= q <= n):
-        raise ValueError("need 0 <= q <= n")
+        raise InputError("need 0 <= q <= n")
     b = Fraction(b)
     if b < 0:
-        raise ValueError("jumping value must be nonnegative")
+        raise InputError("jumping value must be nonnegative")
     if b == 0 and q >= 1:
         return Fraction(0)
     return b ** q * Fraction(cup_uq_times) / (math.factorial(q) * math.factorial(n - q))

@@ -48,7 +48,7 @@ def binom(n: int, k: int) -> int:
 def elem_sym(values: Sequence[QLike], j: int) -> Fraction:
     """Elementary symmetric function S_j of the given values (S_0 = 1)."""
     if j < 0 or j > len(values):
-        raise ValueError(f"elementary symmetric degree {j} out of range 0..{len(values)}")
+        raise InputError(f"elementary symmetric degree {j} out of range 0..{len(values)}")
     # DP over prefixes: e[i] holds S_i of the values consumed so far.
     e = [Fraction(0)] * (j + 1)
     e[0] = Fraction(1)
@@ -83,9 +83,9 @@ def iroot(a: int, q: int) -> tuple[int, bool]:
     to roots of at most bitlen(2q) + 2 bits, which ``bisect`` finds.
     """
     if a < 0:
-        raise ValueError("iroot of negative integer")
+        raise InputError("iroot of negative integer")
     if q < 1:
-        raise ValueError("root index must be >= 1")
+        raise InputError("root index must be >= 1")
     if a in (0, 1) or q == 1:
         return a, True
     if q == 2:
@@ -134,9 +134,6 @@ class Bracket:
 
     def contains(self, x: QLike) -> bool:
         return self.lo <= Fraction(x) <= self.hi
-
-    def intersects(self, other: "Bracket") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
 
     def __add__(self, other: Union["Bracket", QLike]) -> "Bracket":
         other = _as_bracket(other)
@@ -199,9 +196,9 @@ def nth_root_bracket(r: QLike, q: int, tol: QLike) -> Bracket:
     r = Fraction(r)
     tol = check_tol(tol)
     if r < 0:
-        raise ValueError("nth root of negative rational")
+        raise InputError("nth root of negative rational")
     if q < 1:
-        raise ValueError("root index must be >= 1")
+        raise InputError("root index must be >= 1")
     if q == 1 or r in (0, 1):
         return Bracket.point(r)
     num_root, num_exact = iroot(r.numerator, q)
@@ -210,11 +207,8 @@ def nth_root_bracket(r: QLike, q: int, tol: QLike) -> Bracket:
         return Bracket.point(Fraction(num_root, den_root))
     scale = max(2, -(-1 // tol))  # ceil(1/tol)
     m = (r.numerator * scale ** q) // r.denominator
-    t, exact = iroot(m, q)
-    lo = Fraction(t, scale)
-    if exact and lo ** q == r:
-        return Bracket.point(lo)
-    return Bracket(lo, Fraction(t + 1, scale))
+    t = iroot(m, q)[0]
+    return Bracket(Fraction(t, scale), Fraction(t + 1, scale))
 
 
 def certify(
@@ -252,10 +246,10 @@ def pow_bracket(x: QLike, e: QLike, tol: QLike) -> Bracket:
     e = Fraction(e)
     tol = check_tol(tol)
     if x < 0:
-        raise ValueError("pow_bracket base must be nonnegative")
+        raise InputError("pow_bracket base must be nonnegative")
     if x == 0:
         if e < 0:
-            raise ValueError("0 cannot be raised to a negative power")
+            raise InputError("0 cannot be raised to a negative power")
         return Bracket.point(1 if e == 0 else 0)
     if e.denominator == 1:
         return Bracket.point(x ** int(e))

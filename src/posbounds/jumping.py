@@ -32,11 +32,11 @@ class JumpSequence:
 
     def __post_init__(self) -> None:
         if not self.b or self.b[0] != 0:
-            raise ValueError("jump sequence must start at 0")
+            raise InputError("jump sequence must start at 0")
         if any(x < 0 for x in self.b):
-            raise ValueError("jumping values must be nonnegative")
+            raise InputError("jumping values must be nonnegative")
         if any(y < x for x, y in zip(self.b, self.b[1:])):
-            raise ValueError("jumping values must be nondecreasing")
+            raise InputError("jumping values must be nondecreasing")
 
     @staticmethod
     def of(*values: QLike) -> "JumpSequence":
@@ -83,7 +83,7 @@ def sigma_sequence(
     """
     sigma0, Ln, tol = Fraction(sigma0), Fraction(Ln), check_tol(tol)
     if not (0 < sigma0 < Ln):
-        raise ValueError("need 0 < sigma0 < L^n")
+        raise InputError("need 0 < sigma0 < L^n")
     q = 1 - sigma0 / Ln
 
     def attempt(t: Fraction) -> tuple[bool, list[Bracket]]:
@@ -125,11 +125,11 @@ def recursion_bound(
     a = Fraction(a)
     tol = check_tol(tol)
     if a < 0:
-        raise ValueError("a must be nonnegative")
+        raise InputError("a must be nonnegative")
     if minY < 1:
-        raise ValueError("minY must be a positive integer")
+        raise InputError("minY must be a positive integer")
     if not b or b[0] != 0 or any(y < x for x, y in zip(b, b[1:])):
-        raise ValueError("b_prefix must be nondecreasing and start at 0")
+        raise InputError("b_prefix must be nondecreasing and start at 0")
     rhs = _rhs_bracket(b, a, sigma, minY)
     p = len(b)
     if p == 1:
@@ -175,10 +175,12 @@ def main_theorem_check(
     """
     sigma0, a, Ln, tol = Fraction(sigma0), Fraction(a), Fraction(Ln), check_tol(tol)
     betas = [Fraction(x) for x in beta]
-    if len(betas) != n or betas[0] != 0 or any(
+    if n < 1 or len(betas) != n or betas[0] != 0 or any(
         y <= x for x, y in zip(betas[1:], betas[2:])
     ) or (n > 1 and betas[1] <= 0) or betas[-1] > 1:
-        raise ValueError("beta must satisfy 0 = beta_1 < ... < beta_n <= 1")
+        raise InputError("beta must satisfy 0 = beta_1 < ... < beta_n <= 1")
+    if a < 0:
+        raise InputError("a must be nonnegative")
     details: dict = {"nef_twist": nef_twist}
     if sigma0 >= Ln:
         details["reason"] = "L^n does not exceed sigma0"
@@ -203,7 +205,7 @@ def lemma1111_check(t: Sequence[QLike], n: int) -> bool:
     """Exact check of sum (n-1+t_j)^n <= (n-1 + sum t_j)^n for t_j >= 1."""
     vals = [Fraction(x) for x in t]
     if any(x < 1 for x in vals):
-        raise ValueError("need t_j >= 1")
+        raise InputError("need t_j >= 1")
     return sum((n - 1 + x) ** n for x in vals) <= (n - 1 + sum(vals)) ** n
 
 
@@ -219,7 +221,7 @@ def beta_schedule(n: int, tol: QLike = DEFAULT_TOL) -> list[Bracket]:
     the exact exponents (beta_p is a pure power of n), not on the brackets.
     """
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise InputError("need n >= 2")
     tol = check_tol(tol)
     exps = [_beta_exponent(n, p) for p in range(2, n)]
     # beta strictly increasing <=> exponents strictly decreasing; the ratio
@@ -256,10 +258,10 @@ def lemma1115_threshold(n: int, s: int, special: bool = False) -> int:
     """mu(L') >= 3(n+s)^n suffices for s-jets of K+L'; for s = 1 the special
     path sharpens this to 6 n^n."""
     if s < 1:
-        raise ValueError("need s >= 1")
+        raise InputError("need s >= 1")
     if special:
         if s != 1:
-            raise ValueError("the special threshold applies only to s = 1")
+            raise InputError("the special threshold applies only to s = 1")
         return 6 * n ** n
     return 3 * (n + s) ** n
 
@@ -268,10 +270,10 @@ def theorem1117_threshold(n: int, s: int, muL: QLike, special: bool = True) -> i
     """Smallest m >= 2 with (m-1) mu(L) + s >= 6(n+s)^n; when s = 1 the
     right side improves to 12 n^n (taken by default)."""
     if s < 1:
-        raise ValueError("need s >= 1")
+        raise InputError("need s >= 1")
     mu = Fraction(muL)
     if mu <= 0:
-        raise ValueError("mu(L) must be positive")
+        raise InputError("mu(L) must be positive")
     rhs = 12 * n ** n if (special and s == 1) else 6 * (n + s) ** n
     need = Fraction(rhs - s)
     if need <= 0:
@@ -282,7 +284,7 @@ def theorem1117_threshold(n: int, s: int, muL: QLike, special: bool = True) -> i
 def remark1120_threshold(n: int, s: int) -> int:
     """mu(L) >= 6(3n+3+2s)^n suffices for 2K+L to generate s-jets."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise InputError("need n >= 2")
     return 6 * (3 * n + 3 + 2 * s) ** n
 
 
@@ -297,7 +299,7 @@ def corollary118_table(s: int | None = None) -> dict:
     }
     if s is not None:
         if s < 0:
-            raise ValueError("jet order must be nonnegative")
+            raise InputError("jet order must be nonnegative")
         table["jets"] = ((2 + s) ** 2, 2 + 3 * s + s * s)
     return table
 
@@ -321,13 +323,13 @@ def mu_invariant(
         raise InputError("per_dim must declare the minima for p = 1..n")
     missing = [p for p in range(1, n + 1) if p not in per_dim]
     if missing:
-        raise ValueError(f"missing per-dimension minima for p in {missing}")
+        raise InputError(f"missing per-dimension minima for p in {missing}")
     tol = check_tol(tol)
     roots = []
     for p in range(1, n + 1):
         v = per_dim[p]
         if v < 1:
-            raise ValueError("per-dimension minima must be positive integers")
+            raise InputError("per-dimension minima must be positive integers")
         roots.append(pow_bracket(Fraction(v), Fraction(1, p), tol))
     return bracket_min(roots)
 
@@ -342,5 +344,5 @@ def lemma1116_consistency(s: int, per_dim: Mapping[int, int]) -> bool:
     """A bundle generating s-jets everywhere must satisfy F^p.Y >= s^p for
     every p-dimensional subvariety; checks the declared minima."""
     if s < 0:
-        raise ValueError("jet order must be nonnegative")
+        raise InputError("jet order must be nonnegative")
     return all(v >= s ** p for p, v in per_dim.items())

@@ -23,7 +23,7 @@ def ord_at_origin(poly: Mapping[tuple[int, ...], int]) -> int:
     coefficient."""
     degrees = [sum(expo) for expo, coeff in poly.items() if coeff != 0]
     if not degrees:
-        raise ValueError("zero polynomial has no vanishing order")
+        raise InputError("zero polynomial has no vanishing order")
     return min(degrees)
 
 
@@ -35,9 +35,9 @@ class Component:
 
     def __post_init__(self) -> None:
         if self.coeff <= 0:
-            raise ValueError("component coefficient must be positive")
+            raise InputError("component coefficient must be positive")
         if any(m < 0 for m in self.point_multiplicities.values()):
-            raise ValueError("multiplicities must be nonnegative")
+            raise InputError("multiplicities must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def upperlevel_set(T: DivisorCurrent, c: QLike) -> set[Hashable]:
     """Component ids whose generic Lelong number (the coefficient) is >= c."""
     c = Fraction(c)
     if c <= 0:
-        raise ValueError("level must be positive")
+        raise InputError("level must be positive")
     return {comp.id for comp in T.components if comp.coeff >= c}
 
 
@@ -82,9 +82,9 @@ class ParamCurve:
 
     def __post_init__(self) -> None:
         if not (1 <= self.u <= self.v):
-            raise ValueError("need 1 <= u <= v")
+            raise InputError("need 1 <= u <= v")
         if math.gcd(self.u, self.v) != 1:
-            raise ValueError("exponents must be coprime")
+            raise InputError("exponents must be coprime")
 
 
 def lelong_numeric(
@@ -146,10 +146,10 @@ class CurveData:
         items = []
         for deg, mult in curves:
             if mult < 1:
-                raise ValueError("curve multiplicity must be >= 1")
+                raise InputError("curve multiplicity must be >= 1")
             deg = Fraction(deg)
             if deg < 0:
-                raise ValueError("nef degree must be nonnegative")
+                raise InputError("nef degree must be nonnegative")
             items.append((deg, mult))
         return CurveData(tuple(items))
 
@@ -158,7 +158,7 @@ def seshadri_upper(curves: CurveData) -> Fraction:
     """min over the supplied curves of (L . C) / mult; an UPPER bound for the
     Seshadri constant (finite sample of an infimum)."""
     if not curves.curves:
-        raise ValueError("need at least one curve")
+        raise InputError("need at least one curve")
     return min(deg / mult for deg, mult in curves.curves)
 
 
@@ -174,7 +174,7 @@ def seshadri_thresholds(eps_lower: QLike, n: int, s: int) -> SeshadriVerdicts:
     ampleness needs the global constant > 2n.  Strict inequalities."""
     eps = Fraction(eps_lower)
     if eps < 0:
-        raise ValueError("Seshadri lower bound must be nonnegative")
+        raise InputError("Seshadri lower bound must be nonnegative")
     return SeshadriVerdicts(jets_at_point=eps > n + s, very_ample=eps > 2 * n)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .core import Bracket, QLike
+from .core import Bracket, InputError, QLike
 from .report import BoundReport
 
 
@@ -22,10 +22,10 @@ def prop131_window(n: int, LB: QLike, Ln: QLike) -> int:
     """Some m with a section of mL - B satisfies m <= floor(n LB / L^n) + 1 + n."""
     Ln = Fraction(Ln)
     if Ln < 1:
-        raise ValueError("L^n must be >= 1")
+        raise InputError("L^n must be >= 1")
     LB = Fraction(LB)
     if LB < 0:
-        raise ValueError("L^(n-1).B must be nonnegative for nef B")
+        raise InputError("L^(n-1).B must be nonnegative for nef B")
     m0 = math.floor(n * LB / Ln) + 1
     return m0 + n
 
@@ -35,7 +35,7 @@ def cor132_window(n: int, LB: QLike, LK: QLike, Ln: QLike) -> int:
     m <= n((LB + LK)/L^n + n + 1), rounded up."""
     Ln = Fraction(Ln)
     if Ln < 1:
-        raise ValueError("L^n must be >= 1")
+        raise InputError("L^n must be >= 1")
     return math.ceil(n * ((Fraction(LB) + Fraction(LK)) / Ln + n + 1))
 
 
@@ -45,15 +45,15 @@ def lambda_n(n: int, policy: Union[str, int]) -> int:
     an explicit positive integer."""
     if isinstance(policy, int):
         if policy < 1:
-            raise ValueError("explicit lambda must be a positive integer")
+            raise InputError("explicit lambda must be a positive integer")
         return policy
     if policy == "demailly":
         return math.comb(3 * n + 1, n) - 2 * n
     if policy == "angehrn-siu":
         if n < 2:
-            raise ValueError("the cubic policy needs n >= 2")
+            raise InputError("the cubic policy needs n >= 2")
         return n ** 3 - n ** 2 - n - 1
-    raise ValueError(f"unknown lambda policy {policy!r}")
+    raise InputError(f"unknown lambda policy {policy!r}")
 
 
 @dataclass(frozen=True)
@@ -80,13 +80,13 @@ class MatsusakaInputs:
         LBH: QLike | None = None,
     ) -> "MatsusakaInputs":
         if n < 2:
-            raise ValueError("need n >= 2")
+            raise InputError("need n >= 2")
         Ln = Fraction(Ln)
         if Ln < 1:
-            raise ValueError("L^n must be >= 1")
+            raise InputError("L^n must be >= 1")
         LB, LK = Fraction(LB), Fraction(LK)
         if LB < 0:
-            raise ValueError("L^(n-1).B must be nonnegative")
+            raise InputError("L^(n-1).B must be nonnegative")
         return MatsusakaInputs(
             n,
             Ln,
@@ -127,11 +127,11 @@ def matsusaka_main(inputs: MatsusakaInputs) -> BoundReport:
     with e_H = 3^(n-2)(n/2 - 3/4) - 1/4 and e_L = 3^(n-2)(n/2 - 1/4) + 1/4."""
     n = inputs.n
     if inputs.Ln == 0:
-        raise ValueError("L^n must be positive")
+        raise InputError("L^n must be positive")
     LH = inputs.resolved_LH()
     LBH = inputs.resolved_LBH()
     if LH < 0 or LBH < 0:
-        raise ValueError("L^(n-1).H and L^(n-1).(B+H) must be nonnegative")
+        raise InputError("L^(n-1).H and L^(n-1).(B+H) must be nonnegative")
     pre, ebh, eh, eln = _main_exponents(n)
     bound = (2 * n) ** pre * LBH ** ebh * LH ** eh / inputs.Ln ** eln
     m_int = math.ceil(bound)
@@ -175,15 +175,15 @@ def matsusaka_very_ample(
     m >= (2n)^((3^(n-1)-1)/2) lambda_n^e (L^n)^(3^(n-2)) (n+2+LK/L^n)^e
     with e = 3^(n-2)(n/2 + 3/4) + 1/4."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise InputError("need n >= 2")
     Ln, LK = Fraction(Ln), Fraction(LK)
     if Ln < 1:
-        raise ValueError("L^n must be >= 1")
+        raise InputError("L^n must be >= 1")
     if n + 2 + LK / Ln < 0:
-        raise ValueError("n + 2 + L^(n-1).K / L^n must be nonnegative")
+        raise InputError("n + 2 + L^(n-1).K / L^n must be nonnegative")
     lam = lambda_n(n, policy)
     e = (3 ** (n - 2) * (2 * n + 3) + 1) // 4  # 3^(n-2)(n/2 + 3/4) + 1/4
-    pre = (3 ** (n - 1) - 1) // 2
+    pre = _main_exponents(n)[0]
     return Bracket.point(
         (2 * n) ** pre * Fraction(lam) ** e * Ln ** (3 ** (n - 2)) * (n + 2 + LK / Ln) ** e
     )
@@ -202,7 +202,7 @@ def mbar_recursion(
     """
     M, LH, Ln = Fraction(M), Fraction(LH), Fraction(Ln)
     if min(M, LH, Ln) <= 0:
-        raise ValueError("M, LH, L^n must be positive")
+        raise InputError("M, LH, L^n must be positive")
     rec = [M / Ln]  # index 0 holds mbar_n
     for p in range(n - 1, 0, -1):
         tail_sq = math.prod(rec) ** 2
@@ -221,7 +221,7 @@ def mbar_recursion(
 def m0_assembly(mbars: list[Fraction], LBH: QLike) -> Fraction:
     """m0 = max(mbar_n, ..., mbar_2, (mbar_2 ... mbar_n) * L^(n-1).(B+H))."""
     if not mbars:
-        raise ValueError("need at least one mbar value")
+        raise InputError("need at least one mbar value")
     vals = [Fraction(m) for m in mbars]
     return max(max(vals), math.prod(vals) * Fraction(LBH))
 
@@ -232,7 +232,7 @@ def fdb_surface_bound(L2: QLike, LKp4L: QLike) -> tuple[Fraction, Fraction]:
     bound 4 (L.(K+4L))^2 / L^2 from the general formula."""
     L2 = Fraction(L2)
     if L2 < 1:
-        raise ValueError("L^2 must be >= 1")
+        raise InputError("L^2 must be >= 1")
     LKp4L = Fraction(LKp4L)
     fdb = ((LKp4L + 1) ** 2 / L2 + 3) / 2
     factor4 = 4 * LKp4L ** 2 / L2

@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import QLike, ceil_q
+from .core import InputError, QLike, ceil_q
 from .report import BoundReport
 
 
@@ -26,7 +26,7 @@ class MonomialWeightData:
 
     def __post_init__(self) -> None:
         if not self.alpha or any(a <= 0 for a in self.alpha):
-            raise ValueError("weight exponents must be positive")
+            raise InputError("weight exponents must be positive")
 
     @staticmethod
     def of(*alpha: QLike) -> "MonomialWeightData":
@@ -95,7 +95,7 @@ class SNCDivisorData:
 
     def __post_init__(self) -> None:
         if any(a < 0 for a in self.coeffs):
-            raise ValueError("divisor coefficients must be nonnegative")
+            raise InputError("divisor coefficients must be nonnegative")
 
     @staticmethod
     def of(*coeffs: QLike) -> "SNCDivisorData":
@@ -128,7 +128,7 @@ def skoda_classify(nu: QLike, n: int) -> SkodaResult:
     """
     nu = Fraction(nu)
     if nu < 0:
-        raise ValueError("Lelong number must be nonnegative")
+        raise InputError("Lelong number must be nonnegative")
     if nu < 1:
         return SkodaResult(SkodaClass.TRIVIAL)
     if nu >= n:

@@ -37,7 +37,7 @@ class NumericalPolynomial:
 
     def __post_init__(self) -> None:
         if not self.coeffs or self.coeffs[-1] == 0:
-            raise ValueError("leading binomial-basis coefficient must be nonzero")
+            raise InputError("leading binomial-basis coefficient must be nonzero")
 
     @property
     def degree(self) -> int:
@@ -61,23 +61,23 @@ def leading_coeff_rr(LdY: int, d: int) -> tuple[Fraction, int]:
     """Riemann-Roch leading data for a degree-d cycle: the polynomial has
     leading coefficient LdY / d! and binomial-basis leading entry a_d = LdY."""
     if d < 1:
-        raise ValueError("cycle dimension must be >= 1")
+        raise InputError("cycle dimension must be >= 1")
     if LdY < 1:
-        raise ValueError("top self-intersection must be positive")
+        raise InputError("top self-intersection must be positive")
     return Fraction(LdY, math.factorial(d)), LdY
 
 
 def window_a(P: NumericalPolynomial, m0: int, N: int) -> int:
     """Smallest m in [m0, m0 + N*d] with P(m) >= N."""
     if N < 0:
-        raise ValueError("N must be nonnegative")
+        raise InputError("N must be nonnegative")
     return _first_reaching(P, N, m0, m0 + N * P.degree)
 
 
 def window_b(P: NumericalPolynomial, m0: int, k: int) -> int:
     """Smallest m in [m0, m0 + k*d] with P(m) >= a_d * k^d / 2^(d-1)."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InputError("k must be >= 1")
     d = P.degree
     bound = -(-2 * P.leading * k ** d // 2 ** d)  # ceil, an int even at d = 0
     return _first_reaching(P, bound, m0, m0 + k * d)
@@ -186,7 +186,7 @@ def iterated_difference(P: NumericalPolynomial, d: int) -> int:
     """d-th iterated difference; equals the leading binomial coefficient a_d
     and is independent of base point (checked at two points)."""
     if d != P.degree:
-        raise ValueError(f"difference order {d} does not match degree {P.degree}")
+        raise InputError(f"difference order {d} does not match degree {P.degree}")
 
     def delta_d(base: int) -> int:
         return sum((-1) ** j * binom(d, j) * P(base + d - j) for j in range(d + 1))

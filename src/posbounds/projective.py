@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .core import binom
+from .core import InputError, binom
 
 
 @dataclass(frozen=True)
@@ -20,7 +20,7 @@ class ProductSpace:
 
     def __post_init__(self) -> None:
         if not self.factor_dims or any(k < 1 for k in self.factor_dims):
-            raise ValueError("factor dimensions must be positive integers")
+            raise InputError("factor dimensions must be positive integers")
 
     @property
     def n(self) -> int:
@@ -41,16 +41,16 @@ class DivisorClass:
 
     def __post_init__(self) -> None:
         if len(self.coeffs) != self.space.r:
-            raise ValueError("coefficient count must match the number of factors")
+            raise InputError("coefficient count must match the number of factors")
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if other.space != self.space:
-            raise ValueError("divisor classes live on different spaces")
+            raise InputError("divisor classes live on different spaces")
         return DivisorClass(self.space, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         if other.space != self.space:
-            raise ValueError("divisor classes live on different spaces")
+            raise InputError("divisor classes live on different spaces")
         return DivisorClass(self.space, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __rmul__(self, k: int) -> "DivisorClass":
@@ -72,12 +72,12 @@ def top_intersection(classes: Sequence[DivisorClass]) -> int:
     coefficient of H_1^{k_1}...H_r^{k_r} in the product.
     """
     if not classes:
-        raise ValueError("need at least one class")
+        raise InputError("need at least one class")
     space = classes[0].space
     if any(c.space != space for c in classes):
-        raise ValueError("all classes must live on the same space")
+        raise InputError("all classes must live on the same space")
     if len(classes) != space.n:
-        raise ValueError(f"need exactly n={space.n} classes, got {len(classes)}")
+        raise InputError(f"need exactly n={space.n} classes, got {len(classes)}")
     dims = space.factor_dims
     # poly: exponent tuple -> coefficient, truncated at H_i^{k_i}.
     poly: dict[tuple[int, ...], int] = {tuple(0 for _ in dims): 1}
@@ -125,7 +125,7 @@ def strata_minima(space: ProductSpace, cls: DivisorClass) -> dict[int, int]:
     upper bounds only for the true minimum over all subvarieties.
     """
     if cls.space != space:
-        raise ValueError("class does not live on the given space")
+        raise InputError("class does not live on the given space")
     dims = space.factor_dims
     minima: dict[int, int] = {}
     for p in range(1, space.n + 1):
@@ -172,7 +172,7 @@ class IntersectionProfile:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise ValueError("dimension must be >= 1")
+            raise InputError("dimension must be >= 1")
 
     def to_json(self) -> dict:
         return {
@@ -188,7 +188,7 @@ class IntersectionProfile:
         allowed = {"n", "Ln", "LK", "min", "aux"}
         unknown = set(data) - allowed
         if unknown:
-            raise ValueError(f"unknown profile fields: {sorted(unknown)}")
+            raise InputError(f"unknown profile fields: {sorted(unknown)}")
         return IntersectionProfile(
             n=data["n"],
             Ln=data["Ln"],

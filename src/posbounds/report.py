@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .core import Bracket
+from .core import Bracket, InputError
 
 SCHEMA_VERSION = 1
 
@@ -68,9 +68,9 @@ class BoundReport:
         fields = {"schema", "theorem", "inputs", "threshold", "verdict", "details"}
         if set(data) != fields:
             unknown, missing = sorted(set(data) - fields), sorted(fields - set(data))
-            raise ValueError(f"unknown report fields: {unknown}, missing: {missing}")
+            raise InputError(f"unknown report fields: {unknown}, missing: {missing}")
         if data["schema"] != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema version {data['schema']!r}")
+            raise InputError(f"unsupported schema version {data['schema']!r}")
         return BoundReport(
             theorem=data["theorem"],
             inputs=value_from_json(data["inputs"]),

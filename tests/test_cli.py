@@ -1,6 +1,8 @@
 """End-to-end tests for the command line front-end."""
 
 import argparse
+import ast
+import builtins
 import importlib
 import inspect
 import json
@@ -12,17 +14,19 @@ from pathlib import Path
 
 import pytest
 
-from posbounds import numpoly
+from posbounds import adjoint, numpoly
 from posbounds.cli import (
     COMMANDS,
     EXIT_BRACKET,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     main,
     parse_int_map,
     parse_pairs,
     parse_q,
 )
+from posbounds.core import CertificationFailed, InputError
 from posbounds.report import BoundReport
 
 
@@ -237,6 +241,10 @@ def test_empty_lists_exit_2_with_the_argument_named(capsys):
     (["bounds", "siu", "--n", "2", "--jets", ""], "jets must list at least one jet order"),
     (["bounds", "surface", "--jets", "", "--L2", "1", "--minLC", "1"],
      "jets must list at least one jet order"),
+    (["jets", "main", "--n", "2", "--sigma0", "4", "--a", "-1", "--beta", "0,1", "--min", "1=3",
+      "--Ln", "5"], "a must be nonnegative"),
+    (["jets", "main", "--n", "0", "--sigma0", "1", "--a", "0", "--beta", "", "--min", "", "--Ln", "2"],
+     "beta must satisfy 0 = beta_1 < ... < beta_n <= 1"),
 ])
 def test_degenerate_inputs_exit_2(capsys, argv, message):
     assert main(argv) == EXIT_INPUT
@@ -280,3 +288,76 @@ def test_output_ordering_deterministic(capsys):
     _, out1 = run(capsys, "bounds", "siu", "--n", "3", "--jets", "1")
     _, out2 = run(capsys, "bounds", "siu", "--n", "3", "--jets", "1")
     assert out1 == out2
+
+
+def internal_error_line(capsys, argv) -> str:
+    """The one stderr line of a run that must exit 1 as a bug, printing nothing."""
+    assert main(argv) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    line, = captured.err.splitlines()
+    return line
+
+
+@pytest.mark.parametrize("exc", [
+    OverflowError("boom"), ZeroDivisionError("boom"), KeyError("boom"), AssertionError("boom"),
+], ids=lambda exc: type(exc).__name__)
+def test_other_exceptions_exit_1_as_internal_errors(capsys, monkeypatch, exc):
+    def report(n, jets):
+        raise exc
+
+    monkeypatch.setattr(adjoint, "siu_report", report)
+    line = internal_error_line(capsys, ["bounds", "siu", "--n", "2", "--jets", "1"])
+    assert line == f"internal error: {type(exc).__name__}: {exc}"
+
+
+def test_unencodable_report_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(adjoint, "siu_report", lambda n, jets: BoundReport("siu-jets", threshold=0.5))
+    line = internal_error_line(capsys, ["bounds", "siu", "--n", "2", "--jets", "1"])
+    assert line == "internal error: TypeError: cannot serialize float"
+
+
+def test_d1_answer_too_long_to_print_exits_1(capsys):
+    # D1: the bound has more digits than CPython converts to str by default
+    line = internal_error_line(capsys, ["matsusaka", "--n", "7", "--Ln", "1", "--LK", "2"])
+    assert line.startswith("internal error: ValueError: Exceeds the limit (4300 digits)")
+
+
+# Checks on values the program computed itself: their failure is a bug (exit 1)
+COMPUTED_VALUE_CHECKS = {
+    ("core", "Bracket.__post_init__", "ValueError"),
+    ("core", "Bracket.__truediv__", "ZeroDivisionError"),
+    ("core", "bracket_min", "ValueError"),
+    ("jumping", "SigmaSequence.__getitem__", "KeyError"),
+    ("jumping", "beta_schedule", "AssertionError"),
+    ("convexity", "MixedNumbers.__getitem__", "KeyError"),
+    ("numpoly", "iterated_difference", "AssertionError"),
+    ("report", "value_to_json", "TypeError"),
+}
+
+
+def raise_sites(path):
+    """(module, qualified function, class name) for each raise in a source file."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                yield from walk(child, scope + (child.name,))
+            elif isinstance(child, ast.Raise):
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                yield path.stem, ".".join(scope), exc.id
+            else:
+                yield from walk(child, scope)
+
+    return set(walk(ast.parse(path.read_text()), ()))
+
+
+def test_only_computed_value_checks_raise_other_classes():
+    package = Path(__file__).resolve().parent.parent / "src" / "posbounds"
+    others = set()
+    for path in sorted(package.glob("*.py")):
+        for site in raise_sites(path):
+            module = importlib.import_module(f"posbounds.{site[0]}")
+            cls = getattr(module, site[2], None) or getattr(builtins, site[2])
+            if not issubclass(cls, (InputError, CertificationFailed)):
+                others.add(site)
+    assert others == COMPUTED_VALUE_CHECKS

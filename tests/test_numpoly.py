@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from posbounds.core import InputError
 from posbounds.numpoly import (
     NumericalPolynomial,
     PreconditionViolated,
@@ -30,13 +31,13 @@ def scan(P: NumericalPolynomial, target, lo: int, hi: int) -> int:
 
 def scan_window_a(P, m0, N):
     if N < 0:
-        raise ValueError("N must be nonnegative")
+        raise InputError("N must be nonnegative")
     return scan(P, N, m0, m0 + N * P.degree)
 
 
 def scan_window_b(P, m0, k):
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InputError("k must be >= 1")
     d = P.degree
     return scan(P, math.ceil(P.leading * k**d / Fraction(2) ** (d - 1)), m0, m0 + k * d)
 
