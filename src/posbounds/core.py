@@ -19,6 +19,7 @@ QLike = Union[int, Fraction]
 T = TypeVar("T")
 
 DEFAULT_TOL = Fraction(1, 10**12)
+_GUARD_BITS = 32  # root_power_brackets' bits past the output grid; more makes its fallback rarer
 
 
 class InputError(ValueError):
@@ -255,3 +256,31 @@ def pow_bracket(x: QLike, e: QLike, tol: QLike) -> Bracket:
         return Bracket.point(x ** int(e))
     r = x ** e.numerator  # exact rational; sign of the numerator handles e < 0
     return nth_root_bracket(r, e.denominator, tol)
+
+
+def root_power_brackets(r: QLike, n: int, tol: QLike) -> list[Bracket]:
+    """[pow_bracket(r, p/n, tol) for p = 1..n-1], from one integer n-th root.
+
+    With R = floor(2^K r^(1/n)), the truncated powers lo <= 2^K r^(p/n) <= hi
+    of R and R + 1 give nth_root_bracket's t = floor(S r^(p/n)) when they agree
+    on its grid S; a rational power or a straddled grid point uses pow_bracket.
+    """
+    r, tol = Fraction(r), check_tol(tol)
+    if r < 0:
+        raise InputError("pow_bracket base must be nonnegative")
+    if n < 1:
+        raise InputError("root index must be >= 1")
+    num, den = r.numerator, r.denominator
+    scale = max(2, -(-1 // tol))  # ceil(1/tol), as in nth_root_bracket
+    k = scale.bit_length() + max(0, num.bit_length() - den.bit_length()) + _GUARD_BITS
+    root = iroot((num << k * n) // den, n)[0]
+    out, lo, hi = [], 1 << k, 1 << k
+    for p in range(1, n):
+        lo, hi = lo * root >> k, -(-hi * (root + 1) >> k)
+        t, q = lo * scale >> k, n // math.gcd(p, n)
+        # r^(p/n) is rational iff the coprime num and den are perfect q-th powers
+        if t == hi * scale >> k and not (iroot(num, q)[1] and iroot(den, q)[1]):
+            out.append(Bracket(Fraction(t, scale), Fraction(t + 1, scale)))
+        else:
+            out.append(pow_bracket(r, Fraction(p, n), tol))
+    return out

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import (
     DEFAULT_TOL, Bracket, CertificationFailed, InputError, QLike, bisect, bracket_min, certify,
-    check_tol, elem_sym, pow_bracket,
+    check_tol, elem_sym, pow_bracket, root_power_brackets,
 )
 from .report import BoundReport
 
@@ -76,21 +76,22 @@ def sigma0_very_ample_readings(n: int) -> dict[str, int]:
 def sigma_sequence(
     sigma0: QLike, Ln: QLike, n: int, tol: QLike = DEFAULT_TOL
 ) -> SigmaSequence:
-    """sigma_p = (1 - (1 - sigma0/L^n)^(p/n)) L^n for p = 1..n-1.
+    """sigma_p = (1 - (1 - sigma0/L^n)^(p/n)) L^n for p = 1..n-1 (n >= 1), all
+    n-1 powers from one integer n-th root (core.root_power_brackets).
 
     Post-checked (bracket-certified, with refinement): sigma0 p/n < sigma_p
     < sigma0, and the sequence is strictly increasing in p.
     """
     sigma0, Ln, tol = Fraction(sigma0), Fraction(Ln), check_tol(tol)
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
     if not (0 < sigma0 < Ln):
         raise InputError("need 0 < sigma0 < L^n")
     q = 1 - sigma0 / Ln
 
     def attempt(t: Fraction) -> tuple[bool, list[Bracket]]:
-        sigmas = []
-        for p in range(1, n):
-            root = pow_bracket(q, Fraction(p, n), t)
-            sigmas.append((Bracket.point(1) - root) * Bracket.point(Ln))
+        sigmas = [(Bracket.point(1) - root) * Bracket.point(Ln)
+                  for root in root_power_brackets(q, n, t)]
         ok = all(s.lo > sigma0 * p / n and s.hi < sigma0 for p, s in enumerate(sigmas, 1))
         return ok and all(a.hi < b.lo for a, b in zip(sigmas, sigmas[1:])), sigmas
 

@@ -36,12 +36,19 @@ def value_to_json(v: Any) -> Any:
 def value_from_json(v: Any) -> Any:
     if isinstance(v, dict):
         if set(v) == {"num", "den"}:
+            if type(v["num"]) is not int or type(v["den"]) is not int or v["den"] == 0:
+                raise InputError(f"malformed rational {v!r}")
             return Fraction(v["num"], v["den"])
         if set(v) == {"lo", "hi"}:
-            return Bracket(Fraction(value_from_json(v["lo"])), Fraction(value_from_json(v["hi"])))
+            lo, hi = value_from_json(v["lo"]), value_from_json(v["hi"])
+            if not {type(lo), type(hi)} <= {int, Fraction} or lo > hi:
+                raise InputError(f"malformed bracket {v!r}")
+            return Bracket(Fraction(lo), Fraction(hi))
         return {k: value_from_json(x) for k, x in v.items()}
     if isinstance(v, list):
         return [value_from_json(x) for x in v]
+    if isinstance(v, float):
+        raise InputError(f"float {v!r} in report; rationals are {{num, den}}")
     return v
 
 

@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from posbounds import core
 from posbounds.convexity import ht_products
 from posbounds.core import (
     Bracket,
@@ -22,6 +23,7 @@ from posbounds.core import (
     iroot,
     nth_root_bracket,
     pow_bracket,
+    root_power_brackets,
 )
 from posbounds.jumping import (
     beta_schedule,
@@ -269,6 +271,7 @@ def test_pow_bracket_domain_errors():
     lambda tol: mu_invariant({1: 2, 2: 3}, 2, tol),
     lambda tol: ht_products([2, 3], 3, tol),
     lambda tol: lelong_numeric(ParamCurve(2, 3), [Fraction(1, 2)], tol),
+    lambda tol: root_power_brackets(2, 3, tol),
 ])
 @pytest.mark.parametrize("tol", [0, -1])
 def test_nonpositive_tolerance_is_an_input_error(call, tol):
@@ -279,6 +282,65 @@ def test_nonpositive_tolerance_is_an_input_error(call, tol):
 def test_pow_bracket_zero_and_one():
     assert pow_bracket(0, Fraction(1, 2), Fraction(1, 10**6)).lo == 0
     assert pow_bracket(1, Fraction(7, 3), Fraction(1, 10**6)).lo == 1
+
+
+def powers_one_root_at_a_time(r, n, tol):
+    return [pow_bracket(r, Fraction(p, n), tol) for p in range(1, n)]
+
+
+@st.composite
+def root_power_inputs(draw):
+    n = draw(st.integers(1, 12))
+    tol = Fraction(1, 10 ** draw(st.integers(1, 400)))
+    kind = draw(st.sampled_from(["any", "below-one", "perfect-power"]))
+    if kind == "perfect-power":
+        r = draw(st.fractions(min_value=0, max_value=1000, max_denominator=1000)) ** n
+    elif kind == "below-one":  # sigma_sequence's 1 - sigma0/L^n
+        r = draw(st.fractions(min_value=0, max_value=1, max_denominator=10**6))
+    else:
+        r = draw(st.fractions(min_value=0, max_value=10**30, max_denominator=10**30))
+    return r, n, tol
+
+
+@settings(deadline=None, max_examples=200)
+@given(root_power_inputs())
+@example((Fraction(1, 4), 4, Fraction(1, 10**50)))  # p = 2: 1/2, rational
+@example((Fraction(8, 27), 6, Fraction(1, 10**50)))  # p = 2, 4: 2/3, 4/9
+@example((Fraction(0), 5, Fraction(1, 10)))
+@example((Fraction(1), 5, Fraction(1, 10**400)))
+@example((Fraction(10**60 + 1, 3), 7, Fraction(1, 10**12)))
+def test_root_power_brackets_match_pow_bracket(case):
+    r, n, tol = case
+    assert root_power_brackets(r, n, tol) == powers_one_root_at_a_time(r, n, tol)
+
+
+def test_root_power_brackets_fallback_gives_the_same_brackets(monkeypatch):
+    """With no guard bits the truncated powers often straddle a grid point,
+    so the pow_bracket fallback runs on irrational powers too."""
+    straddles = []
+
+    def spy(x, e, tol):
+        b = pow_bracket(x, e, tol)
+        straddles.append(not b.is_point)
+        return b
+
+    monkeypatch.setattr(core, "_GUARD_BITS", 0)
+    monkeypatch.setattr(core, "pow_bracket", spy)
+    rng = random.Random(10)
+    for _ in range(200):
+        r = Fraction(rng.randrange(1, 10**9), rng.randrange(1, 10**9))
+        n, tol = rng.randint(2, 12), Fraction(1, 10 ** rng.randint(1, 400))
+        assert root_power_brackets(r, n, tol) == powers_one_root_at_a_time(r, n, tol)
+    assert any(straddles)
+
+
+def test_root_power_brackets_domain_errors():
+    with pytest.raises(InputError, match="pow_bracket base must be nonnegative"):
+        root_power_brackets(Fraction(-1, 2), 3, Fraction(1, 10**6))
+    for n in (0, -2):
+        with pytest.raises(InputError, match="root index must be >= 1"):
+            root_power_brackets(Fraction(1, 2), n, Fraction(1, 10**6))
+    assert root_power_brackets(Fraction(1, 2), 1, Fraction(1, 10**6)) == []
 
 
 def test_golden_sqrt5_bracket():

@@ -63,6 +63,10 @@ def test_sigma_sequence_validation():
         sigma_sequence(5, 5, 2)
     with pytest.raises(ValueError):
         sigma_sequence(0, 5, 2)
+    for n in (0, -3):
+        with pytest.raises(InputError, match=f"n must be >= 1, got {n}"):
+            sigma_sequence(1, 2, n)
+    assert sigma_sequence(1, 2, 1).sigma_p == ()
 
 
 def test_sigma_sequence_certification_failure_is_an_arithmetic_error():

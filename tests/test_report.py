@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from posbounds.core import Bracket
+from posbounds.core import Bracket, InputError
 from posbounds.report import BoundReport, value_from_json, value_to_json
 
 
@@ -61,6 +61,23 @@ def test_report_rejects_unknown_fields():
     doc["extra"] = 1
     with pytest.raises(ValueError):
         BoundReport.from_json(doc)
+
+
+@pytest.mark.parametrize("threshold, shown", [
+    ({"lo": 2, "hi": 1}, "{'lo': 2, 'hi': 1}"),
+    ({"num": 1, "den": 0}, "{'num': 1, 'den': 0}"),
+    ({"num": "x", "den": 2}, "{'num': 'x', 'den': 2}"),
+    ({"num": 1.5, "den": 2}, "{'num': 1.5, 'den': 2}"),
+    ({"lo": "1/2", "hi": 1}, "{'lo': '1/2', 'hi': 1}"),
+    ({"lo": 0.5, "hi": 1}, "0.5"),
+    (0.5, "float 0.5"),
+])
+def test_report_rejects_malformed_numbers(threshold, shown):
+    doc = BoundReport(theorem="x").to_json()
+    doc["threshold"] = threshold
+    with pytest.raises(InputError) as info:
+        BoundReport.from_json(doc)
+    assert shown in str(info.value)
 
 
 def test_report_rejects_wrong_schema():
