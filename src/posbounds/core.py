@@ -207,9 +207,17 @@ def nth_root_bracket(r: QLike, q: int, tol: QLike) -> Bracket:
     if num_exact and den_exact:
         return Bracket.point(Fraction(num_root, den_root))
     scale = max(2, -(-1 // tol))  # ceil(1/tol)
-    m = (r.numerator * scale ** q) // r.denominator
-    t = iroot(m, q)[0]
+    t = floor_root(r.numerator * scale ** q, r.denominator, q)
     return Bracket(Fraction(t, scale), Fraction(t + 1, scale))
+
+
+def floor_root(num: int, den: int, q: int, k: int = 0, a: int = 1) -> int:
+    """floor(2^k (num/den)^(a/q)) for num, k, a >= 0 and den, q >= 1, as the
+    floor q-th root of floor(2^(kq) num^a / den^a); 0, without forming den^a,
+    when bit lengths alone show that den^a > 2^(kq) num^a."""
+    if (den.bit_length() - 1 - (num - 1).bit_length()) * a > k * q:
+        return 0
+    return iroot((num ** a << k * q) // den ** a, q)[0]
 
 
 def certify(
@@ -273,7 +281,7 @@ def root_power_brackets(r: QLike, n: int, tol: QLike) -> list[Bracket]:
     num, den = r.numerator, r.denominator
     scale = max(2, -(-1 // tol))  # ceil(1/tol), as in nth_root_bracket
     k = scale.bit_length() + max(0, num.bit_length() - den.bit_length()) + _GUARD_BITS
-    root = iroot((num << k * n) // den, n)[0]
+    root = floor_root(num, den, n, k)
     out, lo, hi = [], 1 << k, 1 << k
     for p in range(1, n):
         lo, hi = lo * root >> k, -(-hi * (root + 1) >> k)

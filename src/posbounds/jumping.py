@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import (
     DEFAULT_TOL, Bracket, CertificationFailed, InputError, QLike, bisect, bracket_min, certify,
-    check_tol, elem_sym, pow_bracket, root_power_brackets,
+    check_tol, elem_sym, floor_root, pow_bracket, root_power_brackets,
 )
 from .report import BoundReport
 
@@ -244,15 +244,32 @@ def beta_schedule(n: int, tol: QLike = DEFAULT_TOL) -> list[Bracket]:
 
 def cn_constant(n: int, tol: QLike = DEFAULT_TOL) -> Bracket:
     """C_n = prod_{2 <= p <= n-1} (1 + (2n+1) beta_p) / (1 - beta_p) with
-    beta_p = n^(-n(n-p)/(p-1)); the p=1 factor is 1 by the beta_1 = 0
-    convention.  Exact rational whenever every exponent is an integer."""
-    lo = hi = Fraction(1)
-    # each factor is positive and increasing in beta_p on [0, 1), so the ends
-    # of the beta brackets give the ends of the product
-    for beta in beta_schedule(n, tol)[1:-1]:
-        lo *= (1 + (2 * n + 1) * beta.lo) / (1 - beta.lo)
-        hi *= (1 + (2 * n + 1) * beta.hi) / (1 - beta.hi)
-    return Bracket(lo, hi)
+    beta_p = n^(-n(n-p)/(p-1)) (beta_1 = 0 makes the p=1 factor 1).  An exact
+    point for n <= 4, the only n with integer exponents (p = n-1 needs n-2 | n).
+
+    For n >= 5 all is integers over 2^k, k = bitlen(ceil(1/tol)) + 2 bitlen(n)
+    + 4.  b = floor(2^k beta_p) gives beta_p in [b, b+1]/2^k; the increasing
+    factors f(x) = (1 + (2n+1)x)/(1 - x) multiply into the ends rounded outward.
+    With hi the upper end, each of the n-2 steps adds at most hi (sup f' + 2)/2^k
+    to the width, and beta_p <= 1/5 gives sup f' < 3.2 (n+1), so the width is
+    below 3.2 hi n^2 / 2^k < hi tol / 5 <= tol while hi <= 5 (C_n < 3); it is
+    checked anyway.
+    """
+    if n < 5:
+        return Bracket.point(math.prod((1 + (2 * n + 1) * b.lo) / (1 - b.lo)
+                                       for b in beta_schedule(n, tol)[1:-1]))
+    tol = check_tol(tol)
+    k = (-(-1 // tol)).bit_length() + 2 * n.bit_length() + 4
+    one, c = 1 << k, 2 * n + 1
+    lo = hi = one
+    for p in range(2, n):
+        e = _beta_exponent(n, p)
+        b = floor_root(1, n, e.denominator, k, e.numerator)
+        lo = lo * (one + c * b) // (one - b)
+        hi = -(-hi * (one + c * (b + 1)) // (one - b - 1))
+    if (hi - lo) * tol.denominator > tol.numerator << k:
+        raise CertificationFailed(f"C_{n} bracket wider than the tolerance")
+    return Bracket(Fraction(lo, one), Fraction(hi, one))
 
 
 def lemma1115_threshold(n: int, s: int, special: bool = False) -> int:

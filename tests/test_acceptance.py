@@ -38,14 +38,15 @@ def test_criterion_01_surface_golden_table():
 
 
 def test_criterion_02_cn_constants():
-    values = []
+    values, tol = [], Fraction(1, 10**14)
     for n in range(2, 33):
-        c = cn_constant(n, Fraction(1, 10**14))
-        assert c.width < Fraction(1, 10**9)
+        c = cn_constant(n, tol)
+        assert c.width <= tol
         assert c.hi < 3
         values.append(c)
     assert values[0].lo == 1
     assert values[1].is_point and values[1].lo == Fraction(17, 13)
+    assert values[2].is_point and values[2].lo == Fraction(65545, 39321)
     for a, b in zip(values, values[1:]):
         assert b.hi >= a.lo  # nondecreasing up to certified widths
         assert b.lo >= a.hi - Fraction(1, 10**8)

@@ -20,6 +20,7 @@ from posbounds.core import (
     certify,
     elem_sym,
     floor_q,
+    floor_root,
     iroot,
     nth_root_bracket,
     pow_bracket,
@@ -225,6 +226,26 @@ def test_nth_root_bracket_encloses_and_is_tight(r, q):
 def test_nth_root_bracket_exact_on_perfect_powers(base, q):
     b = nth_root_bracket(Fraction(base**q), q, Fraction(1, 10**6))
     assert b.is_point and b.lo == base
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=80),
+    st.integers(min_value=0, max_value=40),
+)
+def test_floor_root_is_the_floor_of_the_scaled_power(num, den, q, k, a):
+    t = floor_root(num, den, q, k, a)
+    # t <= 2^k (num/den)^(a/q) < t + 1, cleared of denominators
+    assert t**q * den**a <= num**a << k * q < (t + 1) ** q * den**a
+
+
+def test_floor_root_below_the_grid_never_raises_the_power():
+    # 2^(64 * 10^12) could not be formed; the bit-length test answers first
+    assert floor_root(1, 2**64, 1, 40, 10**12) == 0
+    # the test is strict: den^a equal to 2^(kq) is one grid step, not zero
+    assert floor_root(1, 8, 2, 30, 20) == 1
 
 
 def test_nth_root_monotone_refinement():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from posbounds import jumping
 from posbounds.adjoint import JetSpec
 from posbounds.core import Bracket, CertificationFailed, InputError, pow_bracket
 from posbounds.jumping import (
@@ -254,13 +255,15 @@ def test_cn_constant_golden():
     assert cn_constant(2).lo == 1
     c3 = cn_constant(3)
     assert c3.is_point and c3.lo == Fraction(17, 13)
+    c4 = cn_constant(4)
+    assert c4.is_point and c4.lo == Fraction(65545, 39321)
     c5 = cn_constant(5)
     assert c5.hi < 3
 
 
 def cn_by_bracket_products(n, tol):
-    """C_n by Bracket interval products over fresh pow_brackets: the reference
-    for the endpoint formula over beta_schedule."""
+    """C_n by Bracket interval products over fresh pow_brackets: an
+    independent enclosure that shares no code with cn_constant's integer grid."""
     result = Bracket.point(1)
     for p in range(2, n):
         beta = pow_bracket(Fraction(1, n), Fraction(n * (n - p), p - 1), tol)
@@ -270,9 +273,35 @@ def cn_by_bracket_products(n, tol):
 
 
 @pytest.mark.parametrize("tol", [Fraction(1, 10**12), Fraction(1, 10**30)])
-def test_cn_constant_matches_bracket_products(tol):
-    for n in range(2, 33):
-        assert cn_constant(n, tol) == cn_by_bracket_products(n, tol)
+def test_cn_constant_encloses_a_tighter_bracket_on_a_dyadic_grid(tol):
+    bits = (-(-1 // tol)).bit_length()
+    for n in range(5, 33):
+        c, ref = cn_constant(n, tol), cn_by_bracket_products(n, Fraction(1, 10**60))
+        assert c.lo <= ref.lo and ref.hi <= c.hi
+        assert c.width <= tol
+        for end in (c.lo, c.hi):
+            den = end.denominator
+            assert den & (den - 1) == 0
+            assert den.bit_length() <= bits + 2 * n.bit_length() + 16
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(
+    st.integers(min_value=5, max_value=40),
+    st.fractions(min_value=Fraction(1, 10**40), max_value=10, max_denominator=10**40),
+    st.fractions(min_value=Fraction(1, 10**40), max_value=10, max_denominator=10**40),
+)
+def test_cn_constant_brackets_nest_as_the_tolerance_shrinks(n, t1, t2):
+    wide, tight = cn_constant(n, max(t1, t2)), cn_constant(n, min(t1, t2))
+    assert wide.lo <= tight.lo and tight.hi <= wide.hi
+
+
+def test_cn_constant_width_check_raises_when_the_grid_is_too_coarse(monkeypatch):
+    # beta_p = 1/3 is far above the true schedule, so the factor slopes, and
+    # with them the width, exceed what the grid was sized for
+    monkeypatch.setattr(jumping, "floor_root", lambda num, den, q, k, a: (1 << k) // 3)
+    with pytest.raises(CertificationFailed, match="wider than the tolerance"):
+        cn_constant(8, Fraction(1, 10**12))
 
 
 def test_chained_recursion_stays_below_beta():
