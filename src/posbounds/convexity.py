@@ -1,9 +1,8 @@
 """Hovanski-Teissier convexity inequalities and algebraic Morse criteria.
 
 The n-th-root inequalities are decided exactly by raising both sides to an
-integer power whenever the inputs are rational; bracket arithmetic (with one
-automatic refinement before surfacing Unknown) is used only when the caller
-supplies genuine intervals.
+integer power, for rational and interval inputs alike; bracket arithmetic
+only encloses the slack that a report prints.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .core import (
-    DEFAULT_TOL, Bracket, InputError, QLike, binom, bracket_prod, certify, check_tol, elem_sym,
-    pow_bracket,
+    DEFAULT_TOL, Bracket, InputError, QLike, binom, bracket_prod, check_tol, elem_sym, pow_bracket,
 )
 from .report import BoundReport
 
@@ -58,7 +56,9 @@ def ht_products(
 ) -> InequalityResult:
     """Certify u_1...u_n >= (u_1^n)^(1/n) ... (u_n^n)^(1/n) for nef classes.
 
-    A Violated verdict flags nef-inconsistent input data.
+    Decided exactly on powers, for points and intervals alike: unknown only
+    when the box of self-intersections straddles the inequality.  The slack
+    is one bracket at tol.  A Violated verdict flags nef-inconsistent data.
     """
     n = len(selfints)
     if n == 0:
@@ -68,22 +68,13 @@ def ht_products(
     if any(b.lo < 0 for b in brackets):
         raise InputError("self-intersections of nef classes must be nonnegative")
 
-    def attempt(t: Fraction) -> tuple[bool, Bracket]:
-        gm = bracket_prod(pow_bracket_interval(b, Fraction(1, n), t) for b in brackets)
-        slack = Bracket.point(mixed) - gm
-        return slack.lo >= 0 or slack.hi < 0, slack
-
-    if not any(isinstance(s, Bracket) for s in selfints):
-        prod = math.prod(b.lo for b in brackets)
-        # mixed >= prod^(1/n)  <=>  mixed^n >= prod (mixed >= 0 for nef data)
-        holds = mixed >= 0 and mixed ** n >= prod
-        return InequalityResult(Verdict.HOLDS if holds else Verdict.VIOLATED,
-                                attempt(tol)[1],
-                                equality=mixed >= 0 and mixed ** n == prod)
-    decided, slack = certify(attempt, tol, 2)
-    if not decided:
-        return InequalityResult(Verdict.UNKNOWN, slack)
-    return InequalityResult(Verdict.HOLDS if slack.lo >= 0 else Verdict.VIOLATED, slack)
+    gm = bracket_prod(pow_bracket_interval(b, Fraction(1, n), tol) for b in brackets)
+    bottom, top = math.prod(b.lo for b in brackets), math.prod(b.hi for b in brackets)
+    # mixed >= g^(1/n)  <=>  mixed^n >= g, for mixed >= 0
+    holds, violated = mixed >= 0 and mixed ** n >= top, mixed < 0 or mixed ** n < bottom
+    verdict = Verdict.HOLDS if holds else Verdict.VIOLATED if violated else Verdict.UNKNOWN
+    return InequalityResult(verdict, Bracket.point(mixed) - gm,
+                            equality=verdict is Verdict.HOLDS and mixed ** n == bottom)
 
 
 def _inequality_report(theorem: str, inputs: dict, res: InequalityResult) -> BoundReport:

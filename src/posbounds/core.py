@@ -2,9 +2,10 @@
 
 Rationals are plain ``fractions.Fraction`` (always canonical: positive
 denominator, reduced).  Irrational quantities such as x^(p/q) are returned as
-``Bracket`` intervals with rational endpoints certified to enclose the true
-value; the bracket degenerates to a point whenever the value is rational and
-detected (integer exponents, perfect powers).
+``Bracket`` intervals certified to enclose the true value, at most tol wide
+with endpoints on a grid 2^-k; the bracket degenerates to a point whenever the
+value is rational and detected (integer exponents, perfect powers).  Inside
+the kernel brackets are integers over 2^k; Fractions are built at the end.
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Sequence, Union
 
 Q = Fraction
 QLike = Union[int, Fraction]
-T = TypeVar("T")
 
 DEFAULT_TOL = Fraction(1, 10**12)
-_GUARD_BITS = 32  # root_power_brackets' bits past the output grid; more makes its fallback rarer
+_GUARD_BITS = 32  # floor_powers' bits past the output grid; more makes its fallback rarer
 
 
 class InputError(ValueError):
@@ -34,9 +34,15 @@ class CertificationFailed(ArithmeticError):
 def check_tol(tol: QLike) -> Fraction:
     """The tolerance as a Fraction; raises InputError unless it is positive."""
     tol = Fraction(tol)
-    if tol <= 0:
+    if tol.numerator <= 0:
         raise InputError("tolerance must be positive")
     return tol
+
+
+def grid_bits(tol: Fraction) -> int:
+    """k = bitlen(ceil(1/tol)) for tol > 0, the coarsest grid with 2^-k <= tol.
+    It grows as tol shrinks, and floor grids 2^-k nest."""
+    return (-(-1 // tol)).bit_length()
 
 
 def binom(n: int, k: int) -> int:
@@ -73,15 +79,16 @@ def iroot(a: int, q: int) -> tuple[int, bool]:
 
     Newton's method on integers with a precision-doubling seed (Brent &
     Zimmermann, Modern Computer Arithmetic, 2010, sec. 1.5.2).  With r0 the
-    floor root of a >> qk, floor(a / 2^(qk)) < (r0 + 1)^q, so the seed
-    (r0 + 1) << k lies above a^(1/q).  From any point above the root the
-    integer Newton step stays at or above the floor root and strictly
-    decreases until it reaches it, so the loop ends exactly there.  k is
-    about half the root's bits, less log2(2q), so that the first step lands
-    on the floor root or one above it.  For q <= 16, roots under about 2^64
-    are seeded from the bit length instead.  For larger q that seed, up to
-    twice the root, would take about q steps, so the recursion goes on down
-    to roots of at most bitlen(2q) + 2 bits, which ``bisect`` finds.
+    floor root of a >> qk, s = r0 + 1 has floor(a / 2^(qk)) < s^q, so the
+    seed s << k lies above a^(1/q); its Newton step divides by the half-size
+    power s^(q-1) alone, and k, about half the root's bits less log2(2q),
+    makes it land on the floor root or one above.  By AM-GM an integer Newton
+    step from any positive x never goes below the floor root, and from above
+    it strictly decreases, so the first iterate with x^q <= a is the floor
+    root: no division is needed to confirm it.  For q <= 16, roots under
+    about 2^64 are seeded from the bit length instead; for larger q that
+    seed, up to twice the root, would take about q steps, so the recursion
+    goes down to roots of at most bitlen(2q) + 2 bits, found by ``bisect``.
     """
     if a < 0:
         raise InputError("iroot of negative integer")
@@ -95,7 +102,8 @@ def iroot(a: int, q: int) -> tuple[int, bool]:
     n = a.bit_length()
     k = ((n - 1) // q - (2 * q).bit_length()) // 2
     if k >= 32 or q > 16 and k > 0:
-        x = (iroot(a >> q * k, q)[0] + 1) << k
+        s = iroot(a >> q * k, q)[0] + 1
+        x = ((q - 1) * (s << k) + (a >> k * (q - 1)) // s ** (q - 1)) // q
     elif q <= 16:
         x = 1 << -(-n // q)
     else:  # 2^((n-1)//q) <= root < 2^ceil(n/q)
@@ -103,10 +111,9 @@ def iroot(a: int, q: int) -> tuple[int, bool]:
         return r, r**q == a
     while True:
         p = x ** (q - 1)
-        y = ((q - 1) * x + a // p) // q
-        if y >= x:
-            return x, p * x == a
-        x = y
+        if (xq := p * x) <= a:
+            return x, xq == a
+        x = ((q - 1) * x + a // p) // q
 
 
 @dataclass(frozen=True)
@@ -124,6 +131,17 @@ class Bracket:
     def point(x: QLike) -> "Bracket":
         x = Fraction(x)
         return Bracket(x, x)
+
+    @staticmethod
+    def dyadic(lo: int, hi: int, k: int) -> "Bracket":
+        """[lo, hi] / 2^k, the form of every non-point certified bracket; the
+        order is checked on the integers, so no Fraction is compared."""
+        if lo > hi:
+            raise ValueError(f"bracket endpoints out of order: {lo} > {hi} (over 2^{k})")
+        b = object.__new__(Bracket)
+        object.__setattr__(b, "lo", Fraction(lo, 1 << k))
+        object.__setattr__(b, "hi", Fraction(hi, 1 << k))
+        return b
 
     @property
     def width(self) -> Fraction:
@@ -193,7 +211,8 @@ def bracket_prod(brackets: Iterable[Union[Bracket, QLike]]) -> Bracket:
 
 
 def nth_root_bracket(r: QLike, q: int, tol: QLike) -> Bracket:
-    """Certified bracket for r^(1/q), r >= 0, q >= 1; exact on perfect powers."""
+    """Certified bracket for r^(1/q), r >= 0, q >= 1: [t, t + 1] / 2^k with
+    k = grid_bits(tol) and t the floor of 2^k r^(1/q); exact on perfect powers."""
     r = Fraction(r)
     tol = check_tol(tol)
     if r < 0:
@@ -206,9 +225,9 @@ def nth_root_bracket(r: QLike, q: int, tol: QLike) -> Bracket:
     den_root, den_exact = iroot(r.denominator, q)
     if num_exact and den_exact:
         return Bracket.point(Fraction(num_root, den_root))
-    scale = max(2, -(-1 // tol))  # ceil(1/tol)
-    t = floor_root(r.numerator * scale ** q, r.denominator, q)
-    return Bracket(Fraction(t, scale), Fraction(t + 1, scale))
+    k = grid_bits(tol)
+    t = floor_root(r.numerator, r.denominator, q, k)
+    return Bracket.dyadic(t, t + 1, k)
 
 
 def floor_root(num: int, den: int, q: int, k: int = 0, a: int = 1) -> int:
@@ -218,19 +237,6 @@ def floor_root(num: int, den: int, q: int, k: int = 0, a: int = 1) -> int:
     if (den.bit_length() - 1 - (num - 1).bit_length()) * a > k * q:
         return 0
     return iroot((num ** a << k * q) // den ** a, q)[0]
-
-
-def certify(
-    attempt: Callable[[Fraction], tuple[bool, T]], tol: Fraction, rounds: int
-) -> tuple[bool, T]:
-    """Refinement loop: call attempt(tol / 1024**k) for k = 0..rounds-1
-    (rounds >= 1) and return the first (True, result), or the last
-    (False, result)."""
-    for k in range(rounds):
-        ok, result = attempt(tol / 1024**k)
-        if ok:
-            break
-    return ok, result
 
 
 def bisect(ok: Callable[[int], bool], lo: int, hi: int) -> int:
@@ -266,29 +272,38 @@ def pow_bracket(x: QLike, e: QLike, tol: QLike) -> Bracket:
     return nth_root_bracket(r, e.denominator, tol)
 
 
-def root_power_brackets(r: QLike, n: int, tol: QLike) -> list[Bracket]:
-    """[pow_bracket(r, p/n, tol) for p = 1..n-1], from one integer n-th root.
+def floor_powers(num: int, den: int, n: int, k: int) -> list[int]:
+    """floor(2^k r^(p/n)) for r = num/den (num >= 0, den, n >= 1), p = 1..n-1.
 
-    With R = floor(2^K r^(1/n)), the truncated powers lo <= 2^K r^(p/n) <= hi
-    of R and R + 1 give nth_root_bracket's t = floor(S r^(p/n)) when they agree
-    on its grid S; a rational power or a straddled grid point uses pow_bracket.
-    """
+    With R = floor(2^K r^(1/n)), K = k + guard, the truncated powers lo <=
+    2^K r^(p/n) <= hi of R and R + 1 give the floor when lo >> guard == hi >>
+    guard; a power whose bracket straddles a grid point takes its own root."""
+    guard = max(0, num.bit_length() - den.bit_length()) + _GUARD_BITS
+    big = k + guard
+    root = floor_root(num, den, n, big)
+    out, lo, hi = [], 1 << big, 1 << big
+    for p in range(1, n):
+        lo, hi = lo * root >> big, -(-hi * (root + 1) >> big)
+        t = lo >> guard
+        if t != hi >> guard:
+            g = math.gcd(p, n)
+            t = floor_root(num, den, n // g, k, p // g)
+        out.append(t)
+    return out
+
+
+def root_power_brackets(r: QLike, n: int, tol: QLike) -> list[Bracket]:
+    """[pow_bracket(r, p/n, tol) for p = 1..n-1]: floor_powers on
+    nth_root_bracket's grid, and the exact point where r^(p/n) is rational."""
     r, tol = Fraction(r), check_tol(tol)
     if r < 0:
         raise InputError("pow_bracket base must be nonnegative")
     if n < 1:
         raise InputError("root index must be >= 1")
-    num, den = r.numerator, r.denominator
-    scale = max(2, -(-1 // tol))  # ceil(1/tol), as in nth_root_bracket
-    k = scale.bit_length() + max(0, num.bit_length() - den.bit_length()) + _GUARD_BITS
-    root = floor_root(num, den, n, k)
-    out, lo, hi = [], 1 << k, 1 << k
-    for p in range(1, n):
-        lo, hi = lo * root >> k, -(-hi * (root + 1) >> k)
-        t, q = lo * scale >> k, n // math.gcd(p, n)
-        # r^(p/n) is rational iff the coprime num and den are perfect q-th powers
-        if t == hi * scale >> k and not (iroot(num, q)[1] and iroot(den, q)[1]):
-            out.append(Bracket(Fraction(t, scale), Fraction(t + 1, scale)))
-        else:
-            out.append(pow_bracket(r, Fraction(p, n), tol))
+    num, den, k = r.numerator, r.denominator, grid_bits(tol)
+    out = []
+    for p, t in enumerate(floor_powers(num, den, n, k), 1):
+        q = n // math.gcd(p, n)  # r^(p/n) is rational iff num and den are q-th powers
+        rational = iroot(num, q)[1] and iroot(den, q)[1]
+        out.append(pow_bracket(r, Fraction(p, n), tol) if rational else Bracket.dyadic(t, t + 1, k))
     return out

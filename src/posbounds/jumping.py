@@ -15,13 +15,15 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import (
-    DEFAULT_TOL, Bracket, CertificationFailed, InputError, QLike, bisect, bracket_min, certify,
-    check_tol, elem_sym, floor_root, pow_bracket, root_power_brackets,
+    DEFAULT_TOL, Bracket, CertificationFailed, InputError, QLike, bisect, check_tol, elem_sym,
+    floor_powers, floor_root, grid_bits, iroot, pow_bracket,
 )
 from .report import BoundReport
 
 if TYPE_CHECKING:  # annotation only; jets subcommands need not load adjoint
     from .adjoint import JetSpec
+
+_REFINE_BITS = 20  # how much finer than tol asks sigma_sequence's grid may go
 
 
 @dataclass(frozen=True)
@@ -45,11 +47,14 @@ class JumpSequence:
 
 @dataclass(frozen=True)
 class SigmaSequence:
-    """sigma0 together with certified brackets for sigma_1..sigma_{n-1}."""
+    """sigma0 together with certified brackets for sigma_1..sigma_{n-1}; ends
+    holds the same brackets as integer pairs over 2^k."""
 
     n: int
     sigma0: Fraction
     sigma_p: tuple[Bracket, ...]
+    k: int
+    ends: tuple[tuple[int, int], ...]
 
     def __getitem__(self, p: int) -> Bracket:
         if p == 0:
@@ -77,40 +82,62 @@ def sigma_sequence(
     sigma0: QLike, Ln: QLike, n: int, tol: QLike = DEFAULT_TOL
 ) -> SigmaSequence:
     """sigma_p = (1 - (1 - sigma0/L^n)^(p/n)) L^n for p = 1..n-1 (n >= 1), all
-    n-1 powers from one integer n-th root (core.root_power_brackets).
+    n-1 powers from one integer n-th root (core.floor_powers).
 
-    Post-checked (bracket-certified, with refinement): sigma0 p/n < sigma_p
-    < sigma0, and the sequence is strictly increasing in p.
+    On integers over 2^k, k > grid_bits(tol): with 2^e > 2 L^n and t_p =
+    floor(2^(k+e) q^(p/n)), q = 1 - sigma0/L^n, sigma_p lies in L^n [2^(k+e) -
+    t_p - 1, 2^(k+e) - t_p] / 2^(k+e), under 2^-(k+1) wide, whose ends rounded
+    outward onto 2^-k are at most two steps apart: width <= 2^(1-k) <= tol.
+    Post-checked on the integers: sigma0 p/n < sigma_p < sigma0, strictly
+    increasing.  Brackets nest as k grows, so the checks hold on every grid
+    finer than one they hold on; the coarsest such k within _REFINE_BITS is
+    taken, and the result nests as tol shrinks.
     """
     sigma0, Ln, tol = Fraction(sigma0), Fraction(Ln), check_tol(tol)
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    if not (0 < sigma0 < Ln):
+    a, b, s, d = Ln.numerator, Ln.denominator, sigma0.numerator, sigma0.denominator
+    if not 0 < s * b < a * d:
         raise InputError("need 0 < sigma0 < L^n")
-    q = 1 - sigma0 / Ln
+    e = (-(-a // b)).bit_length() + 1
 
-    def attempt(t: Fraction) -> tuple[bool, list[Bracket]]:
-        sigmas = [(Bracket.point(1) - root) * Bracket.point(Ln)
-                  for root in root_power_brackets(q, n, t)]
-        ok = all(s.lo > sigma0 * p / n and s.hi < sigma0 for p, s in enumerate(sigmas, 1))
-        return ok and all(a.hi < b.lo for a, b in zip(sigmas, sigmas[1:])), sigmas
+    def attempt(k: int) -> tuple[bool, list[tuple[int, int]]]:
+        one, den = 1 << k + e, b << e
+        ends = [(a * (one - t - 1) // den, -(-a * (one - t) // den))
+                for t in floor_powers(a * d - s * b, a * d, n, k + e)]
+        ok = all(s * p << k < lo * d * n and hi * d < s << k
+                 for p, (lo, hi) in enumerate(ends, 1))
+        return ok and all(x[1] < y[0] for x, y in zip(ends, ends[1:])), ends
 
-    ok, sigmas = certify(attempt, tol, 3)
+    k = grid_bits(tol) + 1
+    ok, ends = attempt(k)
     if not ok:
-        raise CertificationFailed("could not certify sigma bounds at the given tolerance")
-    return SigmaSequence(n, sigma0, tuple(sigmas))
+        if not attempt(k + _REFINE_BITS)[0]:
+            raise CertificationFailed("could not certify sigma bounds at the given tolerance")
+        k = bisect(lambda j: not attempt(j)[0], k, k + _REFINE_BITS) + 1
+        ends = attempt(k)[1]
+    # tuples from lists, not generators: a resized tuple would grow the tuple free lists
+    return SigmaSequence(n, sigma0, tuple([Bracket.dyadic(lo, hi, k) for lo, hi in ends]),
+                         k, tuple(ends))
 
 
 def _rhs_bracket(
     b_prefix: Sequence[Fraction], a: Fraction, sigma: SigmaSequence, divisor: QLike
 ) -> Bracket:
-    """(1/divisor) sum_{j=0..p-1} S_j(b) a^j sigma_{p-j} as a bracket."""
+    """(1/divisor) sum_{j=0..p-1} S_j(b) a^j sigma_{p-j} as a bracket, for
+    divisor > 0.  The coefficients are >= 0 (b, a >= 0), so each end is one
+    sum over sigma's integer ends under a common denominator."""
     p = len(b_prefix)
-    total = Bracket.point(Fraction(0))
-    for j in range(p):
-        coeff = elem_sym(list(b_prefix), j) * a ** j
-        total = total + Bracket.point(coeff) * sigma[p - j]
-    return total * Bracket.point(1 / Fraction(divisor))
+    sigma[p]  # KeyError unless sigma_1..sigma_p are all there
+    coeffs = [elem_sym(list(b_prefix), j) * a ** j for j in range(p)]
+    den = math.lcm(*[c.denominator for c in coeffs])
+    terms = [(c.numerator * (den // c.denominator), sigma.ends[p - 1 - j])
+             for j, c in enumerate(coeffs)]
+    divisor = Fraction(divisor)
+    scale = den * divisor.numerator << sigma.k
+    lo, hi = (Fraction(sum(w * end[i] for w, end in terms) * divisor.denominator, scale)
+              for i in (0, 1))
+    return Bracket(lo, hi)
 
 
 def recursion_bound(
@@ -247,8 +274,9 @@ def cn_constant(n: int, tol: QLike = DEFAULT_TOL) -> Bracket:
     beta_p = n^(-n(n-p)/(p-1)) (beta_1 = 0 makes the p=1 factor 1).  An exact
     point for n <= 4, the only n with integer exponents (p = n-1 needs n-2 | n).
 
-    For n >= 5 all is integers over 2^k, k = bitlen(ceil(1/tol)) + 2 bitlen(n)
-    + 4.  b = floor(2^k beta_p) gives beta_p in [b, b+1]/2^k; the increasing
+    For n >= 5 all is integers over 2^k, k = grid_bits(tol) + 2 bitlen(n) + 4.
+    b = floor(2^k beta_p) gives beta_p in [b, b+1]/2^k (no root is taken when
+    n = m^q for q the exponent's denominator: then beta_p = m^-a); the increasing
     factors f(x) = (1 + (2n+1)x)/(1 - x) multiply into the ends rounded outward.
     With hi the upper end, each of the n-2 steps adds at most hi (sup f' + 2)/2^k
     to the width, and beta_p <= 1/5 gives sup f' < 3.2 (n+1), so the width is
@@ -259,17 +287,19 @@ def cn_constant(n: int, tol: QLike = DEFAULT_TOL) -> Bracket:
         return Bracket.point(math.prod((1 + (2 * n + 1) * b.lo) / (1 - b.lo)
                                        for b in beta_schedule(n, tol)[1:-1]))
     tol = check_tol(tol)
-    k = (-(-1 // tol)).bit_length() + 2 * n.bit_length() + 4
+    k = grid_bits(tol) + 2 * n.bit_length() + 4
     one, c = 1 << k, 2 * n + 1
     lo = hi = one
     for p in range(2, n):
         e = _beta_exponent(n, p)
-        b = floor_root(1, n, e.denominator, k, e.numerator)
+        m, exact = iroot(n, e.denominator)
+        base, q = (m, 1) if exact else (n, e.denominator)  # n = m^q: beta_p = m^-a
+        b = floor_root(1, base, q, k, e.numerator)
         lo = lo * (one + c * b) // (one - b)
         hi = -(-hi * (one + c * (b + 1)) // (one - b - 1))
     if (hi - lo) * tol.denominator > tol.numerator << k:
         raise CertificationFailed(f"C_{n} bracket wider than the tolerance")
-    return Bracket(Fraction(lo, one), Fraction(hi, one))
+    return Bracket.dyadic(lo, hi, k)
 
 
 def lemma1115_threshold(n: int, s: int, special: bool = False) -> int:
@@ -333,7 +363,9 @@ def mu_invariant(
     """mu(F) = min over p = 1..n of (min over p-dimensional Y of F^p.Y)^(1/p).
 
     Computed from declared minima only, so the result is an upper bound for
-    the true infimum.  Homogeneous: scaling F^p.Y by k^p scales mu by k.
+    the true infimum.  Homogeneous: scaling F^p.Y by k^p scales mu by k.  The
+    minimum is taken over integers on the grid 2^-k, k = grid_bits(tol): a
+    root's floor t gives [t, t + 1], an exact integer root x the point x 2^k.
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
@@ -342,14 +374,16 @@ def mu_invariant(
     missing = [p for p in range(1, n + 1) if p not in per_dim]
     if missing:
         raise InputError(f"missing per-dimension minima for p in {missing}")
-    tol = check_tol(tol)
-    roots = []
+    k = grid_bits(check_tol(tol))
+    ends = []
     for p in range(1, n + 1):
         v = per_dim[p]
         if v < 1:
             raise InputError("per-dimension minima must be positive integers")
-        roots.append(pow_bracket(Fraction(v), Fraction(1, p), tol))
-    return bracket_min(roots)
+        x, exact = iroot(v, p)
+        t = x << k if exact else floor_root(v, 1, p, k)
+        ends.append((t, t if exact else t + 1))
+    return Bracket.dyadic(min(lo for lo, _ in ends), min(hi for _, hi in ends), k)
 
 
 def mu_report(n: int, per_dim: Mapping[int, int], tol: QLike = DEFAULT_TOL) -> BoundReport:

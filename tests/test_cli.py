@@ -326,6 +326,7 @@ def test_d1_answer_too_long_to_print_exits_1(capsys):
 # Checks on values the program computed itself: their failure is a bug (exit 1)
 COMPUTED_VALUE_CHECKS = {
     ("core", "Bracket.__post_init__", "ValueError"),
+    ("core", "Bracket.dyadic", "ValueError"),
     ("core", "Bracket.__truediv__", "ZeroDivisionError"),
     ("core", "bracket_min", "ValueError"),
     ("jumping", "SigmaSequence.__getitem__", "KeyError"),

@@ -8,12 +8,14 @@ must be refused as usage errors: exit 2, nothing on stdout, no traceback.
 
 import json
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from posbounds import adjoint, convexity, numpoly
 from posbounds.cli import EXIT_INPUT, EXIT_OK, main
+from posbounds.report import value_from_json
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -109,3 +111,46 @@ def test_malformed_input_is_a_usage_error(capsys, monkeypatch, command, env):
     assert code == EXIT_INPUT
     assert out == ""
     assert "Traceback" not in err
+
+
+def decimal_root(r: Fraction, q: int, digits: int = 60) -> tuple[Fraction, Fraction]:
+    """[t, t + 1] / 10^digits around r^(1/q), t found by integer bisection:
+    a reference that shares neither the root code nor the grid of the CLI."""
+    a = r.numerator * 10 ** (digits * q) // r.denominator
+    lo, hi = 0, 1 << a.bit_length() // q + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**q <= a else (lo, mid)
+    return Fraction(lo, 10**digits), Fraction(lo + 1, 10**digits)
+
+
+def golden_details(command):
+    return value_from_json(json.loads(json.loads(GOLDEN.read_text())[command]))
+
+
+def test_golden_brackets_contain_brackets_at_tol_1e60():
+    mu = golden_details("jets mu --n 3 --per-dim 1=3,2=9,3=20")["threshold"]
+    lo, hi = decimal_root(Fraction(20), 3)  # 20^(1/3) < 9^(1/2) = 3^(1/1)
+    assert mu.lo <= lo and hi <= mu.hi
+    slack = golden_details("ht products --selfints 2,3 --mixed 3")["threshold"]
+    lo, hi = decimal_root(Fraction(6), 2)  # slack = 3 - sqrt(2) sqrt(3)
+    assert slack.lo <= 3 - hi and 3 - lo <= slack.hi
+
+
+def test_golden_margins_sit_just_below_the_margins_at_tol_1e60():
+    """jets main, n = 3, sigma0 = 8, a = 1, beta = (0, 1/27, 1), L^n = 64:
+    sigma_p = 64 (1 - (7/8)^(p/3)), rhs_1 = 27 sigma_1 and rhs_2 = (sigma_2 +
+    sigma_1/27) 27/26.  A margin minY - rhs.hi may not exceed minY minus the
+    reference's upper end, and is at most 100 tol below it."""
+    sigma_hi = {p: 64 * (1 - decimal_root(Fraction(7, 8) ** p, 3)[0]) for p in (1, 2)}
+    rhs_hi = {1: 27 * sigma_hi[1], 2: (sigma_hi[2] + sigma_hi[1] / 27) * Fraction(27, 26)}
+    tol = Fraction(1, 10**12)
+    for command, minY in [
+        ("jets main --n 3 --sigma0 8 --a 1 --beta 0,1/27,1 --min 1=300 --Ln 64", {1: 300}),
+        ("jets main --n 3 --sigma0 8 --a 1 --beta 0,1/27,1 --min 1=300,2=300 --Ln 64",
+         {1: 300, 2: 300}),
+    ]:
+        margins = golden_details(command)["details"]["margins"]
+        for p, m in minY.items():
+            reference = m - rhs_hi[p]
+            assert reference - 100 * tol <= margins[str(p)] <= reference

@@ -63,6 +63,23 @@ def test_ht_products_bracket_inputs():
     assert res.verdict is Verdict.UNKNOWN and res.slack.lo < 0 and res.slack.hi == 0
 
 
+@pytest.mark.parametrize("selfints, mixed, verdict", [
+    # ties and near ties that a bracket at tol could not separate
+    ([(1, 2), (1, 2)], Fraction(2), Verdict.HOLDS),  # mixed^2 = prod hi = 4
+    ([(2, 3), (2, 3)], Fraction(3), Verdict.HOLDS),  # mixed^2 = prod hi = 9
+    ([(1, 2), 8], Fraction(4), Verdict.HOLDS),  # mixed^2 = prod hi = 16
+    ([(2, 3), (2, 3)], 2 - Fraction(1, 10**30), Verdict.VIOLATED),  # just below prod lo = 4
+    ([(3, 4), 3, 3], Fraction(3), Verdict.UNKNOWN),  # 27 = prod lo <= 27 < prod hi = 36
+    ([(1, 2), 4], Fraction(-1), Verdict.VIOLATED),  # a negative mixed product
+])
+def test_ht_products_decides_interval_inputs_exactly(selfints, mixed, verdict):
+    boxes = [Bracket(Fraction(s[0]), Fraction(s[1])) if isinstance(s, tuple) else s
+             for s in selfints]
+    res = ht_products(boxes, mixed, Fraction(1, 10**12))
+    assert res.verdict is verdict and not res.equality
+    assert res.slack.lo <= res.slack.hi
+
+
 def test_ht_products_rejects_negative():
     with pytest.raises(ValueError):
         ht_products([-1, 4], 2)

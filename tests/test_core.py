@@ -17,7 +17,6 @@ from posbounds.core import (
     bracket_min,
     bracket_prod,
     ceil_q,
-    certify,
     elem_sym,
     floor_q,
     floor_root,
@@ -160,6 +159,17 @@ def test_iroot_large_index_matches_plain_newton(q, a):
     assert iroot(a, q) == iroot_by_plain_newton(a, q)
 
 
+@pytest.mark.parametrize("q", range(3, 41))
+def test_iroot_matches_plain_newton_on_large_perfect_powers_and_neighbours(q):
+    # one Newton step at half size, then x^q <= a ends the loop: a perfect
+    # power and its neighbours are where an off-by-one would show
+    rng = random.Random(q)
+    for bits in (10_000, 25_000, 40_000):
+        r = rng.getrandbits(bits // q) | 1 << bits // q - 1
+        for a in (r**q - 1, r**q, r**q + 1):
+            assert iroot(a, q) == iroot_by_plain_newton(a, q), (bits, a - r**q)
+
+
 def test_bracket_rejects_reversed_endpoints():
     with pytest.raises(ValueError):
         Bracket(Fraction(1), Fraction(0))
@@ -246,6 +256,46 @@ def test_floor_root_below_the_grid_never_raises_the_power():
     assert floor_root(1, 2**64, 1, 40, 10**12) == 0
     # the test is strict: den^a equal to 2^(kq) is one grid step, not zero
     assert floor_root(1, 8, 2, 30, 20) == 1
+
+
+def assert_dyadic_within(b, tol):
+    """A point, or width <= tol with power-of-two denominators."""
+    if not b.is_point:
+        assert b.width <= tol
+        for end in (b.lo, b.hi):
+            assert end.denominator & (end.denominator - 1) == 0
+
+
+def assert_nested(wide, tight):
+    assert wide.lo <= tight.lo and tight.hi <= wide.hi
+
+
+tolerances = st.fractions(min_value=Fraction(1, 10**40), max_value=10, max_denominator=10**40)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(st.fractions(min_value=0, max_value=10**6, max_denominator=10**4),
+       st.integers(min_value=1, max_value=8), tolerances, tolerances)
+@example(Fraction(17, 50), 1, Fraction(1, 3), Fraction(1, 7))  # the grids 1/3, 1/7 did not nest
+@example(Fraction(2), 2, Fraction(1, 3), Fraction(1, 7))
+def test_nth_root_brackets_nest_on_a_dyadic_grid(r, q, t1, t2):
+    wide, tight = (nth_root_bracket(r, q, t) for t in (max(t1, t2), min(t1, t2)))
+    assert_nested(wide, tight)
+    assert_dyadic_within(wide, max(t1, t2))
+    assert_dyadic_within(tight, min(t1, t2))
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(st.fractions(min_value=0, max_value=10**9, max_denominator=10**6),
+       st.integers(min_value=1, max_value=12), tolerances, tolerances)
+@example(Fraction(1, 2), 7, Fraction(1, 3), Fraction(1, 7))
+def test_root_power_brackets_nest_on_a_dyadic_grid(r, n, t1, t2):
+    wide = root_power_brackets(r, n, max(t1, t2))
+    tight = root_power_brackets(r, n, min(t1, t2))
+    for w, t in zip(wide, tight):
+        assert_nested(w, t)
+        assert_dyadic_within(w, max(t1, t2))
+        assert_dyadic_within(t, min(t1, t2))
 
 
 def test_nth_root_monotone_refinement():
@@ -337,16 +387,17 @@ def test_root_power_brackets_match_pow_bracket(case):
 
 def test_root_power_brackets_fallback_gives_the_same_brackets(monkeypatch):
     """With no guard bits the truncated powers often straddle a grid point,
-    so the pow_bracket fallback runs on irrational powers too."""
+    so floor_powers' own root for one power runs on irrational powers too."""
     straddles = []
 
-    def spy(x, e, tol):
-        b = pow_bracket(x, e, tol)
-        straddles.append(not b.is_point)
-        return b
+    def spy(num, den, q, k, a=1):
+        # only a fallback asks for a power a > 1; it is irrational unless the
+        # coprime num and den are perfect q-th powers
+        straddles.append(a > 1 and not (iroot(num, q)[1] and iroot(den, q)[1]))
+        return floor_root(num, den, q, k, a)
 
     monkeypatch.setattr(core, "_GUARD_BITS", 0)
-    monkeypatch.setattr(core, "pow_bracket", spy)
+    monkeypatch.setattr(core, "floor_root", spy)
     rng = random.Random(10)
     for _ in range(200):
         r = Fraction(rng.randrange(1, 10**9), rng.randrange(1, 10**9))
@@ -367,18 +418,6 @@ def test_root_power_brackets_domain_errors():
 def test_golden_sqrt5_bracket():
     b = pow_bracket(Fraction(5), Fraction(1, 2), Fraction(1, 10**12))
     assert abs(float(b.lo) - math.sqrt(5)) < 1e-11
-
-
-def test_certify_refines_by_1024_until_the_first_success():
-    seen = []
-
-    def attempt(t):
-        seen.append(t)
-        return t < Fraction(1, 1000), t
-
-    assert certify(attempt, Fraction(1), 3) == (True, Fraction(1, 1024))
-    assert seen == [Fraction(1), Fraction(1, 1024)]
-    assert certify(lambda t: (False, t), Fraction(1), 2) == (False, Fraction(1, 1024))
 
 
 def test_bisect_never_calls_ok_at_hi():

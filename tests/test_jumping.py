@@ -4,11 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from posbounds import jumping
 from posbounds.adjoint import JetSpec
-from posbounds.core import Bracket, CertificationFailed, InputError, pow_bracket
+from posbounds.core import Bracket, CertificationFailed, InputError, floor_root, pow_bracket
 from posbounds.jumping import (
     _increasing_root,
     _rhs_bracket,
@@ -92,6 +92,72 @@ def test_sigma_sequence_invariants(n, ratio):
         assert s[p].hi < sigma0
     for p in range(1, n - 1):
         assert s[p].hi < s[p + 1].lo
+
+
+def assert_dyadic_within(b, tol):
+    """Width <= tol and power-of-two denominators, unless b is a point."""
+    if not b.is_point:
+        assert b.width <= tol
+        for end in (b.lo, b.hi):
+            assert end.denominator & (end.denominator - 1) == 0
+
+
+def sigma_or_none(sigma0, Ln, n, tol):
+    try:
+        return sigma_sequence(sigma0, Ln, n, tol)
+    except CertificationFailed:
+        return None
+
+
+tolerances = st.fractions(min_value=Fraction(1, 10**40), max_value=10, max_denominator=10**40)
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(
+    st.integers(min_value=2, max_value=8),
+    st.fractions(min_value=Fraction(1, 10**6), max_value=1 - Fraction(1, 10**6),
+                 max_denominator=10**6),
+    st.fractions(min_value=Fraction(1, 10), max_value=10**4, max_denominator=10),
+    tolerances,
+    tolerances,
+)
+@example(3, Fraction(1, 8), Fraction(64), Fraction(1, 3), Fraction(1, 7))
+@example(2, Fraction(1, 1000), Fraction(1), Fraction(1, 3), Fraction(1, 7))
+def test_sigma_brackets_nest_and_are_tol_wide_on_a_dyadic_grid(n, ratio, Ln, t1, t2):
+    wide_tol, tight_tol = max(t1, t2), min(t1, t2)
+    wide = sigma_or_none(ratio * Ln, Ln, n, wide_tol)
+    tight = sigma_or_none(ratio * Ln, Ln, n, tight_tol)
+    if tight is None:  # certifying on a finer grid is never harder
+        assert wide is None
+        return
+    for s, t in ((wide, wide_tol), (tight, tight_tol)):
+        if s is None:
+            continue
+        assert [Bracket.dyadic(lo, hi, s.k) for lo, hi in s.ends] == list(s.sigma_p)
+        for b in s.sigma_p:
+            assert_dyadic_within(b, t)
+    if wide is not None:
+        for w, t in zip(wide.sigma_p, tight.sigma_p):
+            assert w.lo <= t.lo and t.hi <= w.hi
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.lists(st.integers(min_value=1, max_value=10**6), min_size=n, max_size=n)),
+    tolerances,
+    tolerances,
+)
+@example([3, 9, 20], Fraction(1, 3), Fraction(1, 7))
+def test_mu_invariant_brackets_nest_on_a_dyadic_grid(values, t1, t2):
+    per_dim = dict(enumerate(values, 1))
+    wide = mu_invariant(per_dim, len(values), max(t1, t2))
+    tight = mu_invariant(per_dim, len(values), min(t1, t2))
+    assert wide.lo <= tight.lo and tight.hi <= wide.hi
+    assert_dyadic_within(wide, max(t1, t2))
+    assert_dyadic_within(tight, min(t1, t2))
+    if tight.is_point:  # an exact integer root is the minimum
+        assert any(tight.lo ** p == v for p, v in per_dim.items())
 
 
 def test_recursion_bound_linear_case():
@@ -302,6 +368,24 @@ def test_cn_constant_width_check_raises_when_the_grid_is_too_coarse(monkeypatch)
     monkeypatch.setattr(jumping, "floor_root", lambda num, den, q, k, a: (1 << k) // 3)
     with pytest.raises(CertificationFailed, match="wider than the tolerance"):
         cn_constant(8, Fraction(1, 10**12))
+
+
+def test_cn_constant_takes_no_root_of_a_perfect_power(monkeypatch):
+    # 8 = 2^3: beta_4 = 8^(-32/3) = 2^-32 and beta_7 = 8^(-4/3) = 2^-4 are
+    # read off 2^-a; only beta_6 = 8^(-16/5) needs a root
+    indices = []
+
+    def spy(num, den, q, k, a):
+        indices.append(q)
+        return floor_root(num, den, q, k, a)
+
+    tol = Fraction(1, 10**100)
+    by_roots = cn_constant(8, tol)
+    monkeypatch.setattr(jumping, "floor_root", spy)
+    assert cn_constant(8, tol) == by_roots
+    assert sorted(indices) == [1, 1, 1, 1, 1, 5]
+    monkeypatch.setattr(jumping, "iroot", lambda a, q: (a, q == 1))  # no perfect powers
+    assert cn_constant(8, tol) == by_roots
 
 
 def test_chained_recursion_stays_below_beta():
