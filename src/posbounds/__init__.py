@@ -14,15 +14,13 @@ Submodules:
 - ``cli``: the ``posbounds`` command line tool.
 """
 
-from .core import Bracket, Q, binom, bracket_min, bracket_prod, elem_sym, pow_bracket
+from .core import Bracket, Q, binom, elem_sym, pow_bracket
 from .report import BoundReport
 
 __all__ = [
     "Bracket",
     "Q",
     "binom",
-    "bracket_min",
-    "bracket_prod",
     "elem_sym",
     "pow_bracket",
     "BoundReport",

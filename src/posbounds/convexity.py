@@ -1,8 +1,8 @@
 """Hovanski-Teissier convexity inequalities and algebraic Morse criteria.
 
 The n-th-root inequalities are decided exactly by raising both sides to an
-integer power, for rational and interval inputs alike; bracket arithmetic
-only encloses the slack that a report prints.
+integer power, for rational and interval inputs alike; the slack that a
+report prints is enclosed by the ends of certified root brackets.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .core import (
-    DEFAULT_TOL, Bracket, InputError, QLike, binom, bracket_prod, check_tol, elem_sym, pow_bracket,
+    DEFAULT_TOL, Bracket, InputError, QLike, binom, check_tol, elem_sym, nth_root_bracket,
 )
 from .report import BoundReport
 
@@ -68,12 +68,15 @@ def ht_products(
     if any(b.lo < 0 for b in brackets):
         raise InputError("self-intersections of nef classes must be nonnegative")
 
-    gm = bracket_prod(pow_bracket_interval(b, Fraction(1, n), tol) for b in brackets)
+    # the n-th root is increasing: the product's ends are the roots' ends multiplied
+    los = [nth_root_bracket(b.lo, n, tol) for b in brackets]
+    his = [lo if b.is_point else nth_root_bracket(b.hi, n, tol) for b, lo in zip(brackets, los)]
+    gm_lo, gm_hi = math.prod(r.lo for r in los), math.prod(r.hi for r in his)
     bottom, top = math.prod(b.lo for b in brackets), math.prod(b.hi for b in brackets)
     # mixed >= g^(1/n)  <=>  mixed^n >= g, for mixed >= 0
     holds, violated = mixed >= 0 and mixed ** n >= top, mixed < 0 or mixed ** n < bottom
     verdict = Verdict.HOLDS if holds else Verdict.VIOLATED if violated else Verdict.UNKNOWN
-    return InequalityResult(verdict, Bracket.point(mixed) - gm,
+    return InequalityResult(verdict, Bracket(mixed - gm_hi, mixed - gm_lo),
                             equality=verdict is Verdict.HOLDS and mixed ** n == bottom)
 
 
@@ -88,15 +91,6 @@ def ht_products_report(
     """ht_products as a report."""
     return _inequality_report("ht-products", {"selfints": selfints, "mixed": mixed},
                               ht_products(selfints, mixed, tol))
-
-
-def pow_bracket_interval(b: Bracket, e: Fraction, tol: Fraction) -> Bracket:
-    """x^e over an interval of nonnegative x (monotone for e > 0)."""
-    if e <= 0:
-        raise InputError("interval powers only implemented for positive exponents")
-    lo = pow_bracket(b.lo, e, tol)
-    hi = lo if b.is_point else pow_bracket(b.hi, e, tol)
-    return Bracket(lo.lo, hi.hi)
 
 
 def _at_least(big: Fraction, small: Fraction) -> InequalityResult:

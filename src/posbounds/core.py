@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 Q = Fraction
 QLike = Union[int, Fraction]
@@ -154,61 +154,6 @@ class Bracket:
     def contains(self, x: QLike) -> bool:
         return self.lo <= Fraction(x) <= self.hi
 
-    def __add__(self, other: Union["Bracket", QLike]) -> "Bracket":
-        other = _as_bracket(other)
-        return Bracket(self.lo + other.lo, self.hi + other.hi)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Union["Bracket", QLike]) -> "Bracket":
-        other = _as_bracket(other)
-        return Bracket(self.lo - other.hi, self.hi - other.lo)
-
-    def __rsub__(self, other: QLike) -> "Bracket":
-        return _as_bracket(other) - self
-
-    def __mul__(self, other: Union["Bracket", QLike]) -> "Bracket":
-        other = _as_bracket(other)
-        if self.lo >= 0 and other.lo >= 0:
-            return Bracket(self.lo * other.lo, self.hi * other.hi)
-        products = [
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        ]
-        return Bracket(min(products), max(products))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Union["Bracket", QLike]) -> "Bracket":
-        other = _as_bracket(other)
-        if other.lo <= 0 <= other.hi:
-            raise ZeroDivisionError("bracket divisor straddles zero")
-        inv = Bracket(1 / other.hi, 1 / other.lo)
-        return self * inv
-
-    def __rtruediv__(self, other: QLike) -> "Bracket":
-        return _as_bracket(other) / self
-
-
-def _as_bracket(x: Union[Bracket, QLike]) -> Bracket:
-    return x if isinstance(x, Bracket) else Bracket.point(x)
-
-
-def bracket_min(brackets: Iterable[Bracket]) -> Bracket:
-    items = list(brackets)
-    if not items:
-        raise ValueError("bracket_min of empty collection")
-    return Bracket(min(b.lo for b in items), min(b.hi for b in items))
-
-
-def bracket_prod(brackets: Iterable[Union[Bracket, QLike]]) -> Bracket:
-    out = Bracket.point(1)
-    for b in brackets:
-        out = out * b
-    return out
-
 
 def nth_root_bracket(r: QLike, q: int, tol: QLike) -> Bracket:
     """Certified bracket for r^(1/q), r >= 0, q >= 1: [t, t + 1] / 2^k with
@@ -289,21 +234,4 @@ def floor_powers(num: int, den: int, n: int, k: int) -> list[int]:
             g = math.gcd(p, n)
             t = floor_root(num, den, n // g, k, p // g)
         out.append(t)
-    return out
-
-
-def root_power_brackets(r: QLike, n: int, tol: QLike) -> list[Bracket]:
-    """[pow_bracket(r, p/n, tol) for p = 1..n-1]: floor_powers on
-    nth_root_bracket's grid, and the exact point where r^(p/n) is rational."""
-    r, tol = Fraction(r), check_tol(tol)
-    if r < 0:
-        raise InputError("pow_bracket base must be nonnegative")
-    if n < 1:
-        raise InputError("root index must be >= 1")
-    num, den, k = r.numerator, r.denominator, grid_bits(tol)
-    out = []
-    for p, t in enumerate(floor_powers(num, den, n, k), 1):
-        q = n // math.gcd(p, n)  # r^(p/n) is rational iff num and den are q-th powers
-        rational = iroot(num, q)[1] and iroot(den, q)[1]
-        out.append(pow_bracket(r, Fraction(p, n), tol) if rational else Bracket.dyadic(t, t + 1, k))
     return out

@@ -47,21 +47,24 @@ class JumpSequence:
 
 @dataclass(frozen=True)
 class SigmaSequence:
-    """sigma0 together with certified brackets for sigma_1..sigma_{n-1}; ends
-    holds the same brackets as integer pairs over 2^k."""
+    """sigma0 together with certified brackets for sigma_1..sigma_{n-1}, held
+    as integer pairs ends over 2^k; a Bracket is built only when one is read."""
 
     n: int
     sigma0: Fraction
-    sigma_p: tuple[Bracket, ...]
     k: int
     ends: tuple[tuple[int, int], ...]
+
+    @property
+    def sigma_p(self) -> tuple[Bracket, ...]:
+        return tuple([Bracket.dyadic(lo, hi, self.k) for lo, hi in self.ends])
 
     def __getitem__(self, p: int) -> Bracket:
         if p == 0:
             return Bracket.point(self.sigma0)
-        if not (1 <= p <= len(self.sigma_p)):
+        if not (1 <= p <= len(self.ends)):
             raise KeyError(f"sigma_{p} not available")
-        return self.sigma_p[p - 1]
+        return Bracket.dyadic(*self.ends[p - 1], self.k)
 
 
 def sigma0_for(jets: JetSpec, n: int, very_ample_special: bool = False) -> Fraction:
@@ -116,9 +119,7 @@ def sigma_sequence(
             raise CertificationFailed("could not certify sigma bounds at the given tolerance")
         k = bisect(lambda j: not attempt(j)[0], k, k + _REFINE_BITS) + 1
         ends = attempt(k)[1]
-    # tuples from lists, not generators: a resized tuple would grow the tuple free lists
-    return SigmaSequence(n, sigma0, tuple([Bracket.dyadic(lo, hi, k) for lo, hi in ends]),
-                         k, tuple(ends))
+    return SigmaSequence(n, sigma0, k, tuple(ends))
 
 
 def _rhs_bracket(
@@ -128,7 +129,6 @@ def _rhs_bracket(
     divisor > 0.  The coefficients are >= 0 (b, a >= 0), so each end is one
     sum over sigma's integer ends under a common denominator."""
     p = len(b_prefix)
-    sigma[p]  # KeyError unless sigma_1..sigma_p are all there
     coeffs = [elem_sym(list(b_prefix), j) * a ** j for j in range(p)]
     den = math.lcm(*[c.denominator for c in coeffs])
     terms = [(c.numerator * (den // c.denominator), sigma.ends[p - 1 - j])
@@ -158,6 +158,8 @@ def recursion_bound(
         raise InputError("minY must be a positive integer")
     if not b or b[0] != 0 or any(y < x for x, y in zip(b, b[1:])):
         raise InputError("b_prefix must be nondecreasing and start at 0")
+    if len(b) > len(sigma.ends):
+        raise InputError(f"b_prefix needs sigma_{len(b)}, beyond the sigma sequence")
     rhs = _rhs_bracket(b, a, sigma, minY)
     p = len(b)
     if p == 1:
@@ -364,8 +366,9 @@ def mu_invariant(
 
     Computed from declared minima only, so the result is an upper bound for
     the true infimum.  Homogeneous: scaling F^p.Y by k^p scales mu by k.  The
-    minimum is taken over integers on the grid 2^-k, k = grid_bits(tol): a
-    root's floor t gives [t, t + 1], an exact integer root x the point x 2^k.
+    minimum is taken over integers on the grid 2^-k, k = grid_bits(tol): the
+    floor t of (v 2^(kp))^(1/p) gives [t, t + 1], or the point t when the root
+    is exact (v 2^(kp) is a p-th power exactly when v is).
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
@@ -380,8 +383,7 @@ def mu_invariant(
         v = per_dim[p]
         if v < 1:
             raise InputError("per-dimension minima must be positive integers")
-        x, exact = iroot(v, p)
-        t = x << k if exact else floor_root(v, 1, p, k)
+        t, exact = iroot(v << k * p, p)
         ends.append((t, t if exact else t + 1))
     return Bracket.dyadic(min(lo for lo, _ in ends), min(hi for _, hi in ends), k)
 

@@ -1,9 +1,10 @@
 """Tests for the convexity inequalities and Morse-type counting."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from posbounds.convexity import (
     MixedNumbers,
@@ -78,6 +79,41 @@ def test_ht_products_decides_interval_inputs_exactly(selfints, mixed, verdict):
     res = ht_products(boxes, mixed, Fraction(1, 10**12))
     assert res.verdict is verdict and not res.equality
     assert res.slack.lo <= res.slack.hi
+
+
+@st.composite
+def ht_boxes(draw):
+    """Self-intersection points, boxes and perfect n-th powers, a mixed
+    product that may be negative, and a tolerance."""
+    n = draw(st.integers(1, 5))
+    ends = st.fractions(min_value=0, max_value=1000, max_denominator=100)
+    powers = st.fractions(min_value=0, max_value=30, max_denominator=10).map(lambda x: x**n)
+    boxes = []
+    for _ in range(n):
+        a, b = draw(st.one_of(ends, powers)), draw(st.one_of(ends, powers))
+        boxes.append(draw(st.sampled_from([Bracket.point(a), Bracket(min(a, b), max(a, b))])))
+    mixed = draw(st.fractions(min_value=-50, max_value=50, max_denominator=100))
+    tol = draw(st.sampled_from([Fraction(1, 10**e) for e in (12, 40, 100, 300)] + [Fraction(1, 3)]))
+    return boxes, mixed, tol, draw(st.lists(st.fractions(0, 1), min_size=n, max_size=n))
+
+
+def nth_root_within(x, lo, hi, n):
+    """lo <= x^(1/n) <= hi for x >= 0, decided on n-th powers."""
+    return (lo <= 0 or lo**n <= x) and 0 <= hi and x <= hi**n
+
+
+@settings(deadline=None, max_examples=200)
+@given(ht_boxes())
+@example(([Bracket(Fraction(4), Fraction(5)), Bracket.point(4)], Fraction(4), Fraction(1, 3),
+          [Fraction(1, 2), Fraction(0)]))
+def test_ht_products_slack_encloses_every_point_of_the_box(case):
+    boxes, mixed, tol, weights = case
+    n, slack = len(boxes), ht_products(boxes, mixed, tol).slack
+    # slack.lo <= mixed - prod x_j^(1/n) <= slack.hi; the product increases in
+    # each x_j, so the box's two corners bound it, and an interior x is checked too
+    interior = [b.lo + w * (b.hi - b.lo) for b, w in zip(boxes, weights)]
+    for x in ([b.lo for b in boxes], [b.hi for b in boxes], interior):
+        assert nth_root_within(math.prod(x), mixed - slack.hi, mixed - slack.lo, n)
 
 
 def test_ht_products_rejects_negative():

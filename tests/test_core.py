@@ -14,16 +14,14 @@ from posbounds.core import (
     InputError,
     binom,
     bisect,
-    bracket_min,
-    bracket_prod,
     ceil_q,
     elem_sym,
+    floor_powers,
     floor_q,
     floor_root,
     iroot,
     nth_root_bracket,
     pow_bracket,
-    root_power_brackets,
 )
 from posbounds.jumping import (
     beta_schedule,
@@ -35,7 +33,6 @@ from posbounds.jumping import (
 from posbounds.lelong import ParamCurve, lelong_numeric
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
-pos_rationals = st.fractions(min_value=Fraction(1, 100), max_value=1000, max_denominator=100)
 
 
 def test_binom_matches_comb_inside_range():
@@ -175,52 +172,6 @@ def test_bracket_rejects_reversed_endpoints():
         Bracket(Fraction(1), Fraction(0))
 
 
-@given(rationals, rationals, rationals, rationals)
-def test_bracket_arithmetic_soundness(a, b, c, d):
-    x = Bracket(min(a, b), max(a, b))
-    y = Bracket(min(c, d), max(c, d))
-    # Endpoints are members, so their images must land inside the result.
-    for xv in (x.lo, x.hi):
-        for yv in (y.lo, y.hi):
-            assert (x + y).contains(xv + yv)
-            assert (x - y).contains(xv - yv)
-            assert (x * y).contains(xv * yv)
-
-
-nonneg_rationals = st.fractions(min_value=0, max_value=1000, max_denominator=100)
-
-
-@given(nonneg_rationals, nonneg_rationals, nonneg_rationals, nonneg_rationals)
-def test_bracket_product_of_nonnegative_brackets_is_the_four_product_hull(a, b, c, d):
-    x = Bracket(min(a, b), max(a, b))
-    y = Bracket(min(c, d), max(c, d))
-    products = [x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi]
-    assert x * y == Bracket(min(products), max(products))
-
-
-@given(rationals, rationals, pos_rationals, pos_rationals)
-def test_bracket_division_soundness(a, b, c, d):
-    x = Bracket(min(a, b), max(a, b))
-    y = Bracket(min(c, d), max(c, d))
-    for xv in (x.lo, x.hi):
-        for yv in (y.lo, y.hi):
-            assert (x / y).contains(xv / yv)
-
-
-def test_bracket_division_rejects_zero_straddle():
-    with pytest.raises(ZeroDivisionError):
-        Bracket(Fraction(1), Fraction(1)) / Bracket(Fraction(-1), Fraction(1))
-
-
-def test_bracket_min_and_prod():
-    a = Bracket(Fraction(1), Fraction(2))
-    b = Bracket(Fraction(3, 2), Fraction(7, 4))
-    m = bracket_min([a, b])
-    assert m.lo == 1 and m.hi == Fraction(7, 4)
-    p = bracket_prod([a, 2])
-    assert p.lo == 2 and p.hi == 4
-
-
 @given(
     st.fractions(min_value=0, max_value=10**6, max_denominator=10**4),
     st.integers(min_value=1, max_value=6),
@@ -273,7 +224,7 @@ def assert_nested(wide, tight):
 tolerances = st.fractions(min_value=Fraction(1, 10**40), max_value=10, max_denominator=10**40)
 
 
-@settings(deadline=None, max_examples=200, derandomize=True)
+@settings(deadline=None, max_examples=200)
 @given(st.fractions(min_value=0, max_value=10**6, max_denominator=10**4),
        st.integers(min_value=1, max_value=8), tolerances, tolerances)
 @example(Fraction(17, 50), 1, Fraction(1, 3), Fraction(1, 7))  # the grids 1/3, 1/7 did not nest
@@ -283,19 +234,6 @@ def test_nth_root_brackets_nest_on_a_dyadic_grid(r, q, t1, t2):
     assert_nested(wide, tight)
     assert_dyadic_within(wide, max(t1, t2))
     assert_dyadic_within(tight, min(t1, t2))
-
-
-@settings(deadline=None, max_examples=100, derandomize=True)
-@given(st.fractions(min_value=0, max_value=10**9, max_denominator=10**6),
-       st.integers(min_value=1, max_value=12), tolerances, tolerances)
-@example(Fraction(1, 2), 7, Fraction(1, 3), Fraction(1, 7))
-def test_root_power_brackets_nest_on_a_dyadic_grid(r, n, t1, t2):
-    wide = root_power_brackets(r, n, max(t1, t2))
-    tight = root_power_brackets(r, n, min(t1, t2))
-    for w, t in zip(wide, tight):
-        assert_nested(w, t)
-        assert_dyadic_within(w, max(t1, t2))
-        assert_dyadic_within(t, min(t1, t2))
 
 
 def test_nth_root_monotone_refinement():
@@ -342,7 +280,6 @@ def test_pow_bracket_domain_errors():
     lambda tol: mu_invariant({1: 2, 2: 3}, 2, tol),
     lambda tol: ht_products([2, 3], 3, tol),
     lambda tol: lelong_numeric(ParamCurve(2, 3), [Fraction(1, 2)], tol),
-    lambda tol: root_power_brackets(2, 3, tol),
 ])
 @pytest.mark.parametrize("tol", [0, -1])
 def test_nonpositive_tolerance_is_an_input_error(call, tol):
@@ -355,14 +292,15 @@ def test_pow_bracket_zero_and_one():
     assert pow_bracket(1, Fraction(7, 3), Fraction(1, 10**6)).lo == 1
 
 
-def powers_one_root_at_a_time(r, n, tol):
-    return [pow_bracket(r, Fraction(p, n), tol) for p in range(1, n)]
+def floors_one_root_at_a_time(num, den, n, k):
+    """floor(2^k r^(p/n)) for p = 1..n-1, each from its own root of index n/g."""
+    return [floor_root(num, den, n // g, k, p // g) for p in range(1, n) for g in [math.gcd(p, n)]]
 
 
 @st.composite
-def root_power_inputs(draw):
+def floor_powers_inputs(draw):
     n = draw(st.integers(1, 12))
-    tol = Fraction(1, 10 ** draw(st.integers(1, 400)))
+    k = draw(st.integers(0, 1400))
     kind = draw(st.sampled_from(["any", "below-one", "perfect-power"]))
     if kind == "perfect-power":
         r = draw(st.fractions(min_value=0, max_value=1000, max_denominator=1000)) ** n
@@ -370,22 +308,31 @@ def root_power_inputs(draw):
         r = draw(st.fractions(min_value=0, max_value=1, max_denominator=10**6))
     else:
         r = draw(st.fractions(min_value=0, max_value=10**30, max_denominator=10**30))
-    return r, n, tol
+    return r.numerator, r.denominator, n, k
 
 
 @settings(deadline=None, max_examples=200)
-@given(root_power_inputs())
-@example((Fraction(1, 4), 4, Fraction(1, 10**50)))  # p = 2: 1/2, rational
-@example((Fraction(8, 27), 6, Fraction(1, 10**50)))  # p = 2, 4: 2/3, 4/9
-@example((Fraction(0), 5, Fraction(1, 10)))
-@example((Fraction(1), 5, Fraction(1, 10**400)))
-@example((Fraction(10**60 + 1, 3), 7, Fraction(1, 10**12)))
-def test_root_power_brackets_match_pow_bracket(case):
-    r, n, tol = case
-    assert root_power_brackets(r, n, tol) == powers_one_root_at_a_time(r, n, tol)
+@given(floor_powers_inputs())
+@example((1, 4, 4, 167))  # p = 2: 1/2, rational
+@example((8, 27, 6, 167))  # p = 2, 4: 2/3, 4/9
+@example((0, 1, 5, 4))
+@example((1, 1, 5, 1329))
+@example((10**60 + 1, 3, 7, 40))
+def test_floor_powers_match_one_root_per_power(case):
+    num, den, n, k = case
+    assert floor_powers(num, den, n, k) == floors_one_root_at_a_time(num, den, n, k)
 
 
-def test_root_power_brackets_fallback_gives_the_same_brackets(monkeypatch):
+@settings(deadline=None, max_examples=100)
+@given(floor_powers_inputs())
+def test_floor_powers_are_the_floors_of_the_scaled_powers(case):
+    num, den, n, k = case
+    for p, t in enumerate(floor_powers(num, den, n, k), 1):
+        # t <= 2^k (num/den)^(p/n) < t + 1, cleared of denominators
+        assert t**n * den**p <= num**p << k * n < (t + 1) ** n * den**p
+
+
+def test_floor_powers_fallback_gives_the_same_floors(monkeypatch):
     """With no guard bits the truncated powers often straddle a grid point,
     so floor_powers' own root for one power runs on irrational powers too."""
     straddles = []
@@ -401,18 +348,17 @@ def test_root_power_brackets_fallback_gives_the_same_brackets(monkeypatch):
     rng = random.Random(10)
     for _ in range(200):
         r = Fraction(rng.randrange(1, 10**9), rng.randrange(1, 10**9))
-        n, tol = rng.randint(2, 12), Fraction(1, 10 ** rng.randint(1, 400))
-        assert root_power_brackets(r, n, tol) == powers_one_root_at_a_time(r, n, tol)
+        n, k = rng.randint(2, 12), rng.randint(4, 1330)
+        num, den = r.numerator, r.denominator
+        assert floor_powers(num, den, n, k) == floors_one_root_at_a_time(num, den, n, k)
     assert any(straddles)
 
 
-def test_root_power_brackets_domain_errors():
-    with pytest.raises(InputError, match="pow_bracket base must be nonnegative"):
-        root_power_brackets(Fraction(-1, 2), 3, Fraction(1, 10**6))
-    for n in (0, -2):
-        with pytest.raises(InputError, match="root index must be >= 1"):
-            root_power_brackets(Fraction(1, 2), n, Fraction(1, 10**6))
-    assert root_power_brackets(Fraction(1, 2), 1, Fraction(1, 10**6)) == []
+def test_floor_powers_edge_cases():
+    assert floor_powers(1, 2, 1, 40) == []  # no p with 1 <= p <= n - 1
+    assert floor_powers(0, 7, 5, 40) == [0, 0, 0, 0]
+    assert floor_powers(1, 1, 5, 40) == [1 << 40] * 4
+    assert floor_powers(16, 1, 4, 3) == [16, 32, 64]  # 2^3 (2, 4, 8)
 
 
 def test_golden_sqrt5_bracket():

@@ -8,7 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from posbounds import jumping
 from posbounds.adjoint import JetSpec
-from posbounds.core import Bracket, CertificationFailed, InputError, floor_root, pow_bracket
+from posbounds.core import (
+    Bracket, CertificationFailed, InputError, floor_root, grid_bits, iroot, pow_bracket,
+)
 from posbounds.jumping import (
     _increasing_root,
     _rhs_bracket,
@@ -112,7 +114,7 @@ def sigma_or_none(sigma0, Ln, n, tol):
 tolerances = st.fractions(min_value=Fraction(1, 10**40), max_value=10, max_denominator=10**40)
 
 
-@settings(deadline=None, max_examples=150, derandomize=True)
+@settings(deadline=None, max_examples=150)
 @given(
     st.integers(min_value=2, max_value=8),
     st.fractions(min_value=Fraction(1, 10**6), max_value=1 - Fraction(1, 10**6),
@@ -141,7 +143,7 @@ def test_sigma_brackets_nest_and_are_tol_wide_on_a_dyadic_grid(n, ratio, Ln, t1,
             assert w.lo <= t.lo and t.hi <= w.hi
 
 
-@settings(deadline=None, max_examples=150, derandomize=True)
+@settings(deadline=None, max_examples=150)
 @given(
     st.integers(min_value=1, max_value=6).flatmap(
         lambda n: st.lists(st.integers(min_value=1, max_value=10**6), min_size=n, max_size=n)),
@@ -176,8 +178,16 @@ def test_recursion_bound_quadratic_case():
         assert x > Fraction(1, 4)
     val_lo = b3.lo * (b3.lo - Fraction(1, 4))
     val_hi = b3.hi * (b3.hi - Fraction(1, 4))
-    rhs = (s[2] + Fraction(1, 4) * 1 * s[1]) * Fraction(1, 2)
-    assert val_lo <= rhs.hi and val_hi >= rhs.lo
+    # rhs = (sigma_2 + (1/4) 1 sigma_1) / 2 rises with both sigmas
+    rhs_lo = (s[2].lo + Fraction(1, 4) * s[1].lo) / 2
+    rhs_hi = (s[2].hi + Fraction(1, 4) * s[1].hi) / 2
+    assert val_lo <= rhs_hi and val_hi >= rhs_lo
+
+
+def test_recursion_bound_rejects_a_prefix_longer_than_sigma():
+    s = sigma_sequence(27, 64, 3)  # sigma_1, sigma_2 only
+    with pytest.raises(InputError, match="sigma_3"):
+        recursion_bound([0, Fraction(1, 4), Fraction(1, 2)], 1, s, 2)
 
 
 def root_by_fraction_bisection(b, target, tol):
@@ -256,6 +266,22 @@ def test_recursion_bound_validation():
             recursion_bound([Fraction(0)], 0, s, 3, tol=tol)
 
 
+def test_main_theorem_check_builds_no_sigma_bracket(monkeypatch):
+    # the right-hand sides are sums over sigma's integer ends
+    built = []
+    dyadic = Bracket.dyadic
+
+    def spy(lo, hi, k):
+        built.append((lo, hi, k))
+        return dyadic(lo, hi, k)
+
+    monkeypatch.setattr(Bracket, "dyadic", staticmethod(spy))
+    report = main_theorem_check(3, 8, 1, [0, Fraction(1, 27), 1], {1: 10**4, 2: 10**4}, 64)
+    assert report.verdict == "satisfied" and built == []
+    sigma_sequence(8, 64, 3).sigma_p  # the spy sees brackets built on reading
+    assert len(built) == 2
+
+
 def test_main_theorem_surface_reduction():
     # n=2, beta=(0,1): conditions reduce to L^2 > sigma0 and L.C > sigma_1.
     report = main_theorem_check(2, 4, 0, [0, 1], {1: 3}, 5)
@@ -327,22 +353,24 @@ def test_cn_constant_golden():
     assert c5.hi < 3
 
 
-def cn_by_bracket_products(n, tol):
-    """C_n by Bracket interval products over fresh pow_brackets: an
-    independent enclosure that shares no code with cn_constant's integer grid."""
-    result = Bracket.point(1)
+def cn_by_endpoint_products(n, tol):
+    """C_n over fresh pow_brackets: each factor (1 + (2n+1) beta)/(1 - beta)
+    increases in beta, so the ends of the product are products at the ends of
+    the beta brackets.  An independent enclosure that shares no code with
+    cn_constant's integer grid."""
+    lo = hi = Fraction(1)
     for p in range(2, n):
         beta = pow_bracket(Fraction(1, n), Fraction(n * (n - p), p - 1), tol)
-        factor = (Bracket.point(1) + Bracket.point(2 * n + 1) * beta) / (Bracket.point(1) - beta)
-        result = result * factor
-    return result
+        lo *= (1 + (2 * n + 1) * beta.lo) / (1 - beta.lo)
+        hi *= (1 + (2 * n + 1) * beta.hi) / (1 - beta.hi)
+    return Bracket(lo, hi)
 
 
 @pytest.mark.parametrize("tol", [Fraction(1, 10**12), Fraction(1, 10**30)])
 def test_cn_constant_encloses_a_tighter_bracket_on_a_dyadic_grid(tol):
     bits = (-(-1 // tol)).bit_length()
     for n in range(5, 33):
-        c, ref = cn_constant(n, tol), cn_by_bracket_products(n, Fraction(1, 10**60))
+        c, ref = cn_constant(n, tol), cn_by_endpoint_products(n, Fraction(1, 10**60))
         assert c.lo <= ref.lo and ref.hi <= c.hi
         assert c.width <= tol
         for end in (c.lo, c.hi):
@@ -351,7 +379,7 @@ def test_cn_constant_encloses_a_tighter_bracket_on_a_dyadic_grid(tol):
             assert den.bit_length() <= bits + 2 * n.bit_length() + 16
 
 
-@settings(deadline=None, max_examples=150, derandomize=True)
+@settings(deadline=None, max_examples=150)
 @given(
     st.integers(min_value=5, max_value=40),
     st.fractions(min_value=Fraction(1, 10**40), max_value=10, max_denominator=10**40),
@@ -459,6 +487,31 @@ def test_mu_invariant_homogeneity():
     base = mu_invariant({1: 2, 2: 3}, 2)
     scaled = mu_invariant({1: 4, 2: 12}, 2)  # k = 2: entries scale by k^p
     assert abs(float(scaled.lo) - 2 * float(base.lo)) < 1e-9
+
+
+def mu_by_two_roots(per_dim, n, tol):
+    """mu_invariant's minimum with a root of v, then of v 2^(kp) if v is not
+    a perfect p-th power."""
+    k, ends = grid_bits(tol), []
+    for p in range(1, n + 1):
+        x, exact = iroot(per_dim[p], p)
+        t = x << k if exact else floor_root(per_dim[p], 1, p, k)
+        ends.append((t, t if exact else t + 1))
+    return Bracket.dyadic(min(lo for lo, _ in ends), min(hi for _, hi in ends), k)
+
+
+@pytest.mark.parametrize("tol", [Fraction(1, 10**12), Fraction(1, 10**300), Fraction(1, 3)])
+def test_mu_invariant_takes_one_root_on_perfect_powers_and_their_neighbours(tol):
+    for p in range(1, 8):
+        for base in (1, 2, 3, 7, 10, 2**64 + 1, 3**40):
+            for v in (base**p - 1, base**p, base**p + 1):
+                if v < 1:
+                    continue
+                # lower dimensions declare more than v, so dimension p is the minimum
+                per_dim = {j: (base + 2) ** j for j in range(1, p)} | {p: v}
+                mu = mu_invariant(per_dim, p, tol)
+                assert mu == mu_by_two_roots(per_dim, p, tol)
+                assert mu.is_point == (p == 1 or v == base**p)
 
 
 def test_lemma1116_consistency():
