@@ -66,10 +66,6 @@ def elem_sym(values: Sequence[QLike], j: int) -> Fraction:
     return e[j]
 
 
-def floor_q(x: QLike) -> int:
-    return math.floor(Fraction(x))
-
-
 def ceil_q(x: QLike) -> int:
     return math.ceil(Fraction(x))
 

@@ -27,25 +27,6 @@ _REFINE_BITS = 20  # how much finer than tol asks sigma_sequence's grid may go
 
 
 @dataclass(frozen=True)
-class JumpSequence:
-    """Nondecreasing jumping values b_1 <= ... <= b_{n+1} with b_1 = 0."""
-
-    b: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if not self.b or self.b[0] != 0:
-            raise InputError("jump sequence must start at 0")
-        if any(x < 0 for x in self.b):
-            raise InputError("jumping values must be nonnegative")
-        if any(y < x for x, y in zip(self.b, self.b[1:])):
-            raise InputError("jumping values must be nondecreasing")
-
-    @staticmethod
-    def of(*values: QLike) -> "JumpSequence":
-        return JumpSequence(tuple(Fraction(v) for v in values))
-
-
-@dataclass(frozen=True)
 class SigmaSequence:
     """sigma0 together with certified brackets for sigma_1..sigma_{n-1}, held
     as integer pairs ends over 2^k; a Bracket is built only when one is read."""
@@ -58,13 +39,6 @@ class SigmaSequence:
     @property
     def sigma_p(self) -> tuple[Bracket, ...]:
         return tuple([Bracket.dyadic(lo, hi, self.k) for lo, hi in self.ends])
-
-    def __getitem__(self, p: int) -> Bracket:
-        if p == 0:
-            return Bracket.point(self.sigma0)
-        if not (1 <= p <= len(self.ends)):
-            raise KeyError(f"sigma_{p} not available")
-        return Bracket.dyadic(*self.ends[p - 1], self.k)
 
 
 def sigma0_for(jets: JetSpec, n: int, very_ample_special: bool = False) -> Fraction:
@@ -141,49 +115,70 @@ def _rhs_bracket(
 
 
 def recursion_bound(
-    b_prefix: Sequence[QLike],
-    a: QLike,
-    sigma: SigmaSequence,
-    minY: int,
+    n: int, sigma0: QLike, a: QLike, b_prefix: Sequence[QLike], minY: int, Ln: QLike,
     tol: QLike = DEFAULT_TOL,
 ) -> Bracket:
-    """Bracket for the next jumping value b_{p+1}: the unique x > b_p with
-    (x - b_1)...(x - b_p) equal to the recursion right-hand side."""
+    """Bracket, <= tol wide on 2^-k, for the next jumping value: the x > b_p
+    with f(x) = prod_j (x - b_j) = sum_j c_j sigma_{p-j} / minY, c_j = S_j(b)
+    a^j and p = len(b_prefix) < n, with sigma taken at a tolerance tol_s.
+
+    Sigma's post-checks sigma0 i/n < sigma_i < sigma0 put each right-hand side
+    in (r, C sigma0), r = sigma0 sum c_j (p - j) / (n minY), C = sum c_j / minY,
+    so the root is below X = b_p + max(1, C sigma0) as f(x) >= (x - b_p)^p.
+    Past b_p, f' = f sum 1/(x - b_j) >= p f/x > p r/X (0 <= b_j <= b_p), so
+    tol_s = tol p r / (2 C X), which makes the right-hand side <= C tol_s wide,
+    puts its two roots <= tol/2 apart.  Flooring both onto 2^-k, with k =
+    grid_bits(tol) + 2 and the upper end + 1 unless exact, adds <= 2^(1-k) <=
+    tol/2.  tol_s is proportional to tol, so sigma, the grid and the result
+    nest as tol shrinks.
+    """
+    sigma0, a, tol = Fraction(sigma0), Fraction(a), check_tol(tol)
     b = [Fraction(x) for x in b_prefix]
-    a = Fraction(a)
-    tol = check_tol(tol)
     if a < 0:
         raise InputError("a must be nonnegative")
     if minY < 1:
         raise InputError("minY must be a positive integer")
     if not b or b[0] != 0 or any(y < x for x, y in zip(b, b[1:])):
         raise InputError("b_prefix must be nondecreasing and start at 0")
-    if len(b) > len(sigma.ends):
-        raise InputError(f"b_prefix needs sigma_{len(b)}, beyond the sigma sequence")
-    rhs = _rhs_bracket(b, a, sigma, minY)
     p = len(b)
-    if p == 1:
-        return Bracket(b[0] + rhs.lo, b[0] + rhs.hi)
-    lo_root = _increasing_root(b, rhs.lo, tol)
-    hi_root = _increasing_root(b, rhs.hi, tol)
-    return Bracket(lo_root.lo, hi_root.hi)
+    if p >= n:
+        raise InputError(f"b_prefix needs sigma_{p}, beyond the sigma sequence for n = {n}")
+    if sigma0 <= 0:
+        raise InputError("need 0 < sigma0 < L^n")
+    coeffs = [elem_sym(b, j) * a ** j for j in range(p)]
+    C = sum(coeffs) / minY
+    r = sigma0 * sum(c * (p - j) for j, c in enumerate(coeffs)) / (n * minY)
+    X = b[-1] + max(1, C * sigma0)
+    rhs = _rhs_bracket(b, a, sigma_sequence(sigma0, Ln, n, tol * p * r / (2 * C * X)), minY)
+    k = grid_bits(tol) + 2
+    lo = _root_floor(b, rhs.lo, k)[0]
+    hi, exact = _root_floor(b, rhs.hi, k)
+    return Bracket.dyadic(lo, hi if exact else hi + 1, k)
 
 
-def _increasing_root(b: Sequence[Fraction], target: Fraction, tol: Fraction) -> Bracket:
-    """Solve f(x) = prod(x - b_j) = target for x > b[-1] by bisection on the
-    grid x_i = b[-1] + width i / 2^s, whose cells are at most tol wide."""
-    lo, width = b[-1], 1
-    while math.prod(lo + width - bj for bj in b) < target:
-        width *= 2
-    # f(lo) = 0 <= target <= f(lo + width), f strictly increasing
-    s = (math.ceil(width / tol) - 1).bit_length()
-    p, q = lo.numerator, lo.denominator
+def _root_floor(b: Sequence[Fraction], target: Fraction, k: int) -> tuple[int, bool]:
+    """(floor(2^k x), whether 2^k x is an integer) for the x > b_p with f(x) =
+    prod(x - b_j) = target > 0, b nonnegative and nondecreasing.
 
-    def x(i: int) -> Fraction:
-        return Fraction((p << s) + q * width * i, q << s)
-
-    i = bisect(lambda i: math.prod(x(i) - bj for bj in b) <= target, 0, 1 << s)
-    return Bracket(x(i), x(i + 1))
+    With D = lcm of b's denominators and B_j = 2^k D b_j, an integer t has
+    f(t/2^k) <= target iff g(t) = den prod(D t - B_j) - num (2^k D)^p <= 0.
+    From the seed ceil(2^k b_p) + floor(2^k target^(1/p)) + 1, above the root
+    as f(x) >= (x - b_p)^p, Newton steps t - ceil(g/g') on the increasing,
+    convex g stay at or above the floor and decrease while g > 0, as in
+    core.iroot: the floor is the first t with g(t) <= 0 or t <= 2^k b_p.
+    """
+    D = math.lcm(*[x.denominator for x in b])
+    B = [x.numerator * (D // x.denominator) << k for x in b]
+    num, den, p = target.numerator, target.denominator, len(b)
+    scaled = num * (D << k) ** p
+    t = -(-B[-1] // D) + floor_root(num, den, p, k) + 1
+    while True:
+        d = [D * t - x for x in B]
+        g = den * math.prod(d) - scaled
+        if g <= 0 or d[-1] <= 0:
+            return t, g == 0 < d[-1]
+        slope = den * D * sum(math.prod(d[:i] + d[i + 1:]) for i in range(p))
+        t -= -(-g // slope)
 
 
 def main_theorem_check(

@@ -67,12 +67,6 @@ def upperlevel_set(T: DivisorCurrent, c: QLike) -> set[Hashable]:
     return {comp.id for comp in T.components if comp.coeff >= c}
 
 
-def siu_decomposition(T: DivisorCurrent) -> tuple[tuple[Component, ...], Fraction]:
-    """Decomposition into divisor components plus residual; for divisor data
-    the current is its own decomposition with residual 0."""
-    return T.components, Fraction(0)
-
-
 @dataclass(frozen=True)
 class ParamCurve:
     """Parametrized curve t -> (t^u, t^v) with 1 <= u <= v, gcd(u, v) = 1."""

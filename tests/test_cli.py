@@ -327,7 +327,6 @@ def test_d1_answer_too_long_to_print_exits_1(capsys):
 COMPUTED_VALUE_CHECKS = {
     ("core", "Bracket.__post_init__", "ValueError"),
     ("core", "Bracket.dyadic", "ValueError"),
-    ("jumping", "SigmaSequence.__getitem__", "KeyError"),
     ("jumping", "beta_schedule", "AssertionError"),
     ("convexity", "MixedNumbers.__getitem__", "KeyError"),
     ("numpoly", "iterated_difference", "AssertionError"),

@@ -12,9 +12,8 @@ from posbounds.core import (
     Bracket, CertificationFailed, InputError, floor_root, grid_bits, iroot, pow_bracket,
 )
 from posbounds.jumping import (
-    _increasing_root,
     _rhs_bracket,
-    JumpSequence,
+    _root_floor,
     beta_schedule,
     cn_constant,
     corollary118_table,
@@ -30,14 +29,6 @@ from posbounds.jumping import (
     sigma_sequence,
     theorem1117_threshold,
 )
-
-
-def test_jump_sequence_validation():
-    JumpSequence.of(0, 1, 2)
-    with pytest.raises(ValueError):
-        JumpSequence.of(1, 2)
-    with pytest.raises(ValueError):
-        JumpSequence.of(0, 2, 1)
 
 
 def test_sigma0_values():
@@ -56,8 +47,8 @@ def test_sigma0_readings():
 def test_sigma_sequence_surface_example():
     s = sigma_sequence(4, 5, 2)
     # sigma_1 = 5(1 - sqrt(1/5)) ~ 2.7639.
-    assert abs(float(s[1].lo) - 2.76393202) < 1e-6
-    assert s[1].width <= Fraction(1, 10**11)
+    assert abs(float(s.sigma_p[0].lo) - 2.76393202) < 1e-6
+    assert s.sigma_p[0].width <= Fraction(1, 10**11)
     assert s.sigma0 == 4
 
 
@@ -88,12 +79,12 @@ def test_sigma_sequence_certification_failure_is_an_arithmetic_error():
 def test_sigma_sequence_invariants(n, ratio):
     Ln = Fraction(100)
     sigma0 = ratio * Ln
-    s = sigma_sequence(sigma0, Ln, n)
+    s = sigma_sequence(sigma0, Ln, n).sigma_p
     for p in range(1, n):
-        assert s[p].lo > sigma0 * p / n
-        assert s[p].hi < sigma0
+        assert s[p - 1].lo > sigma0 * p / n
+        assert s[p - 1].hi < sigma0
     for p in range(1, n - 1):
-        assert s[p].hi < s[p + 1].lo
+        assert s[p - 1].hi < s[p].lo
 
 
 def assert_dyadic_within(b, tol):
@@ -163,51 +154,35 @@ def test_mu_invariant_brackets_nest_on_a_dyadic_grid(values, t1, t2):
 
 
 def test_recursion_bound_linear_case():
-    s = sigma_sequence(4, 5, 2)
-    b2 = recursion_bound([Fraction(0)], 0, s, 3)
+    b2 = recursion_bound(2, 4, 0, [Fraction(0)], 3, 5)
     # b2 = sigma_1 / 3 ~ 0.921 < 1.
     assert b2.hi < 1
     assert abs(float(b2.lo) - 2.76393202 / 3) < 1e-6
 
 
 def test_recursion_bound_quadratic_case():
-    s = sigma_sequence(27, 64, 3)
-    b3 = recursion_bound([Fraction(0), Fraction(1, 4)], Fraction(1), s, 2)
+    s = sigma_sequence(27, 64, 3).sigma_p
+    b3 = recursion_bound(3, 27, Fraction(1), [Fraction(0), Fraction(1, 4)], 2, 64)
     # Certified root of x(x - 1/4) = RHS: check by substitution.
     for x in (b3.lo, b3.hi):
         assert x > Fraction(1, 4)
     val_lo = b3.lo * (b3.lo - Fraction(1, 4))
     val_hi = b3.hi * (b3.hi - Fraction(1, 4))
     # rhs = (sigma_2 + (1/4) 1 sigma_1) / 2 rises with both sigmas
-    rhs_lo = (s[2].lo + Fraction(1, 4) * s[1].lo) / 2
-    rhs_hi = (s[2].hi + Fraction(1, 4) * s[1].hi) / 2
+    rhs_lo = (s[1].lo + Fraction(1, 4) * s[0].lo) / 2
+    rhs_hi = (s[1].hi + Fraction(1, 4) * s[0].hi) / 2
     assert val_lo <= rhs_hi and val_hi >= rhs_lo
 
 
 def test_recursion_bound_rejects_a_prefix_longer_than_sigma():
-    s = sigma_sequence(27, 64, 3)  # sigma_1, sigma_2 only
-    with pytest.raises(InputError, match="sigma_3"):
-        recursion_bound([0, Fraction(1, 4), Fraction(1, 2)], 1, s, 2)
+    # n = 3 has sigma_1, sigma_2 only; a prefix of length p >= n needs sigma_p
+    for prefix in ([0, Fraction(1, 4), Fraction(1, 2)], [0, 1, 1, 2]):
+        with pytest.raises(InputError, match=f"sigma_{len(prefix)}"):
+            recursion_bound(3, 27, 1, prefix, 2, 64)
 
 
-def root_by_fraction_bisection(b, target, tol):
-    """Halve [b_p, b_p + 2^e] in Fractions until it is at most tol wide: the
-    reference for the integer-indexed bisection."""
-
-    def f(x):
-        return math.prod(x - bj for bj in b)
-
-    lo = b[-1]
-    hi = lo + 1
-    while f(hi) < target:
-        hi = lo + 2 * (hi - lo)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if f(mid) <= target:
-            lo = mid
-        else:
-            hi = mid
-    return Bracket(lo, hi)
+def prod_minus(b, x):
+    return math.prod(x - bj for bj in b)
 
 
 @settings(deadline=None, max_examples=60)
@@ -216,54 +191,74 @@ def root_by_fraction_bisection(b, target, tol):
     st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100), max_denominator=100),
     st.data(),
 )
-def test_recursion_bound_matches_fraction_bisection(n, ratio, data):
+def test_recursion_bound_is_tol_wide_nests_and_encloses_the_root(n, ratio, data):
     Ln = data.draw(st.fractions(min_value=1, max_value=200, max_denominator=12))
-    sigma = sigma_sequence(ratio * Ln, Ln, n)
     rest = data.draw(st.lists(st.fractions(min_value=0, max_value=3, max_denominator=12),
                               max_size=n - 2))
     b = [Fraction(0)] + sorted(rest)
     a = data.draw(st.fractions(min_value=0, max_value=3, max_denominator=12))
     minY = data.draw(st.integers(min_value=1, max_value=50))
-    tol = data.draw(st.sampled_from([Fraction(1, 10**12), Fraction(1, 3), Fraction(2),
-                                     Fraction(1, 10**40)]))
-    rhs = _rhs_bracket(b, a, sigma, minY)
-    if len(b) == 1:
-        expected = rhs  # b_1 = 0
-    else:
-        expected = Bracket(root_by_fraction_bisection(b, rhs.lo, tol).lo,
-                           root_by_fraction_bisection(b, rhs.hi, tol).hi)
-    assert recursion_bound(b, a, sigma, minY, tol) == expected
+    tols = st.sampled_from([Fraction(1, 10**12), Fraction(1, 3), Fraction(2), Fraction(1, 10**40)])
+    t1, t2 = data.draw(tols), data.draw(tols)
+    wide_tol, tight_tol = max(t1, t2), min(t1, t2)
+    wide = recursion_bound(n, ratio * Ln, a, b, minY, Ln, wide_tol)
+    tight = recursion_bound(n, ratio * Ln, a, b, minY, Ln, tight_tol)
+    assert_dyadic_within(wide, wide_tol)
+    assert_dyadic_within(tight, tight_tol)
+    assert wide.lo <= tight.lo and tight.hi <= wide.hi
+    # sigma at 1e-100 is finer than any tolerance recursion_bound asks of it
+    ref = _rhs_bracket(b, a, sigma_sequence(ratio * Ln, Ln, n, Fraction(1, 10**100)), minY)
+    for x in (wide, tight):
+        assert prod_minus(b, x.hi) >= ref.hi
+        assert x.lo <= b[-1] or prod_minus(b, x.lo) <= ref.lo
 
 
-def test_increasing_root_on_exact_grid_hits():
-    # f(x_i) == target at a grid point: the bracket starts there, as in the
-    # reference
+@pytest.mark.parametrize("tol", [Fraction(1, 10**6), Fraction(1, 10**12), Fraction(1, 10**30)])
+def test_recursion_bound_d6_example_is_tol_wide(tol):
+    # sigma passed in at tol left this bracket 3.8 / 2.7 / 2.4 x tol wide
+    assert recursion_bound(8, 1, 3, [0, Fraction(17, 6), Fraction(23, 6)], 1, 2, tol).width <= tol
+
+
+def test_root_floor_pins():
+    # f hits the target exactly on the grid: (t, True)
     b = [Fraction(0), Fraction(1)]
-    for x in (Fraction(9, 8), Fraction(5, 4), Fraction(3, 2), Fraction(2)):
-        target = x * (x - 1)
-        expected = root_by_fraction_bisection(b, target, Fraction(1, 8))
-        assert _increasing_root(b, target, Fraction(1, 8)) == expected
-        assert expected.lo == x or x == 2
+    for t in (18, 20, 24, 32):
+        x = Fraction(t, 16)
+        assert _root_floor(b, x * (x - 1), 4) == (t, True)
+    # the root's floor can lie below 2^k b_p = 266.67 when b_p is off the grid
+    b = [Fraction(0), Fraction(3), Fraction(58, 9), Fraction(22, 3), Fraction(50, 3)]
+    target = Fraction(260663, 3258)
+    assert _root_floor(b, target, 4) == (266, False)
+    assert prod_minus(b, Fraction(267, 16)) > target
+    # b_2 and b_3 share the grid cell above 1 = 16/16, where f(1) > target:
+    # the loop must stop at t = 16 rather than step on from there
+    b = [Fraction(0), Fraction(129, 128), Fraction(131, 128)]
+    target = prod_minus(b, b[-1] + Fraction(1, 2**14))
+    assert prod_minus(b, 1) > target
+    assert _root_floor(b, target, 4) == (16, False)
 
 
 def test_recursion_bound_antitone_in_minY():
-    s = sigma_sequence(4, 5, 2)
-    loose = recursion_bound([Fraction(0)], 0, s, 1)
-    tight = recursion_bound([Fraction(0)], 0, s, 4)
+    loose = recursion_bound(2, 4, 0, [Fraction(0)], 1, 5)
+    tight = recursion_bound(2, 4, 0, [Fraction(0)], 4, 5)
     assert tight.hi < loose.lo
 
 
 def test_recursion_bound_validation():
-    s = sigma_sequence(4, 5, 2)
     with pytest.raises(ValueError):
-        recursion_bound([Fraction(1)], 0, s, 1)
+        recursion_bound(2, 4, 0, [Fraction(1)], 1, 5)
+    with pytest.raises(InputError, match="nondecreasing"):
+        recursion_bound(4, 4, 0, [0, 1, Fraction(1, 2)], 1, 5)
     with pytest.raises(ValueError):
-        recursion_bound([Fraction(0)], -1, s, 1)
+        recursion_bound(2, 4, -1, [Fraction(0)], 1, 5)
     with pytest.raises(ValueError):
-        recursion_bound([Fraction(0)], 0, s, 0)
+        recursion_bound(2, 4, 0, [Fraction(0)], 0, 5)
+    for sigma0 in (0, -1, 5):
+        with pytest.raises(InputError, match="need 0 < sigma0 < L"):
+            recursion_bound(2, sigma0, 0, [Fraction(0)], 1, 5)
     for tol in (0, -1):
         with pytest.raises(InputError, match="tolerance must be positive"):
-            recursion_bound([Fraction(0)], 0, s, 3, tol=tol)
+            recursion_bound(2, 4, 0, [Fraction(0)], 3, 5, tol=tol)
 
 
 def test_main_theorem_check_builds_no_sigma_bracket(monkeypatch):
@@ -420,10 +415,9 @@ def test_chained_recursion_stays_below_beta():
     # On a satisfying instance the certified jumps stay below the schedule.
     n = 3
     betas = beta_schedule(n)
-    s = sigma_sequence(8, 10**4, n)
     b = [Fraction(0)]
     for p in range(1, n):
-        nxt = recursion_bound(b, Fraction(1), s, 10**6)
+        nxt = recursion_bound(n, 8, Fraction(1), b, 10**6, 10**4)
         assert nxt.hi < betas[p].lo or betas[p].lo == 0
         b.append(nxt.hi)
 

@@ -19,7 +19,6 @@ from posbounds.lelong import (
     seshadri_superadditive,
     seshadri_thresholds,
     seshadri_upper,
-    siu_decomposition,
     upperlevel_set,
 )
 
@@ -76,12 +75,6 @@ def test_upperlevel_antitone_property(levels_base):
     sets = [upperlevel_set(T, c) for c in cuts]
     for small, big in zip(sets, sets[1:]):
         assert big <= small
-
-
-def test_siu_decomposition_is_identity_on_divisors():
-    T = DivisorCurrent.of((2, "A", {}))
-    comps, residual = siu_decomposition(T)
-    assert comps == T.components and residual == 0
 
 
 def test_param_curve_validation():
