@@ -14,16 +14,4 @@ Submodules:
 - ``cli``: the ``posbounds`` command line tool.
 """
 
-from .core import Bracket, Q, binom, elem_sym, pow_bracket
-from .report import BoundReport
-
-__all__ = [
-    "Bracket",
-    "Q",
-    "binom",
-    "elem_sym",
-    "pow_bracket",
-    "BoundReport",
-]
-
 __version__ = "0.1.0"

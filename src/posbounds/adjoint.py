@@ -29,20 +29,11 @@ class JetSpec:
         if any(s < 0 for s in self.orders):
             raise InputError("jet orders must be nonnegative")
 
-    @staticmethod
-    def of(*orders: int) -> "JetSpec":
-        return JetSpec(tuple(orders))
-
-    @staticmethod
-    def very_ample() -> "JetSpec":
-        # 1-jet at a single point encodes very ampleness in this family of
-        # bounds; the two-points reading is exposed separately.
-        return JetSpec((1,))
-
 
 def siu_jet_threshold(n: int, jets: JetSpec) -> int:
     """m such that 2K+mL+G generates the requested jets:
-    m >= 2 + sum C(3n + 2 s_j - 1, n)."""
+    m >= 2 + sum C(3n + 2 s_j - 1, n).  Very ampleness reads as JetSpec((1,))
+    (1-jets at one point) or JetSpec((0, 0)) (two points)."""
     if n < 1:
         raise InputError("dimension must be >= 1")
     return 2 + sum(binom(3 * n + 2 * s - 1, n) for s in jets.orders)
@@ -53,20 +44,6 @@ def siu_report(n: int, jets: Sequence[int]) -> BoundReport:
     m = siu_jet_threshold(n, JetSpec(tuple(jets)))
     return BoundReport("siu-jets", {"n": n, "jets": jets}, m,
                        f"jets generated by 2K+mL+G for m >= {m}")
-
-
-def very_ample_threshold(n: int, reading: str = "one_point_s1") -> int:
-    """Very-ampleness specialisation of siu_jet_threshold.
-
-    The standard reading is one point with a 1-jet (2 + C(3n+1, n)); the
-    alternative two-points-with-0-jets reading gives a smaller number and is
-    only available under its own flag.
-    """
-    if reading == "one_point_s1":
-        return siu_jet_threshold(n, JetSpec((1,)))
-    if reading == "two_points_s0":
-        return siu_jet_threshold(n, JetSpec((0, 0)))
-    raise InputError(f"unknown reading {reading!r}")
 
 
 def siu_degree_conditions(n: int, jets: JetSpec) -> dict[int, Fraction]:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-Q = Fraction
 QLike = Union[int, Fraction]
 
 DEFAULT_TOL = Fraction(1, 10**12)

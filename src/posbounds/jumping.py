@@ -28,11 +28,9 @@ _REFINE_BITS = 20  # how much finer than tol asks sigma_sequence's grid may go
 
 @dataclass(frozen=True)
 class SigmaSequence:
-    """sigma0 together with certified brackets for sigma_1..sigma_{n-1}, held
-    as integer pairs ends over 2^k; a Bracket is built only when one is read."""
+    """Certified brackets for sigma_1..sigma_{n-1}, held as integer pairs ends
+    over 2^k; a Bracket is built only when one is read."""
 
-    n: int
-    sigma0: Fraction
     k: int
     ends: tuple[tuple[int, int], ...]
 
@@ -47,12 +45,6 @@ def sigma0_for(jets: JetSpec, n: int, very_ample_special: bool = False) -> Fract
     if very_ample_special and jets.orders == (1,):
         return Fraction(2 * n ** n)
     return Fraction(sum((n + s) ** n for s in jets.orders))
-
-
-def sigma0_very_ample_readings(n: int) -> dict[str, int]:
-    """Both published sigma0 values for very ampleness; neither is silently
-    preferred."""
-    return {"improved": 2 * n ** n, "max_reading": max(2 * n ** n, (n + 1) ** n)}
 
 
 def sigma_sequence(
@@ -93,7 +85,7 @@ def sigma_sequence(
             raise CertificationFailed("could not certify sigma bounds at the given tolerance")
         k = bisect(lambda j: not attempt(j)[0], k, k + _REFINE_BITS) + 1
         ends = attempt(k)[1]
-    return SigmaSequence(n, sigma0, k, tuple(ends))
+    return SigmaSequence(k, tuple(ends))
 
 
 def _rhs_bracket(
@@ -206,6 +198,9 @@ def main_theorem_check(
         raise InputError("beta must satisfy 0 = beta_1 < ... < beta_n <= 1")
     if a < 0:
         raise InputError("a must be nonnegative")
+    extra = sorted(p for p in minY if not 1 <= p < n)
+    if extra:
+        raise InputError(f"minY for p in {extra} outside 1..{n - 1}")
     details: dict = {"nef_twist": nef_twist}
     if sigma0 >= Ln:
         details["reason"] = "L^n does not exceed sigma0"
@@ -372,6 +367,9 @@ def mu_invariant(
     missing = [p for p in range(1, n + 1) if p not in per_dim]
     if missing:
         raise InputError(f"missing per-dimension minima for p in {missing}")
+    extra = sorted(p for p in per_dim if not 1 <= p <= n)
+    if extra:
+        raise InputError(f"per-dimension minima for p in {extra} outside 1..{n}")
     k = grid_bits(check_tol(tol))
     ends = []
     for p in range(1, n + 1):

@@ -165,14 +165,10 @@ class SeshadriVerdicts:
 def seshadri_thresholds(eps_lower: QLike, n: int, s: int) -> SeshadriVerdicts:
     """Jet-generation and very-ampleness tests from a Seshadri lower bound:
     s-jets of the adjoint bundle need eps > n + s at the point; very
-    ampleness needs the global constant > 2n.  Strict inequalities."""
+    ampleness needs the global constant > 2n.  Strict inequalities.  Seshadri
+    constants are superadditive, so for a sum of nef bundles the sum of their
+    lower bounds is a lower bound."""
     eps = Fraction(eps_lower)
     if eps < 0:
         raise InputError("Seshadri lower bound must be nonnegative")
     return SeshadriVerdicts(jets_at_point=eps > n + s, very_ample=eps > 2 * n)
-
-
-def seshadri_superadditive(eps_values: Sequence[QLike]) -> Fraction:
-    """Combined lower bound for a sum of nef bundles: Seshadri constants are
-    superadditive, so the sum of the individual bounds is a valid bound."""
-    return sum((Fraction(e) for e in eps_values), Fraction(0))

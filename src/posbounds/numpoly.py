@@ -4,7 +4,7 @@ P(m) = sum c_j * C(m, j) with integer c_j maps integers to integers by
 construction; C(m, j) is the polynomial m (m-1) ... (m-j+1) / j!, so P is
 defined at negative m too.  The window searches assume (caller contract) that
 P >= 0 on [m0, infinity); a failed search therefore signals a violated
-assertion, not a missing value, and raises WindowNotFound.  Each search finds
+assertion, not a missing value, and raises InputError.  Each search finds
 the least qualifying integer exactly, by Sturm-sequence root isolation of the
 integer polynomial d! (P(x) - target): its cost grows with log N, not N.
 """
@@ -13,20 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .core import InputError, binom, bisect
+from .core import InputError, bisect
 from .report import BoundReport
-
-
-class WindowNotFound(InputError):
-    """No qualifying integer in the stated window: the caller's
-    nonnegativity assertion must have been false."""
-
-
-class PreconditionViolated(InputError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -57,16 +47,6 @@ def _binom_poly(m: int, j: int) -> int:
     return math.comb(m, j) if m >= 0 else (-1) ** j * math.comb(j - m - 1, j)
 
 
-def leading_coeff_rr(LdY: int, d: int) -> tuple[Fraction, int]:
-    """Riemann-Roch leading data for a degree-d cycle: the polynomial has
-    leading coefficient LdY / d! and binomial-basis leading entry a_d = LdY."""
-    if d < 1:
-        raise InputError("cycle dimension must be >= 1")
-    if LdY < 1:
-        raise InputError("top self-intersection must be positive")
-    return Fraction(LdY, math.factorial(d)), LdY
-
-
 def window_a(P: NumericalPolynomial, m0: int, N: int) -> int:
     """Smallest m in [m0, m0 + N*d] with P(m) >= N."""
     if N < 0:
@@ -87,7 +67,7 @@ def window_c(P: NumericalPolynomial, m0: int, N: int) -> int:
     """Smallest m in [m0, m0 + N] with P(m) >= N; requires N >= 2 d^2."""
     d = P.degree
     if N < 2 * d * d:
-        raise PreconditionViolated(f"need N >= 2d^2 = {2 * d * d}, got {N}")
+        raise InputError(f"need N >= 2d^2 = {2 * d * d}, got {N}")
     return _first_reaching(P, N, m0, m0 + N)
 
 
@@ -129,7 +109,7 @@ def _first_reaching(P: NumericalPolynomial, target: int, lo: int, hi: int) -> in
             return _horner(q, x) == 0 or _variations(chain, x) < v_m
 
         if not root_in(hi):
-            raise WindowNotFound(f"no m in [{lo}, {hi}] with P(m) >= {target}")
+            raise InputError(f"no m in [{lo}, {hi}] with P(m) >= {target}")
         m = bisect(lambda x: not root_in(x), m, hi) + 1  # least x with a root in (m, x]
     return m
 
@@ -180,18 +160,3 @@ def _variations(chain: list[list[int]], x: int) -> int:
     """Sign changes along the chain at x, zeros dropped."""
     signs = [v > 0 for v in (_horner(poly, x) for poly in chain) if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def iterated_difference(P: NumericalPolynomial, d: int) -> int:
-    """d-th iterated difference; equals the leading binomial coefficient a_d
-    and is independent of base point (checked at two points)."""
-    if d != P.degree:
-        raise InputError(f"difference order {d} does not match degree {P.degree}")
-
-    def delta_d(base: int) -> int:
-        return sum((-1) ** j * binom(d, j) * P(base + d - j) for j in range(d + 1))
-
-    at0, at1 = delta_d(0), delta_d(1)
-    if at0 != at1:
-        raise AssertionError("iterated difference is not constant")
-    return at0

@@ -30,9 +30,6 @@ class ProductSpace:
     def r(self) -> int:
         return len(self.factor_dims)
 
-    def to_json(self) -> dict:
-        return {"factors": list(self.factor_dims)}
-
 
 @dataclass(frozen=True)
 class DivisorClass:
@@ -55,14 +52,6 @@ class DivisorClass:
 
     def __rmul__(self, k: int) -> "DivisorClass":
         return DivisorClass(self.space, tuple(k * c for c in self.coeffs))
-
-    def to_json(self) -> dict:
-        return {"factors": list(self.space.factor_dims), "class": list(self.coeffs)}
-
-
-def divisor_from_json(data: dict) -> DivisorClass:
-    space = ProductSpace(tuple(data["factors"]))
-    return DivisorClass(space, tuple(data["class"]))
 
 
 def top_intersection(classes: Sequence[DivisorClass]) -> int:
@@ -103,14 +92,6 @@ def h0(cls: DivisorClass) -> int:
     for c, k in zip(cls.coeffs, cls.space.factor_dims):
         out *= binom(c + k, k)
     return out
-
-
-def is_nef(cls: DivisorClass) -> bool:
-    return all(c >= 0 for c in cls.coeffs)
-
-
-def is_ample(cls: DivisorClass) -> bool:
-    return all(c > 0 for c in cls.coeffs)
 
 
 def canonical_class(space: ProductSpace) -> DivisorClass:
@@ -167,35 +148,11 @@ class IntersectionProfile:
     Ln: int
     LK: int = 0
     per_dim_min: dict[int, int] = field(default_factory=dict)
-    aux: dict[str, int] = field(default_factory=dict)
     upper_bound_only: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InputError("dimension must be >= 1")
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "Ln": self.Ln,
-            "LK": self.LK,
-            "min": {str(p): v for p, v in sorted(self.per_dim_min.items())},
-            "aux": dict(sorted(self.aux.items())),
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "IntersectionProfile":
-        allowed = {"n", "Ln", "LK", "min", "aux"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise InputError(f"unknown profile fields: {sorted(unknown)}")
-        return IntersectionProfile(
-            n=data["n"],
-            Ln=data["Ln"],
-            LK=data.get("LK", 0),
-            per_dim_min={int(p): v for p, v in data.get("min", {}).items()},
-            aux=dict(data.get("aux", {})),
-        )
 
 
 def profile_from_fixture(space: ProductSpace, L: DivisorClass) -> IntersectionProfile:

@@ -17,7 +17,6 @@ from posbounds.adjoint import (
     siu_jet_threshold,
     surface_nadel_criterion,
     theorem87_conditions,
-    very_ample_threshold,
 )
 
 
@@ -26,7 +25,6 @@ def test_jet_spec_validation():
         JetSpec((-1,))
     with pytest.raises(InputError, match="jets must list"):
         JetSpec(())
-    assert JetSpec.very_ample().orders == (1,)
 
 
 def test_siu_jet_threshold_golden():
@@ -34,13 +32,6 @@ def test_siu_jet_threshold_golden():
     assert siu_jet_threshold(3, JetSpec((1,))) == 122
     # two points, 0-jets each: 2 + 2 C(3n-1, n).
     assert siu_jet_threshold(2, JetSpec((0, 0))) == 2 + 2 * 10
-
-
-def test_very_ample_readings_differ():
-    assert very_ample_threshold(2) == 23
-    assert very_ample_threshold(2, "two_points_s0") == 22
-    with pytest.raises(ValueError):
-        very_ample_threshold(2, "nonsense")
 
 
 def test_siu_degree_conditions():

@@ -25,7 +25,6 @@ from posbounds.jumping import (
     recursion_bound,
     remark1120_threshold,
     sigma0_for,
-    sigma0_very_ample_readings,
     sigma_sequence,
     theorem1117_threshold,
 )
@@ -39,17 +38,11 @@ def test_sigma0_values():
     assert sigma0_for(JetSpec((0, 1)), 2) == 4 + 9
 
 
-def test_sigma0_readings():
-    readings = sigma0_very_ample_readings(2)
-    assert readings == {"improved": 8, "max_reading": 9}
-
-
 def test_sigma_sequence_surface_example():
     s = sigma_sequence(4, 5, 2)
     # sigma_1 = 5(1 - sqrt(1/5)) ~ 2.7639.
     assert abs(float(s.sigma_p[0].lo) - 2.76393202) < 1e-6
     assert s.sigma_p[0].width <= Fraction(1, 10**11)
-    assert s.sigma0 == 4
 
 
 def test_sigma_sequence_validation():
@@ -302,6 +295,14 @@ def test_main_theorem_threefold():
     assert report.verdict == "unsatisfied"
 
 
+def test_main_theorem_rejects_minY_outside_1_to_n_minus_1():
+    beta = [0, Fraction(1, 27), 1]
+    for p in (0, 3, 7):
+        for Ln in (64, 8):  # also when L^n does not exceed sigma0
+            with pytest.raises(InputError, match=rf"minY for p in \[{p}\] outside 1\.\.2$"):
+                main_theorem_check(3, 8, 1, beta, {1: 76, 2: 6, p: 1}, Ln)
+
+
 def test_main_theorem_beta_validation():
     with pytest.raises(ValueError):
         main_theorem_check(2, 4, 0, [Fraction(1, 2), 1], {1: 3}, 5)
@@ -475,6 +476,9 @@ def test_mu_invariant_validates_its_arguments():
         mu_invariant({1: 2}, 0)
     with pytest.raises(InputError, match="per_dim"):
         mu_invariant({}, 2)
+    for p in (0, 3, 5):  # a key outside 1..n is refused, not skipped
+        with pytest.raises(InputError, match=rf"minima for p in \[{p}\] outside 1\.\.2$"):
+            mu_invariant({1: 3, 2: 9, p: 0}, 2)
 
 
 def test_mu_invariant_homogeneity():

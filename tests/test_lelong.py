@@ -16,7 +16,6 @@ from posbounds.lelong import (
     lelong_at,
     lelong_numeric,
     ord_at_origin,
-    seshadri_superadditive,
     seshadri_thresholds,
     seshadri_upper,
     upperlevel_set,
@@ -171,7 +170,3 @@ def test_seshadri_thresholds_strict():
     assert not v.jets_at_point
     v = seshadri_thresholds(Fraction(9, 2), 2, 1)
     assert v.very_ample
-
-
-def test_seshadri_superadditive():
-    assert seshadri_superadditive([Fraction(1, 2), 2]) == Fraction(5, 2)

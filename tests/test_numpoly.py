@@ -10,10 +10,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from posbounds.core import InputError
 from posbounds.numpoly import (
     NumericalPolynomial,
-    PreconditionViolated,
-    WindowNotFound,
-    iterated_difference,
-    leading_coeff_rr,
     window_a,
     window_b,
     window_c,
@@ -26,7 +22,7 @@ def scan(P: NumericalPolynomial, target, lo: int, hi: int) -> int:
     for m in range(lo, hi + 1):
         if P(m) >= target:
             return m
-    raise WindowNotFound(f"no m in [{lo}, {hi}] with P(m) >= {target}")
+    raise InputError(f"no m in [{lo}, {hi}] with P(m) >= {target}")
 
 
 def scan_window_a(P, m0, N):
@@ -45,14 +41,14 @@ def scan_window_b(P, m0, k):
 def scan_window_c(P, m0, N):
     d = P.degree
     if N < 2 * d * d:
-        raise PreconditionViolated(f"need N >= 2d^2 = {2 * d * d}, got {N}")
+        raise InputError(f"need N >= 2d^2 = {2 * d * d}, got {N}")
     return scan(P, N, m0, m0 + N)
 
 
 def outcome(fn, *args):
     try:
         return fn(*args)
-    except (ValueError, WindowNotFound) as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
 
 
@@ -105,13 +101,6 @@ def test_poly_evaluates_the_binomial_polynomial_at_negative_m():
         assert P(m) == want
 
 
-def test_leading_coeff_rr():
-    frac, a_d = leading_coeff_rr(12, 3)
-    assert frac == Fraction(12, 6) and a_d == 12
-    with pytest.raises(ValueError):
-        leading_coeff_rr(0, 3)
-
-
 def test_window_a_example():
     P = NumericalPolynomial((0, 0, 1))  # C(m, 2)
     assert window_a(P, 0, 10) == 5  # C(5,2)=10
@@ -121,7 +110,7 @@ def test_window_a_raises_outside_window():
     # P negative-free but tiny: constant 0 polynomial is not representable;
     # use degree-1 with value below target past the window instead.
     P = NumericalPolynomial((0, 1))  # C(m,1) = m
-    with pytest.raises(WindowNotFound):
+    with pytest.raises(InputError):
         window_a(P, -300, 100)  # window [-300, -200] where P < 100
 
 
@@ -133,10 +122,10 @@ def test_window_b_bound_formula():
 
 
 def test_window_b_bound_is_an_exact_int_at_degree_zero():
-    with pytest.raises(WindowNotFound, match=r"P\(m\) >= 6$"):
+    with pytest.raises(InputError, match=r"P\(m\) >= 6$"):
         window_b(NumericalPolynomial((3,)), 0, 2)
     big = 2**60 + 1
-    with pytest.raises(WindowNotFound, match=rf">= {2 * big}$"):
+    with pytest.raises(InputError, match=rf">= {2 * big}$"):
         window_b(NumericalPolynomial((big,)), 0, 1)
     assert window_b(NumericalPolynomial((-4,)), 5, 3) == 5  # P = -4 >= ceil(2 * -4)
 
@@ -144,7 +133,7 @@ def test_window_b_bound_is_an_exact_int_at_degree_zero():
 def test_window_a_cost_does_not_grow_with_N():
     assert window_a(NumericalPolynomial((0, 1)), 0, 10**12) == 10**12
     assert window_c(NumericalPolynomial((0, 1)), 0, 10**12) == 10**12
-    with pytest.raises(WindowNotFound):
+    with pytest.raises(InputError):
         window_a(NumericalPolynomial((-1, 0, -1)), 0, 10**15)
 
 
@@ -155,13 +144,13 @@ def test_windows_step_over_a_bump_between_two_integers():
     P = NumericalPolynomial(binomial_coeffs([N - 1 + x * (x - 1) * (2 * x - 11) for x in range(4)]))
     assert P(1) < N and P(6) >= N
     assert window_a(P, 0, N) == scan_window_a(P, 0, N) == 6
-    with pytest.raises(WindowNotFound):
+    with pytest.raises(InputError):
         window_a(NumericalPolynomial((N - 1, 0, -16)), 0, N)  # bump on (0, 1), then falls
 
 
 def test_window_c_precondition():
     P = NumericalPolynomial((0, 0, 1))
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(InputError, match=r"need N >= 2d\^2 = 8, got 7"):
         window_c(P, 0, 7)  # needs N >= 8
     m = window_c(P, 0, 8)
     assert P(m) >= 8 and m <= 8
@@ -185,19 +174,24 @@ def test_windows_on_randomized_nonneg_polynomials():
         assert m0 <= m <= m0 + N and P(m) >= N
 
 
+def iterated_difference(P: NumericalPolynomial, base: int) -> int:
+    """The d-th forward difference of m -> P(m) at base, d = deg P."""
+    d = P.degree
+    return sum((-1) ** j * math.comb(d, j) * P(base + d - j) for j in range(d + 1))
+
+
 def test_iterated_difference_equals_leading():
     P = NumericalPolynomial((7, -3, 5))
-    assert iterated_difference(P, 2) == 5
-    with pytest.raises(ValueError):
-        iterated_difference(P, 1)
+    assert iterated_difference(P, 0) == iterated_difference(P, 1) == 5
 
 
-@given(st.lists(st.integers(min_value=-10, max_value=10), min_size=1, max_size=5))
-def test_iterated_difference_property(coeffs):
+@given(st.lists(st.integers(min_value=-10, max_value=10), min_size=1, max_size=5),
+       st.integers(min_value=-50, max_value=50))
+def test_iterated_difference_property(coeffs, base):
     if coeffs[-1] == 0:
         coeffs[-1] = 3
     P = NumericalPolynomial(tuple(coeffs))
-    assert iterated_difference(P, P.degree) == P.leading
+    assert iterated_difference(P, base) == iterated_difference(P, base + 7) == P.leading
 
 
 coeff_lists = st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=6).map(
