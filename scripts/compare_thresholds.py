@@ -42,10 +42,8 @@ def compare(profiles: Sequence[dict], theorems: Sequence[str]) -> list[dict]:
                     jumping.theorem1117_threshold(prof["n"], 1, prof["mu"])
                 )
             elif theorem == "matsusaka":
-                bound = matsusaka.matsusaka_very_ample(
-                    prof["n"], prof["Ln"], prof["LK"]
-                )
-                values[theorem] = bound.hi
+                inputs = matsusaka.MatsusakaInputs.of(prof["n"], prof["Ln"], 0, prof["LK"])
+                values[theorem] = matsusaka.matsusaka_main(inputs).threshold.hi
             else:
                 raise ValueError(f"unknown theorem id {theorem!r}")
         row["thresholds"] = {k: values[k] for k in sorted(values)}

@@ -8,12 +8,13 @@ are caller declarations echoed into the report, never verified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import InputError, binom
+from .core import InputError
 from .report import BoundReport
 
 
@@ -36,7 +37,7 @@ def siu_jet_threshold(n: int, jets: JetSpec) -> int:
     (1-jets at one point) or JetSpec((0, 0)) (two points)."""
     if n < 1:
         raise InputError("dimension must be >= 1")
-    return 2 + sum(binom(3 * n + 2 * s - 1, n) for s in jets.orders)
+    return 2 + sum(math.comb(3 * n + 2 * s - 1, n) for s in jets.orders)
 
 
 def siu_report(n: int, jets: Sequence[int]) -> BoundReport:
@@ -52,12 +53,14 @@ def siu_degree_conditions(n: int, jets: JetSpec) -> dict[int, Fraction]:
     2^(d-1)/floor(n/d)^d * sum C(3n + 2 s_j - 1, n) for every d."""
     if n < 1:
         raise InputError("dimension must be >= 1")
-    return _degree_conditions(n, sum(binom(3 * n + 2 * s - 1, n) for s in jets.orders))
+    return _degree_conditions(n, sum(math.comb(3 * n + 2 * s - 1, n) for s in jets.orders))
 
 
 def corollary85_threshold(n: int) -> int:
     """m(K+(n+2)L)+G is very ample for m >= C(3n+1, n) - 2n."""
-    return binom(3 * n + 1, n) - 2 * n
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
+    return math.comb(3 * n + 1, n) - 2 * n
 
 
 def theorem87_conditions(n: int, jets: JetSpec) -> dict[int, Fraction]:
@@ -66,7 +69,7 @@ def theorem87_conditions(n: int, jets: JetSpec) -> dict[int, Fraction]:
     if n < 1:
         raise InputError("dimension must be >= 1")
     return _degree_conditions(
-        n, sum(binom((n + 1) * (4 * n + 2 * s + 1) - 2, n) for s in jets.orders))
+        n, sum(math.comb((n + 1) * (4 * n + 2 * s + 1) - 2, n) for s in jets.orders))
 
 
 def _degree_conditions(n: int, total: int) -> dict[int, Fraction]:
@@ -90,7 +93,7 @@ def pluricanonical_bounds(
     degree of the embedding is m0^n |K^n| when |K^n| is supplied."""
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    base = binom(3 * n + 1, n)
+    base = math.comb(3 * n + 1, n)
     if sign == "general_type":
         m0 = base + 4
     elif sign == "fano":

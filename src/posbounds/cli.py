@@ -59,8 +59,13 @@ def _int_pairs(text: str, sep: str) -> list[tuple[int, int]]:
 
 
 def parse_int_map(text: str) -> dict[int, int]:
-    """Parse "1=5,2=9" into {1: 5, 2: 9}."""
-    return dict(_int_pairs(text, "="))
+    """Parse "1=5,2=9" into {1: 5, 2: 9}; a repeated key is an input error."""
+    out: dict[int, int] = {}
+    for key, value in _int_pairs(text, "="):
+        if key in out:
+            raise InputError(f"key {key} is given more than once")
+        out[key] = value
+    return out
 
 
 def parse_pairs(text: str) -> list[tuple[int, int]]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .core import (
-    DEFAULT_TOL, Bracket, InputError, QLike, binom, check_tol, elem_sym, nth_root_bracket,
+    DEFAULT_TOL, Bracket, InputError, QLike, check_tol, elem_sym, nth_root_bracket,
 )
 from .report import BoundReport
 
@@ -30,23 +30,6 @@ class InequalityResult:
     verdict: Verdict
     slack: Bracket  # LHS minus RHS of the certified inequality
     equality: bool = False
-
-
-@dataclass(frozen=True)
-class MixedNumbers:
-    """Mixed intersection products F^(n-j) . G^j for j = 0..n."""
-
-    n: int
-    values: Mapping[int, Fraction]
-
-    @staticmethod
-    def of(n: int, values: Mapping[int, QLike]) -> "MixedNumbers":
-        return MixedNumbers(n, {j: Fraction(v) for j, v in values.items()})
-
-    def __getitem__(self, j: int) -> Fraction:
-        if j not in self.values:
-            raise KeyError(f"mixed product F^{self.n - j}.G^{j} not supplied")
-        return self.values[j]
 
 
 def ht_products(
@@ -141,14 +124,15 @@ def ht_diag_report(lambdas: Sequence[QLike], p: int) -> BoundReport:
     return _inequality_report("ht-diag", {"lambdas": lambdas, "p": p}, diag_form_check(lambdas, p))
 
 
-def morse_strong_rhs(mixed: MixedNumbers, q: int) -> Fraction:
+def morse_strong_rhs(n: int, values: Mapping[int, QLike], q: int) -> Fraction:
     """Right side of the asymptotic strong Morse inequality (coefficient of
-    k^n/n!): sum over j <= q of (-1)^(q-j) C(n,j) F^(n-j).G^j."""
-    if not (0 <= q <= mixed.n):
+    k^n/n!): sum over j <= q of (-1)^(q-j) C(n,j) F^(n-j).G^j, with
+    values[j] = F^(n-j).G^j."""
+    if not (0 <= q <= n):
         raise InputError("need 0 <= q <= n")
-    return sum(
-        ((-1) ** (q - j)) * binom(mixed.n, j) * mixed[j] for j in range(q + 1)
-    )
+    if missing := [j for j in range(q + 1) if j not in values]:
+        raise InputError(f"mixed product F^{n - missing[0]}.G^{missing[0]} not supplied")
+    return sum((-1) ** (q - j) * math.comb(n, j) * Fraction(values[j]) for j in range(q + 1))
 
 
 def morse_existence_threshold(Fn: QLike, FG: QLike, n: int) -> int:

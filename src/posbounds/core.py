@@ -44,13 +44,6 @@ def grid_bits(tol: Fraction) -> int:
     return (-(-1 // tol)).bit_length()
 
 
-def binom(n: int, k: int) -> int:
-    """C(n, k) as an exact integer; 0 outside the range 0 <= k <= n."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def elem_sym(values: Sequence[QLike], j: int) -> Fraction:
     """Elementary symmetric function S_j of the given values (S_0 = 1)."""
     if j < 0 or j > len(values):
@@ -63,10 +56,6 @@ def elem_sym(values: Sequence[QLike], j: int) -> Fraction:
         for i in range(min(j, len(e) - 1), 0, -1):
             e[i] += v * e[i - 1]
     return e[j]
-
-
-def ceil_q(x: QLike) -> int:
-    return math.ceil(Fraction(x))
 
 
 def iroot(a: int, q: int) -> tuple[int, bool]:
@@ -145,9 +134,6 @@ class Bracket:
     @property
     def is_point(self) -> bool:
         return self.lo == self.hi
-
-    def contains(self, x: QLike) -> bool:
-        return self.lo <= Fraction(x) <= self.hi
 
 
 def nth_root_bracket(r: QLike, q: int, tol: QLike) -> Bracket:

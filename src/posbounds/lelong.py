@@ -156,19 +156,13 @@ def seshadri_upper(curves: CurveData) -> Fraction:
     return min(deg / mult for deg, mult in curves.curves)
 
 
-@dataclass(frozen=True)
-class SeshadriVerdicts:
-    jets_at_point: bool
-    very_ample: bool
-
-
-def seshadri_thresholds(eps_lower: QLike, n: int, s: int) -> SeshadriVerdicts:
-    """Jet-generation and very-ampleness tests from a Seshadri lower bound:
-    s-jets of the adjoint bundle need eps > n + s at the point; very
-    ampleness needs the global constant > 2n.  Strict inequalities.  Seshadri
-    constants are superadditive, so for a sum of nef bundles the sum of their
-    lower bounds is a lower bound."""
+def seshadri_thresholds(eps_lower: QLike, n: int, s: int) -> tuple[bool, bool]:
+    """(jets_at_point, very_ample) from a Seshadri lower bound: s-jets of the
+    adjoint bundle need eps > n + s at the point; very ampleness needs the
+    global constant > 2n.  Strict inequalities.  Seshadri constants are
+    superadditive, so for a sum of nef bundles the sum of their lower bounds
+    is a lower bound."""
     eps = Fraction(eps_lower)
     if eps < 0:
         raise InputError("Seshadri lower bound must be nonnegative")
-    return SeshadriVerdicts(jets_at_point=eps > n + s, very_ample=eps > 2 * n)
+    return eps > n + s, eps > 2 * n

@@ -58,26 +58,17 @@ def lambda_n(n: int, policy: Union[str, int]) -> int:
 
 @dataclass(frozen=True)
 class MatsusakaInputs:
-    """Intersection data for the main bound.  LH and LBH are computed from
-    the policy when not supplied (H = lambda_n (K_X + (n+2)L))."""
+    """Intersection data for the main bound."""
 
     n: int
     Ln: Fraction
     LB: Fraction
     LK: Fraction
     lambda_policy: Union[str, int] = "demailly"
-    LH: Fraction | None = None
-    LBH: Fraction | None = None
 
     @staticmethod
     def of(
-        n: int,
-        Ln: QLike,
-        LB: QLike,
-        LK: QLike,
-        lambda_policy: Union[str, int] = "demailly",
-        LH: QLike | None = None,
-        LBH: QLike | None = None,
+        n: int, Ln: QLike, LB: QLike, LK: QLike, lambda_policy: Union[str, int] = "demailly"
     ) -> "MatsusakaInputs":
         if n < 2:
             raise InputError("need n >= 2")
@@ -87,31 +78,12 @@ class MatsusakaInputs:
         LB, LK = Fraction(LB), Fraction(LK)
         if LB < 0:
             raise InputError("L^(n-1).B must be nonnegative")
-        return MatsusakaInputs(
-            n,
-            Ln,
-            LB,
-            LK,
-            lambda_policy,
-            None if LH is None else Fraction(LH),
-            None if LBH is None else Fraction(LBH),
-        )
-
-    def resolved_LH(self) -> Fraction:
-        if self.LH is not None:
-            return self.LH
-        lam = lambda_n(self.n, self.lambda_policy)
-        return lam * (self.LK + (self.n + 2) * self.Ln)
-
-    def resolved_LBH(self) -> Fraction:
-        if self.LBH is not None:
-            return self.LBH
-        return self.LB + self.resolved_LH()
+        return MatsusakaInputs(n, Ln, LB, LK, lambda_policy)
 
 
 def _main_exponents(n: int) -> tuple[int, int, int, int]:
-    # Every exponent here and in matsusaka_very_ample is an integer: 3^(n-1) is
-    # odd, and 3^(n-2)(2n-3) = 1, 3^(n-2)(2n-1) = 3^(n-2)(2n+3) = -1 (mod 4),
+    # Every exponent here is an integer: 3^(n-1) is odd, and
+    # 3^(n-2)(2n-3) = 1, 3^(n-2)(2n-1) = -1 (mod 4),
     # because mod 4, 3^(n-2) = 3 and 2n = 2 for odd n, 3^(n-2) = 1 and 2n = 0
     # for even n.
     pre = (3 ** (n - 1) - 1) // 2
@@ -124,12 +96,14 @@ def _main_exponents(n: int) -> tuple[int, int, int, int]:
 def matsusaka_main(inputs: MatsusakaInputs) -> BoundReport:
     """The explicit bound: mL - B is very ample whenever
     m >= (2n)^((3^(n-1)-1)/2) (LBH)^((3^(n-1)+1)/2) (LH)^(e_H) / (L^n)^(e_L)
-    with e_H = 3^(n-2)(n/2 - 3/4) - 1/4 and e_L = 3^(n-2)(n/2 - 1/4) + 1/4."""
+    with e_H = 3^(n-2)(n/2 - 3/4) - 1/4 and e_L = 3^(n-2)(n/2 - 1/4) + 1/4,
+    where H = lambda_n (K_X + (n+2)L)."""
     n = inputs.n
     if inputs.Ln == 0:
         raise InputError("L^n must be positive")
-    LH = inputs.resolved_LH()
-    LBH = inputs.resolved_LBH()
+    lam = lambda_n(n, inputs.lambda_policy)
+    LH = lam * (inputs.LK + (n + 2) * inputs.Ln)
+    LBH = inputs.LB + LH
     if LH < 0 or LBH < 0:
         raise InputError("L^(n-1).H and L^(n-1).(B+H) must be nonnegative")
     pre, ebh, eh, eln = _main_exponents(n)
@@ -144,7 +118,7 @@ def matsusaka_main(inputs: MatsusakaInputs) -> BoundReport:
             "LK": inputs.LK,
             "LH": LH,
             "LBH": LBH,
-            "lambda": lambda_n(n, inputs.lambda_policy) if inputs.LH is None else None,
+            "lambda": lam,
         },
         threshold=Bracket.point(bound),
         verdict=f"mL-B very ample for all integers m >= {m_int}",
@@ -163,30 +137,6 @@ def matsusaka_report(
         fdb, factor4 = fdb_surface_bound(Ln, LK + 4 * Ln)
         report.details["surface_comparison"] = {"fdb": fdb, "factor4": factor4}
     return report
-
-
-def matsusaka_very_ample(
-    n: int,
-    Ln: QLike,
-    LK: QLike,
-    policy: Union[str, int] = "demailly",
-) -> Bracket:
-    """Closed form of the B = 0 case: mL very ample for
-    m >= (2n)^((3^(n-1)-1)/2) lambda_n^e (L^n)^(3^(n-2)) (n+2+LK/L^n)^e
-    with e = 3^(n-2)(n/2 + 3/4) + 1/4."""
-    if n < 2:
-        raise InputError("need n >= 2")
-    Ln, LK = Fraction(Ln), Fraction(LK)
-    if Ln < 1:
-        raise InputError("L^n must be >= 1")
-    if n + 2 + LK / Ln < 0:
-        raise InputError("n + 2 + L^(n-1).K / L^n must be nonnegative")
-    lam = lambda_n(n, policy)
-    e = (3 ** (n - 2) * (2 * n + 3) + 1) // 4  # 3^(n-2)(n/2 + 3/4) + 1/4
-    pre = _main_exponents(n)[0]
-    return Bracket.point(
-        (2 * n) ** pre * Fraction(lam) ** e * Ln ** (3 ** (n - 2)) * (n + 2 + LK / Ln) ** e
-    )
 
 
 def mbar_recursion(

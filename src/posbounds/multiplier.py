@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import InputError, QLike, ceil_q
+from .core import InputError, QLike
 from .report import BoundReport
 
 
@@ -73,7 +73,7 @@ def monomial_multiplier_ideal(w: MonomialWeightData) -> MonomialIdeal:
     L = math.lcm(*(a.numerator for a in alpha))
     *head, last = [a.denominator * (L // a.numerator) for a in alpha]
     generators = []
-    for prefix in itertools.product(*(range(ceil_q(a) + 1) for a in alpha[:-1])):
+    for prefix in itertools.product(*(range(math.ceil(a) + 1) for a in alpha[:-1])):
         rest = L - sum((b + 1) * wj for b, wj in zip(prefix, head))
         least = max(0, rest // last)
         if all(b == 0 or (rest + wj) // last > least for b, wj in zip(prefix, head)):
@@ -89,23 +89,12 @@ def mult_ideal_report(alpha: Sequence[QLike]) -> BoundReport:
                        {"generators": ideal.sorted_generators()})
 
 
-@dataclass(frozen=True)
-class SNCDivisorData:
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if any(a < 0 for a in self.coeffs):
-            raise InputError("divisor coefficients must be nonnegative")
-
-    @staticmethod
-    def of(*coeffs: QLike) -> "SNCDivisorData":
-        return SNCDivisorData(tuple(Fraction(a) for a in coeffs))
-
-
-def snc_round_down(d: SNCDivisorData) -> tuple[int, ...]:
-    """Round-down of a normal-crossing Q-divisor: the multiplier ideal is
-    the sheaf of functions divisible by prod g_j^{floor(a_j)}."""
-    return tuple(math.floor(a) for a in d.coeffs)
+def snc_round_down(coeffs: Sequence[QLike]) -> tuple[int, ...]:
+    """Round-down of a normal-crossing Q-divisor sum a_j D_j: the multiplier
+    ideal is the sheaf of functions divisible by prod g_j^{floor(a_j)}."""
+    if any(a < 0 for a in coeffs):
+        raise InputError("divisor coefficients must be nonnegative")
+    return tuple(math.floor(a) for a in coeffs)
 
 
 class SkodaClass(Enum):

@@ -42,8 +42,8 @@ class NumericalPolynomial:
 
 
 def _binom_poly(m: int, j: int) -> int:
-    """The polynomial m (m-1) ... (m-j+1) / j! at any integer m; unlike
-    core.binom it is not 0 for negative m: C(m, j) = (-1)^j C(j - m - 1, j)."""
+    """The polynomial m (m-1) ... (m-j+1) / j! at any integer m; math.comb
+    refuses negative m, where C(m, j) = (-1)^j C(j - m - 1, j)."""
     return math.comb(m, j) if m >= 0 else (-1) ** j * math.comb(j - m - 1, j)
 
 

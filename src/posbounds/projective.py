@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .core import InputError, binom
+from .core import InputError
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def h0(cls: DivisorClass) -> int:
         return 0
     out = 1
     for c, k in zip(cls.coeffs, cls.space.factor_dims):
-        out *= binom(c + k, k)
+        out *= math.comb(c + k, k)
     return out
 
 
@@ -140,15 +140,14 @@ class IntersectionProfile:
     """Declared intersection data consumed by the bound modules.
 
     per_dim_min entries are caller declarations (the true minimum over all
-    subvarieties is not computable from finite data); values exported from the
-    fixture are marked upper_bound_only.
+    subvarieties is not computable from finite data); the fixture's strata
+    minima are upper bounds only.
     """
 
     n: int
     Ln: int
     LK: int = 0
     per_dim_min: dict[int, int] = field(default_factory=dict)
-    upper_bound_only: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -166,5 +165,4 @@ def profile_from_fixture(space: ProductSpace, L: DivisorClass) -> IntersectionPr
         Ln=Ln,
         LK=LK,
         per_dim_min=strata_minima(space, L),
-        upper_bound_only=True,
     )

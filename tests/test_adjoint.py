@@ -45,6 +45,12 @@ def test_corollary85_golden():
     assert corollary85_threshold(3) == 114
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_corollary85_refuses_n_below_1(n):
+    with pytest.raises(InputError, match=f"^n must be >= 1, got {n}$"):
+        corollary85_threshold(n)
+
+
 def test_theorem87_conditions_shape():
     cond = theorem87_conditions(2, JetSpec((0,)))
     # total = C((n+1)(4n+1)-2, n) = C(25, 2) = 300.

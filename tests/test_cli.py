@@ -46,6 +46,8 @@ def test_parse_helpers():
     assert parse_q("0.25") == Fraction(1, 4)
     assert parse_int_map("1=3,2=9") == {1: 3, 2: 9}
     assert parse_pairs("1:0,0:-1") == [(1, 0), (0, -1)]
+    with pytest.raises(InputError, match="^key 1 is given more than once$"):
+        parse_int_map("1=3,1=400,2=9")
 
 
 def test_bounds_siu(capsys):
@@ -256,6 +258,19 @@ def test_degenerate_inputs_exit_2(capsys, argv, message):
     assert captured.out == "" and captured.err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["jets", "mu", "--n", "2", "--per-dim", "1=3,1=400,2=9"], "--per-dim"),
+    (["jets", "main", "--n", "3", "--sigma0", "8", "--a", "1", "--beta", "0,1/27,1",
+      "--min", "1=1,1=76,2=6", "--Ln", "64"], "--min"),
+])
+def test_repeated_map_key_exits_2(capsys, argv, flag):
+    # a usage error that names the flag and echoes the value with the repeated key 1
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    value = argv[argv.index(flag) + 1]
+    assert captured.out == "" and f"argument {flag}: invalid parse_int_map value: '{value}'" in captured.err
+
+
 def test_poly_window_b_degree_zero_target_is_an_int(capsys):
     code = main(["poly", "--coeffs", "3", "--window", "b", "--m0", "0", "--k", "2"])
     assert code == EXIT_INPUT
@@ -332,7 +347,6 @@ COMPUTED_VALUE_CHECKS = {
     ("core", "Bracket.__post_init__", "ValueError"),
     ("core", "Bracket.dyadic", "ValueError"),
     ("jumping", "beta_schedule", "AssertionError"),
-    ("convexity", "MixedNumbers.__getitem__", "KeyError"),
     ("report", "value_to_json", "TypeError"),
 }
 

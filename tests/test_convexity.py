@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from posbounds.convexity import (
-    MixedNumbers,
     Verdict,
     diag_form_check,
     ht_mixed_chain,
@@ -162,12 +161,12 @@ def test_diag_form_rejects_nonpositive():
 
 
 def test_morse_strong_rhs_alternating_sum():
-    mixed = MixedNumbers.of(2, {0: 9, 1: 3, 2: 1})
+    mixed = {0: 9, 1: 3, 2: 1}
     # q=1: -C(2,0)*9 + C(2,1)*3 = -3.
-    assert morse_strong_rhs(mixed, 1) == -3
-    assert morse_strong_rhs(mixed, 0) == 9
-    with pytest.raises(KeyError):
-        morse_strong_rhs(MixedNumbers.of(2, {0: 9}), 1)
+    assert morse_strong_rhs(2, mixed, 1) == -3
+    assert morse_strong_rhs(2, mixed, 0) == 9
+    with pytest.raises(InputError, match=r"^mixed product F\^1\.G\^1 not supplied$"):
+        morse_strong_rhs(2, {0: 9}, 1)
 
 
 def test_morse_existence_threshold_strict():

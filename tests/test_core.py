@@ -12,9 +12,7 @@ from posbounds.convexity import ht_products
 from posbounds.core import (
     Bracket,
     InputError,
-    binom,
     bisect,
-    ceil_q,
     elem_sym,
     floor_powers,
     floor_root,
@@ -34,17 +32,6 @@ from posbounds.lelong import ParamCurve, lelong_numeric
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 
 
-def test_binom_matches_comb_inside_range():
-    assert binom(7, 2) == 21
-    assert binom(10, 3) == 120
-    assert binom(0, 0) == 1
-
-
-def test_binom_zero_outside_range():
-    assert binom(3, 5) == 0
-    assert binom(3, -1) == 0
-
-
 @given(st.lists(rationals, min_size=1, max_size=6))
 def test_elem_sym_newton_identity(values):
     # S_j over (values + [v]) = S_j(values) + v * S_{j-1}(values)
@@ -62,11 +49,6 @@ def test_elem_sym_bounds_checked():
     assert elem_sym([1, 2], 2) == 2
     with pytest.raises(ValueError):
         elem_sym([1, 2], 3)
-
-
-def test_floor_ceil():
-    assert ceil_q(Fraction(7, 2)) == 4
-    assert ceil_q(-Fraction(7, 2)) == -3
 
 
 @given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=1, max_value=7))

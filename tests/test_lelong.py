@@ -164,9 +164,9 @@ def test_seshadri_upper_bound():
 
 
 def test_seshadri_thresholds_strict():
-    v = seshadri_thresholds(Fraction(4), 2, 1)
-    assert v.jets_at_point and not v.very_ample  # needs > 4 for very ample
-    v = seshadri_thresholds(Fraction(3), 2, 1)
-    assert not v.jets_at_point
-    v = seshadri_thresholds(Fraction(9, 2), 2, 1)
-    assert v.very_ample
+    # (jets_at_point, very_ample); very ampleness needs > 4
+    assert seshadri_thresholds(Fraction(4), 2, 1) == (True, False)
+    jets_at_point, _ = seshadri_thresholds(Fraction(3), 2, 1)
+    assert not jets_at_point
+    _, very_ample = seshadri_thresholds(Fraction(9, 2), 2, 1)
+    assert very_ample

@@ -12,7 +12,6 @@ from posbounds.matsusaka import (
     lambda_n,
     m0_assembly,
     matsusaka_main,
-    matsusaka_very_ample,
     mbar_recursion,
     prop131_window,
 )
@@ -67,24 +66,41 @@ def test_main_bound_n3_exponents():
 
 
 def test_main_bound_homogeneous_in_LBH():
-    a = matsusaka_main(MatsusakaInputs.of(2, 1, 0, 0, 1, LH=3, LBH=5))
-    b = matsusaka_main(MatsusakaInputs.of(2, 1, 0, 0, 1, LH=3, LBH=10))
+    # LH = 4 at n = 2, Ln = 1, LK = 0, policy 1, so LB = 1 and 6 give LBH = 5 and 10
+    a = matsusaka_main(MatsusakaInputs.of(2, 1, 1, 0, 1))
+    b = matsusaka_main(MatsusakaInputs.of(2, 1, 6, 0, 1))
+    assert (a.inputs["LBH"], b.inputs["LBH"]) == (5, 10)
     assert b.threshold.lo == 4 * a.threshold.lo
 
 
+def closed_form_b0(n, Ln, LK, lam):
+    """The B = 0 closed form: (2n)^((3^(n-1)-1)/2) lambda^e (L^n)^(3^(n-2))
+    (n+2+LK/L^n)^e with e = 3^(n-2)(n/2 + 3/4) + 1/4."""
+    Ln, LK = Fraction(Ln), Fraction(LK)
+    e = (3 ** (n - 2) * (2 * n + 3) + 1) // 4
+    return ((2 * n) ** ((3 ** (n - 1) - 1) // 2) * Fraction(lam) ** e * Ln ** 3 ** (n - 2)
+            * (n + 2 + LK / Ln) ** e)
+
+
 def test_very_ample_closed_form_surface():
-    # n=2, lambda=1: 4 L^2 (4 + LK/L^2)^2.
-    b = matsusaka_very_ample(2, 1, 2, 1)
-    assert b.is_point and b.lo == 4 * (4 + 2) ** 2
-    # Consistent with the main bound at B=0.
+    # n=2, lambda=1: 4 L^2 (4 + LK/L^2)^2 is the main bound at B=0.
     report = matsusaka_main(MatsusakaInputs.of(2, 1, 0, 2, 1))
-    assert report.threshold.lo == b.lo
+    assert report.threshold.is_point and report.threshold.lo == 4 * (4 + 2) ** 2
+    assert closed_form_b0(2, 1, 2, 1) == report.threshold.lo
+    rng = random.Random(29)
+    for _ in range(300):
+        n, Ln = rng.randint(2, 5), Fraction(rng.randint(3, 60), rng.randint(1, 3))
+        LK = Fraction(rng.randint(-(n + 2) * 3 * int(Ln), 60), 3)
+        policy = rng.choice(["demailly", "angehrn-siu", rng.randint(1, 40)])
+        report = matsusaka_main(MatsusakaInputs.of(n, Ln, 0, LK, policy))
+        assert report.threshold.hi == closed_form_b0(n, Ln, LK, lambda_n(n, policy))
 
 
 def test_very_ample_monotone_in_LK():
-    lo = matsusaka_very_ample(3, 2, 1, "demailly")
-    hi = matsusaka_very_ample(3, 2, 5, "demailly")
+    lo = matsusaka_main(MatsusakaInputs.of(3, 2, 0, 1, "demailly")).threshold
+    hi = matsusaka_main(MatsusakaInputs.of(3, 2, 0, 5, "demailly")).threshold
     assert hi.lo > lo.hi
+    assert (lo.hi, hi.lo) == (closed_form_b0(3, 2, 1, 114), closed_form_b0(3, 2, 5, 114))
 
 
 def test_mbar_recursion_examples():

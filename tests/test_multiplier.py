@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from posbounds.core import InputError
 from posbounds.multiplier import (
     MonomialWeightData,
     SkodaClass,
-    SNCDivisorData,
     membership_criterion,
     monomial_multiplier_ideal,
     skoda_classify,
@@ -104,10 +104,9 @@ def test_ideal_permutation_equivariant(a1, a2):
 
 
 def test_snc_round_down():
-    d = SNCDivisorData.of(Fraction(7, 3), Fraction(1, 2), 3)
-    assert snc_round_down(d) == (2, 0, 3)
-    with pytest.raises(ValueError):
-        SNCDivisorData.of(-1)
+    assert snc_round_down((Fraction(7, 3), Fraction(1, 2), 3)) == (2, 0, 3)
+    with pytest.raises(InputError, match="^divisor coefficients must be nonnegative$"):
+        snc_round_down((1, -1))
 
 
 def test_skoda_classification():

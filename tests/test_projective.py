@@ -122,4 +122,3 @@ def test_profile_from_fixture_quadric():
     # K = (-2, -2): L.K = 2*(-2)*... = top([L, K]) = 2*(-2) + 3*(-2) = -10.
     assert prof.LK == -10
     assert prof.per_dim_min == {1: 2, 2: 12}
-    assert prof.upper_bound_only

@@ -5,7 +5,9 @@ A name is reached when the source of a reached definition mentions it (the
 closure over AST names, following the package's relative imports), starting
 from ``cli.main`` and the report functions that ``COMMANDS`` names.  A pin
 names either a caller outside the package that uses the name, or the paper
-statement that the name computes.
+statement that the name computes.  A public class is a record that a caller
+constructs or reads, so it must be reached from the command line or from a
+caller pin: a paper pin alone does not keep it.
 """
 
 import ast
@@ -44,7 +46,6 @@ PINNED = {
     "lelong.upperlevel_set": "paper: the upperlevel sets {nu >= c} of a divisor current",
     "matsusaka.cor132_window": "paper: Corollary 13.2, the window for mL - B with B + K + (n+1)L",
     "matsusaka.m0_assembly": "paper: m0 of the main bound from mbar_n, ..., mbar_2",
-    "matsusaka.matsusaka_very_ample": "scripts/compare_thresholds.py",
     "matsusaka.mbar_recursion": "tests/test_acceptance.py",
     "matsusaka.prop131_window":
         "paper: Proposition 13.1, mL - B has a section for some m <= n LB/L^n + 1 + n",
@@ -82,6 +83,7 @@ def _definitions():
 
 DEFS, IMPORTS = _definitions()
 PUBLIC = {q for q in DEFS if not q.split(".")[1].startswith("_")}
+CLASSES = {q for q in PUBLIC if any(isinstance(node, ast.ClassDef) for node in DEFS[q])}
 CLI_ROOTS = {"cli.main"} | {report for _, report in COMMANDS.values()}
 
 
@@ -106,6 +108,12 @@ def reached(roots):
 def test_every_public_name_is_reached_or_pinned():
     assert CLI_ROOTS <= PUBLIC and set(PINNED) <= PUBLIC
     assert sorted(PUBLIC - reached(CLI_ROOTS | set(PINNED))) == []
+
+
+def test_every_public_class_is_reached_from_a_caller():
+    caller_pins = {pin for pin, reason in PINNED.items() if reason in CALLERS}
+    assert "matsusaka.MatsusakaInputs" in CLASSES
+    assert sorted(CLASSES - reached(CLI_ROOTS | caller_pins)) == []
 
 
 def test_no_pin_is_reached_without_it():
