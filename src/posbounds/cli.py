@@ -28,7 +28,6 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-# argparse turns the InputError of a type= parser into a usage error
 from .core import DEFAULT_TOL, CertificationFailed, InputError
 
 EXIT_OK = 0
@@ -37,11 +36,15 @@ EXIT_INPUT = 2
 EXIT_BRACKET = 3
 
 
+class _FlagError(InputError, argparse.ArgumentTypeError):
+    """A malformed flag value; argparse drops a ValueError's message but prints this one."""
+
+
 def parse_q(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"not a rational number: {text!r}") from exc
+        raise _FlagError(f"not a rational number: {text!r}") from exc
 
 
 def parse_q_list(text: str) -> list[Fraction]:
@@ -63,7 +66,7 @@ def parse_int_map(text: str) -> dict[int, int]:
     out: dict[int, int] = {}
     for key, value in _int_pairs(text, "="):
         if key in out:
-            raise InputError(f"key {key} is given more than once")
+            raise _FlagError(f"key {key} is given more than once")
         out[key] = value
     return out
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .core import (
-    DEFAULT_TOL, Bracket, InputError, QLike, check_tol, elem_sym, nth_root_bracket,
+    DEFAULT_TOL, Bracket, InputError, QLike, check_tol, elem_sym_rows, nth_root_bracket,
 )
 from .report import BoundReport
 
@@ -113,7 +113,7 @@ def diag_form_check(lambdas: Sequence[QLike], p: int) -> InequalityResult:
     n = len(vals)
     if not (0 <= p <= n):
         raise InputError("need 0 <= p <= n")
-    lhs = math.factorial(p) * math.factorial(n - p) * elem_sym(vals, p)
+    lhs = math.factorial(p) * math.factorial(n - p) * elem_sym_rows(vals)[-1][p]
     prod = math.prod(vals)
     # lhs >= n! prod^(p/n)  <=>  lhs^n >= (n!)^n prod^p  (both sides positive)
     return _at_least(lhs ** n, Fraction(math.factorial(n)) ** n * prod ** p)

@@ -44,18 +44,14 @@ def grid_bits(tol: Fraction) -> int:
     return (-(-1 // tol)).bit_length()
 
 
-def elem_sym(values: Sequence[QLike], j: int) -> Fraction:
-    """Elementary symmetric function S_j of the given values (S_0 = 1)."""
-    if j < 0 or j > len(values):
-        raise InputError(f"elementary symmetric degree {j} out of range 0..{len(values)}")
-    # DP over prefixes: e[i] holds S_i of the values consumed so far.
-    e = [Fraction(0)] * (j + 1)
-    e[0] = Fraction(1)
-    for v in values:
-        v = Fraction(v)
-        for i in range(min(j, len(e) - 1), 0, -1):
-            e[i] += v * e[i - 1]
-    return e[j]
+def elem_sym_rows(values: Sequence[QLike]) -> list[list[Fraction]]:
+    """[S_0, ..., S_i] of values[:i] for i = 1..len(values), in one pass:
+    S_j(v_1..v_i) = S_j(v_1..v_{i-1}) + v_i S_{j-1}(v_1..v_{i-1})."""
+    rows, row = [], [Fraction(1)]
+    for v in map(Fraction, values):
+        row = [row[0], *[s + v * t for s, t in zip(row[1:], row)], v * row[-1]]
+        rows.append(row)
+    return rows
 
 
 def iroot(a: int, q: int) -> tuple[int, bool]:

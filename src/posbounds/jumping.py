@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import (
-    DEFAULT_TOL, Bracket, CertificationFailed, InputError, QLike, bisect, check_tol, elem_sym,
-    floor_powers, floor_root, grid_bits, iroot, pow_bracket,
+    DEFAULT_TOL, Bracket, CertificationFailed, InputError, QLike, bisect, check_tol,
+    elem_sym_rows, floor_powers, floor_root, grid_bits, iroot, pow_bracket,
 )
 from .report import BoundReport
 
@@ -88,17 +88,19 @@ def sigma_sequence(
     return SigmaSequence(k, tuple(ends))
 
 
-def _rhs_bracket(
-    b_prefix: Sequence[Fraction], a: Fraction, sigma: SigmaSequence, divisor: QLike
-) -> Bracket:
-    """(1/divisor) sum_{j=0..p-1} S_j(b) a^j sigma_{p-j} as a bracket, for
+def _coefficients(a: Fraction, b: Sequence[Fraction]) -> list[list[Fraction]]:
+    """[c_0, ..., c_{p-1}], c_j = S_j(b_1..b_p) a^j, for p = 1..len(b): as
+    S_j(a b) = a^j S_j(b), row p of one pass over a b without its last entry."""
+    return [row[:-1] for row in elem_sym_rows([a * x for x in b])]
+
+
+def _rhs_bracket(coeffs: Sequence[Fraction], sigma: SigmaSequence, divisor: QLike) -> Bracket:
+    """(1/divisor) sum_{j<p} c_j sigma_{p-j} as a bracket, p = len(coeffs), for
     divisor > 0.  The coefficients are >= 0 (b, a >= 0), so each end is one
     sum over sigma's integer ends under a common denominator."""
-    p = len(b_prefix)
-    coeffs = [elem_sym(list(b_prefix), j) * a ** j for j in range(p)]
     den = math.lcm(*[c.denominator for c in coeffs])
-    terms = [(c.numerator * (den // c.denominator), sigma.ends[p - 1 - j])
-             for j, c in enumerate(coeffs)]
+    terms = [(c.numerator * (den // c.denominator), end)
+             for c, end in zip(coeffs, sigma.ends[len(coeffs) - 1::-1])]
     divisor = Fraction(divisor)
     scale = den * divisor.numerator << sigma.k
     lo, hi = (Fraction(sum(w * end[i] for w, end in terms) * divisor.denominator, scale)
@@ -137,11 +139,11 @@ def recursion_bound(
         raise InputError(f"b_prefix needs sigma_{p}, beyond the sigma sequence for n = {n}")
     if sigma0 <= 0:
         raise InputError("need 0 < sigma0 < L^n")
-    coeffs = [elem_sym(b, j) * a ** j for j in range(p)]
+    coeffs = _coefficients(a, b)[-1]
     C = sum(coeffs) / minY
     r = sigma0 * sum(c * (p - j) for j, c in enumerate(coeffs)) / (n * minY)
     X = b[-1] + max(1, C * sigma0)
-    rhs = _rhs_bracket(b, a, sigma_sequence(sigma0, Ln, n, tol * p * r / (2 * C * X)), minY)
+    rhs = _rhs_bracket(coeffs, sigma_sequence(sigma0, Ln, n, tol * p * r / (2 * C * X)), minY)
     k = grid_bits(tol) + 2
     lo = _root_floor(b, rhs.lo, k)[0]
     hi, exact = _root_floor(b, rhs.hi, k)
@@ -181,7 +183,6 @@ def main_theorem_check(
     minY: Mapping[int, int],
     Ln: QLike,
     tol: QLike = DEFAULT_TOL,
-    nef_twist: bool = False,
 ) -> BoundReport:
     """Main numerical criterion: L^n > sigma0 and, for each p = 1..n-1,
     the declared min of L^(n-p).Y over p-dimensional subvarieties strictly
@@ -201,17 +202,16 @@ def main_theorem_check(
     extra = sorted(p for p in minY if not 1 <= p < n)
     if extra:
         raise InputError(f"minY for p in {extra} outside 1..{n - 1}")
-    details: dict = {"nef_twist": nef_twist}
+    details: dict = {"nef_twist": False}  # a schema-1 field: L is taken without a nef twist
     if sigma0 >= Ln:
         details["reason"] = "L^n does not exceed sigma0"
         satisfied = False
     else:
         sigma = sigma_sequence(sigma0, Ln, n, tol)
         margins: dict[str, Fraction | None] = {}
-        for p in range(1, n):
-            prefix = betas[:p]
-            divisor = math.prod(betas[p] - bj for bj in prefix)
-            margins[str(p)] = (Fraction(minY[p]) - _rhs_bracket(prefix, a, sigma, divisor).hi
+        for p, coeffs in enumerate(_coefficients(a, betas[:-1]), 1):
+            divisor = math.prod(betas[p] - bj for bj in betas[:p])
+            margins[str(p)] = (Fraction(minY[p]) - _rhs_bracket(coeffs, sigma, divisor).hi
                                if p in minY else None)
         details["margins"] = margins
         satisfied = all(m is not None and m > 0 for m in margins.values())

@@ -1,5 +1,6 @@
 """Unit and property tests for rationals, brackets, and rational powers."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,7 +14,7 @@ from posbounds.core import (
     Bracket,
     InputError,
     bisect,
-    elem_sym,
+    elem_sym_rows,
     floor_powers,
     floor_root,
     iroot,
@@ -32,23 +33,14 @@ from posbounds.lelong import ParamCurve, lelong_numeric
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 
 
-@given(st.lists(rationals, min_size=1, max_size=6))
-def test_elem_sym_newton_identity(values):
-    # S_j over (values + [v]) = S_j(values) + v * S_{j-1}(values)
-    v = Fraction(3, 7)
-    extended = list(values) + [v]
-    for j in range(1, len(extended) + 1):
-        lhs = elem_sym(extended, j)
-        rhs = elem_sym(values, j) if j <= len(values) else Fraction(0)
-        rhs += v * (elem_sym(values, j - 1) if j - 1 <= len(values) else Fraction(0))
-        assert lhs == rhs
-
-
-def test_elem_sym_bounds_checked():
-    assert elem_sym([1, 2], 0) == 1
-    assert elem_sym([1, 2], 2) == 2
-    with pytest.raises(ValueError):
-        elem_sym([1, 2], 3)
+@given(st.lists(rationals, max_size=7))
+def test_elem_sym_rows_are_sums_over_combinations(values):
+    # row i is [S_0, ..., S_i] of the first i values; S_j sums every j-subset's product
+    rows = elem_sym_rows(values)
+    assert len(rows) == len(values)
+    for i, row in enumerate(rows, 1):
+        assert row == [sum(map(math.prod, itertools.combinations(values[:i], j)))
+                       for j in range(i + 1)]
 
 
 @given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=1, max_value=7))

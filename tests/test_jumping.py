@@ -1,5 +1,6 @@
 """Tests for the sigma sequence, the jump recursion, and derived thresholds."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from posbounds.core import (
     Bracket, CertificationFailed, InputError, floor_root, grid_bits, iroot, pow_bracket,
 )
 from posbounds.jumping import (
-    _rhs_bracket,
     _root_floor,
     beta_schedule,
     cn_constant,
@@ -28,6 +28,7 @@ from posbounds.jumping import (
     sigma_sequence,
     theorem1117_threshold,
 )
+from test_core import assert_dyadic_within
 
 
 def test_sigma0_values():
@@ -78,14 +79,6 @@ def test_sigma_sequence_invariants(n, ratio):
         assert s[p - 1].hi < sigma0
     for p in range(1, n - 1):
         assert s[p - 1].hi < s[p].lo
-
-
-def assert_dyadic_within(b, tol):
-    """Width <= tol and power-of-two denominators, unless b is a point."""
-    if not b.is_point:
-        assert b.width <= tol
-        for end in (b.lo, b.hi):
-            assert end.denominator & (end.denominator - 1) == 0
 
 
 def sigma_or_none(sigma0, Ln, n, tol):
@@ -178,6 +171,15 @@ def prod_minus(b, x):
     return math.prod(x - bj for bj in b)
 
 
+def rhs_reference(b, a, sigma_p, divisor):
+    """(lo, hi) of (1/divisor) sum_{j<p} S_j(b) a^j sigma_{p-j}, p = len(b), from
+    the sigma_p brackets, with S_j(b) summed over the j-subsets of b."""
+    p = len(b)
+    coeffs = [a ** j * sum(map(math.prod, itertools.combinations(b, j))) for j in range(p)]
+    return tuple(sum(c * getattr(sigma_p[p - 1 - j], end) for j, c in enumerate(coeffs)) / divisor
+                 for end in ("lo", "hi"))
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     st.integers(min_value=2, max_value=4),
@@ -200,10 +202,11 @@ def test_recursion_bound_is_tol_wide_nests_and_encloses_the_root(n, ratio, data)
     assert_dyadic_within(tight, tight_tol)
     assert wide.lo <= tight.lo and tight.hi <= wide.hi
     # sigma at 1e-100 is finer than any tolerance recursion_bound asks of it
-    ref = _rhs_bracket(b, a, sigma_sequence(ratio * Ln, Ln, n, Fraction(1, 10**100)), minY)
+    ref_lo, ref_hi = rhs_reference(
+        b, a, sigma_sequence(ratio * Ln, Ln, n, Fraction(1, 10**100)).sigma_p, minY)
     for x in (wide, tight):
-        assert prod_minus(b, x.hi) >= ref.hi
-        assert x.lo <= b[-1] or prod_minus(b, x.lo) <= ref.lo
+        assert prod_minus(b, x.hi) >= ref_hi
+        assert x.lo <= b[-1] or prod_minus(b, x.lo) <= ref_lo
 
 
 @pytest.mark.parametrize("tol", [Fraction(1, 10**6), Fraction(1, 10**12), Fraction(1, 10**30)])
@@ -268,6 +271,46 @@ def test_main_theorem_check_builds_no_sigma_bracket(monkeypatch):
     assert report.verdict == "satisfied" and built == []
     sigma_sequence(8, 64, 3).sigma_p  # the spy sees brackets built on reading
     assert len(built) == 2
+
+
+def test_criterion_and_recursion_run_one_elementary_symmetric_pass(monkeypatch):
+    calls = []
+    rows = jumping.elem_sym_rows
+    monkeypatch.setattr(jumping, "elem_sym_rows",
+                        lambda values: calls.append(len(values)) or rows(values))
+    beta = [Fraction(p, 8) for p in range(8)]
+    report = main_theorem_check(8, 1, 1, beta, {p: 10**6 for p in range(1, 8)}, 2)
+    assert report.verdict == "satisfied" and calls == [7]
+    recursion_bound(8, 1, 1, [0, Fraction(1, 4), Fraction(1, 2)], 2, 2)
+    assert calls == [7, 3]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(min_value=2, max_value=10),
+    st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100), max_denominator=100),
+    st.data(),
+)
+def test_main_theorem_margins_equal_the_reference(n, ratio, data):
+    # every right-hand side is one exact sum over sigma's brackets at the call's tol
+    Ln = data.draw(st.fractions(min_value=1, max_value=200, max_denominator=12))
+    inner = data.draw(st.sets(st.fractions(min_value=Fraction(1, 100), max_value=1,
+                                           max_denominator=100), min_size=n - 1, max_size=n - 1))
+    beta = [Fraction(0), *sorted(inner)]
+    a = data.draw(st.fractions(min_value=0, max_value=3, max_denominator=12))
+    minY = data.draw(st.dictionaries(st.integers(min_value=1, max_value=n - 1),
+                                     st.integers(min_value=1, max_value=10**4)))
+    tol = data.draw(st.sampled_from([Fraction(1, 10**12), Fraction(1, 3), Fraction(1, 10**40)]))
+    report = main_theorem_check(n, ratio * Ln, a, beta, minY, Ln, tol)
+    sigma_p = sigma_sequence(ratio * Ln, Ln, n, tol).sigma_p
+    expected = {
+        str(p): minY[p] - rhs_reference(beta[:p], a, sigma_p, prod_minus(beta[:p], beta[p]))[1]
+        if p in minY else None
+        for p in range(1, n)
+    }
+    assert report.details["margins"] == expected
+    satisfied = all(m is not None and m > 0 for m in expected.values())
+    assert report.verdict == ("satisfied" if satisfied else "unsatisfied")
 
 
 def test_main_theorem_surface_reduction():
