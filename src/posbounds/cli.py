@@ -9,10 +9,9 @@ argparse accepts the command line, calls the function with the parsed flags
 (``jets table --format table`` prints a Markdown table).
 
 Exit codes: 0 when a verdict was computed (including "unsatisfied"), 2 on
-input errors (a malformed flag is an argparse usage error), 3 when bracket
-certification failed even after refinement, and 1 on an internal error (a
-bug), reported as one line on stderr.  The code that raises decides: a
-family module raises ``InputError`` or ``CertificationFailed``, and any other
+input errors (a malformed flag is an argparse usage error), and 1 on an
+internal error (a bug), reported as one line on stderr.  The code that
+raises decides: a family module raises ``InputError``, and any other
 exception is a bug.  POSBOUNDS_TOL overrides the default tolerance 10^-12;
 numbers may be any rational ("3/7", "0.25", "4").
 """
@@ -28,12 +27,11 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .core import DEFAULT_TOL, CertificationFailed, InputError
+from .core import DEFAULT_TOL, InputError
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
-EXIT_BRACKET = 3
 
 
 class _FlagError(InputError, argparse.ArgumentTypeError):
@@ -225,9 +223,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except CertificationFailed as exc:
-        print(f"bracket certification failed: {exc}", file=sys.stderr)
-        return EXIT_BRACKET
     except Exception as exc:  # a bug: one line, no traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -6,6 +6,7 @@ denominator, reduced).  Irrational quantities such as x^(p/q) are returned as
 with endpoints on a grid 2^-k; the bracket degenerates to a point whenever the
 value is rational and detected (integer exponents, perfect powers).  Inside
 the kernel brackets are integers over 2^k; Fractions are built at the end.
+No certification gives up; any exception but ``InputError`` is a bug.
 """
 
 from __future__ import annotations
@@ -23,11 +24,6 @@ _GUARD_BITS = 32  # floor_powers' bits past the output grid; more makes its fall
 
 class InputError(ValueError):
     """Malformed caller input; the CLI reports it as an input error (exit 2)."""
-
-
-class CertificationFailed(ArithmeticError):
-    """A bracket could not be certified within the refinement rounds; the CLI
-    reports it as a certification failure (exit 3)."""
 
 
 def check_tol(tol: QLike) -> Fraction:

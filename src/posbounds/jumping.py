@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import (
-    DEFAULT_TOL, Bracket, CertificationFailed, InputError, QLike, bisect, check_tol,
+    DEFAULT_TOL, Bracket, InputError, QLike, bisect, check_tol,
     elem_sym_rows, floor_powers, floor_root, grid_bits, iroot, pow_bracket,
 )
 from .report import BoundReport
@@ -23,7 +23,7 @@ from .report import BoundReport
 if TYPE_CHECKING:  # annotation only; jets subcommands need not load adjoint
     from .adjoint import JetSpec
 
-_REFINE_BITS = 20  # how much finer than tol asks sigma_sequence's grid may go
+_SIGMA_CAP = 4096  # most bits past grid_bits(tol) that sigma_sequence bisects over
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,17 @@ def sigma_sequence(
     floor(2^(k+e) q^(p/n)), q = 1 - sigma0/L^n, sigma_p lies in L^n [2^(k+e) -
     t_p - 1, 2^(k+e) - t_p] / 2^(k+e), under 2^-(k+1) wide, whose ends rounded
     outward onto 2^-k are at most two steps apart: width <= 2^(1-k) <= tol.
-    Post-checked on the integers: sigma0 p/n < sigma_p < sigma0, strictly
-    increasing.  Brackets nest as k grows, so the checks hold on every grid
-    finer than one they hold on; the coarsest such k within _REFINE_BITS is
-    taken, and the result nests as tol shrinks.
+    Post-checked on the integers, as theorems for x = p/n and eps = 1 - q:
+      sigma_p - sigma0 x = L^n h(q) >= L^n x(1-x) eps^2/2, as h = 1 - q^x - x(1-q)
+        has h(1) = h'(1) = 0 and h'' = x(1-x) q^(x-2) >= x(1-x) on (0, 1];
+      sigma0 - sigma_p = L^n q (q^(x-1) - 1) >= sigma0 q (1-x) and sigma_{p+1} -
+        sigma_p = L^n q^x (1 - q^(1/n)) >= q sigma0/n, as the convex q^(x-1) and
+        concave q^(1/n) lie above and below their tangents at q = 1.
+    As x(1-x) >= (n-1)/n^2 and 1-x >= 1/n, each gap is at least g = (sigma0/n)
+    min(eps (n-1)/(2n), q); a check loses at most two widths, so all pass once
+    2^(2-k) < g, as at k_max = grid_bits(g) + 2.  Brackets nest as k grows, so
+    the coarsest passing k <= k_max is taken, and nests as tol shrinks.  If
+    grid_bits(tol) + 1 fails, k_max - grid_bits(tol) > _SIGMA_CAP is refused.
     """
     sigma0, Ln, tol = Fraction(sigma0), Fraction(Ln), check_tol(tol)
     if n < 1:
@@ -74,17 +81,19 @@ def sigma_sequence(
         one, den = 1 << k + e, b << e
         ends = [(a * (one - t - 1) // den, -(-a * (one - t) // den))
                 for t in floor_powers(a * d - s * b, a * d, n, k + e)]
-        ok = all(s * p << k < lo * d * n and hi * d < s << k
-                 for p, (lo, hi) in enumerate(ends, 1))
+        ok = all(s * p << k < lo * d * n and hi * d < s << k for p, (lo, hi) in enumerate(ends, 1))
         return ok and all(x[1] < y[0] for x, y in zip(ends, ends[1:])), ends
 
     k = grid_bits(tol) + 1
     ok, ends = attempt(k)
     if not ok:
-        if not attempt(k + _REFINE_BITS)[0]:
-            raise CertificationFailed("could not certify sigma bounds at the given tolerance")
-        k = bisect(lambda j: not attempt(j)[0], k, k + _REFINE_BITS) + 1
-        ends = attempt(k)[1]
+        k_max = grid_bits(sigma0 / n * min(sigma0 * (n - 1) / (2 * n * Ln), 1 - sigma0 / Ln)) + 2
+        if k_max - k + 1 > _SIGMA_CAP:
+            raise InputError(f"sigma needs {k_max - k + 1} grid bits past tol; cap {_SIGMA_CAP}")
+        k = bisect(lambda j: not attempt(j)[0], k, k_max) + 1
+        ok, ends = attempt(k)
+        if not ok:
+            raise AssertionError(f"sigma checks fail on the proven grid 2^-{k}")
     return SigmaSequence(k, tuple(ends))
 
 
@@ -116,15 +125,15 @@ def recursion_bound(
     with f(x) = prod_j (x - b_j) = sum_j c_j sigma_{p-j} / minY, c_j = S_j(b)
     a^j and p = len(b_prefix) < n, with sigma taken at a tolerance tol_s.
 
-    Sigma's post-checks sigma0 i/n < sigma_i < sigma0 put each right-hand side
-    in (r, C sigma0), r = sigma0 sum c_j (p - j) / (n minY), C = sum c_j / minY,
-    so the root is below X = b_p + max(1, C sigma0) as f(x) >= (x - b_p)^p.
-    Past b_p, f' = f sum 1/(x - b_j) >= p f/x > p r/X (0 <= b_j <= b_p), so
-    tol_s = tol p r / (2 C X), which makes the right-hand side <= C tol_s wide,
-    puts its two roots <= tol/2 apart.  Flooring both onto 2^-k, with k =
-    grid_bits(tol) + 2 and the upper end + 1 unless exact, adds <= 2^(1-k) <=
-    tol/2.  tol_s is proportional to tol, so sigma, the grid and the result
-    nest as tol shrinks.
+    sigma_sequence always certifies sigma0 i/n < sigma_i < sigma0, which puts
+    each right-hand side in (r, C sigma0), r = sigma0 sum c_j (p - j) / (n
+    minY), C = sum c_j / minY, so the root is below X = b_p + max(1, C sigma0)
+    as f(x) >= (x - b_p)^p.  Past b_p, f' = f sum 1/(x - b_j) >= p f/x > p r/X
+    (0 <= b_j <= b_p), so tol_s = tol p r / (2 C X), which makes the right-hand
+    side <= C tol_s wide, puts its two roots <= tol/2 apart.  Flooring both
+    onto 2^-k, with k = grid_bits(tol) + 2 and the upper end + 1 unless exact,
+    adds <= 2^(1-k) <= tol/2.  tol_s is proportional to tol, so sigma, the
+    grid and the result nest as tol shrinks.
     """
     sigma0, a, tol = Fraction(sigma0), Fraction(a), check_tol(tol)
     b = [Fraction(x) for x in b_prefix]
@@ -272,8 +281,7 @@ def cn_constant(n: int, tol: QLike = DEFAULT_TOL) -> Bracket:
     factors f(x) = (1 + (2n+1)x)/(1 - x) multiply into the ends rounded outward.
     With hi the upper end, each of the n-2 steps adds at most hi (sup f' + 2)/2^k
     to the width, and beta_p <= 1/5 gives sup f' < 3.2 (n+1), so the width is
-    below 3.2 hi n^2 / 2^k < hi tol / 5 <= tol while hi <= 5 (C_n < 3); it is
-    checked anyway.
+    below 3.2 hi n^2 / 2^k < hi tol / 5 <= tol while hi <= 5 (C_n < 3), as asserted.
     """
     if n < 5:
         return Bracket.point(math.prod((1 + (2 * n + 1) * b.lo) / (1 - b.lo)
@@ -290,7 +298,7 @@ def cn_constant(n: int, tol: QLike = DEFAULT_TOL) -> Bracket:
         lo = lo * (one + c * b) // (one - b)
         hi = -(-hi * (one + c * (b + 1)) // (one - b - 1))
     if (hi - lo) * tol.denominator > tol.numerator << k:
-        raise CertificationFailed(f"C_{n} bracket wider than the tolerance")
+        raise AssertionError(f"C_{n} bracket wider than the tolerance")
     return Bracket.dyadic(lo, hi, k)
 
 

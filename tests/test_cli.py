@@ -14,10 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from posbounds import adjoint, numpoly
+from posbounds import adjoint, jumping, numpoly
 from posbounds.cli import (
     COMMANDS,
-    EXIT_BRACKET,
     EXIT_INPUT,
     EXIT_INTERNAL,
     EXIT_OK,
@@ -26,7 +25,7 @@ from posbounds.cli import (
     parse_pairs,
     parse_q,
 )
-from posbounds.core import CertificationFailed, InputError
+from posbounds.core import InputError
 from posbounds.report import BoundReport
 
 
@@ -299,16 +298,33 @@ def test_tolerance_env_var(capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_exit_code_on_bracket_failure(capsys, monkeypatch):
-    # A coarse tolerance cannot certify sigma bounds for a near-degenerate
-    # ratio even after refinement.
-    monkeypatch.setenv("POSBOUNDS_TOL", "1")
-    code = main(
-        ["jets", "main", "--n", "2", "--sigma0", "1/1000", "--a", "0",
-         "--beta", "0,1", "--min", "1=3", "--Ln", "1"]
-    )
-    assert code == EXIT_BRACKET
-    capsys.readouterr()
+def test_near_degenerate_sigma_ratio_exits_0_with_the_fine_tolerance_verdict(capsys, monkeypatch):
+    # sigma0/L^n = 10^-30: sigma's checks need a 103-bit grid, 62 bits finer
+    # than the default tolerance asks
+    argv = ["jets", "main", "--n", "3", "--sigma0", "1", "--a", "0", "--beta", "0,1/2,1",
+            "--min", "1=1,2=1", "--Ln", "1e30"]
+    code, doc = run_json(capsys, *argv)
+    monkeypatch.setenv("POSBOUNDS_TOL", "1e-60")
+    fine_code, fine = run_json(capsys, *argv)
+    assert code == fine_code == EXIT_OK
+    assert doc["verdict"] == fine["verdict"] == "unsatisfied"
+
+
+def test_sigma_grid_cap_refuses_the_first_ratio_past_it(capsys):
+    # n = 2, sigma0 = 1: the gap bound is g = 1/(8 L^n), so k_max - grid_bits(tol)
+    # = bitlen(8 L^n) + 2 - 40 at tol 1e-12, which passes the cap first at
+    # L^n = 2^(cap + 35); one less lands on the cap and is bisected
+    def argv(Ln):
+        return ["jets", "main", "--n", "2", "--sigma0", "1", "--beta", "0,1", "--min", "1=1",
+                "--Ln", str(Ln)]
+
+    top = 1 << jumping._SIGMA_CAP + 35
+    code, doc = run_json(capsys, *argv(top - 1))
+    assert code == EXIT_OK and doc["verdict"] == "satisfied"
+    assert main(argv(top)) == EXIT_INPUT
+    cap = jumping._SIGMA_CAP
+    assert capsys.readouterr().err == (
+        f"input error: sigma needs {cap + 1} grid bits past tol; cap {cap}\n")
 
 
 def test_output_ordering_deterministic(capsys):
@@ -355,6 +371,8 @@ COMPUTED_VALUE_CHECKS = {
     ("core", "Bracket.__post_init__", "ValueError"),
     ("core", "Bracket.dyadic", "ValueError"),
     ("jumping", "beta_schedule", "AssertionError"),
+    ("jumping", "cn_constant", "AssertionError"),
+    ("jumping", "sigma_sequence", "AssertionError"),
     ("report", "value_to_json", "TypeError"),
 }
 
@@ -381,6 +399,6 @@ def test_only_computed_value_checks_raise_other_classes():
         for site in raise_sites(path):
             module = importlib.import_module(f"posbounds.{site[0]}")
             cls = getattr(module, site[2], None) or getattr(builtins, site[2])
-            if not issubclass(cls, (InputError, CertificationFailed)):
+            if not issubclass(cls, InputError):
                 others.add(site)
     assert others == COMPUTED_VALUE_CHECKS

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from posbounds import jumping
 from posbounds.adjoint import JetSpec
 from posbounds.core import (
-    Bracket, CertificationFailed, InputError, floor_root, grid_bits, iroot, pow_bracket,
+    Bracket, InputError, floor_root, grid_bits, iroot, pow_bracket,
 )
 from posbounds.jumping import (
     _root_floor,
@@ -57,12 +57,24 @@ def test_sigma_sequence_validation():
     assert sigma_sequence(1, 2, 1).sigma_p == ()
 
 
-def test_sigma_sequence_certification_failure_is_an_arithmetic_error():
-    # Tolerance 1 cannot separate sigma_1 from sigma0 p/n for this
-    # near-degenerate ratio, even after two refinements.
-    with pytest.raises(CertificationFailed, match="could not certify sigma bounds") as info:
-        sigma_sequence(Fraction(1, 1000), 1, 2, tol=1)
-    assert isinstance(info.value, ArithmeticError)
+def assert_sigma_bounds(s, sigma0, n):
+    """sigma_sequence's post-checks on its brackets: sigma0 p/n < sigma_p < sigma0,
+    strictly increasing."""
+    b = s.sigma_p
+    for p in range(1, n):
+        assert b[p - 1].lo > sigma0 * p / n
+        assert b[p - 1].hi < sigma0
+    for p in range(1, n - 1):
+        assert b[p - 1].hi < b[p].lo
+
+
+def test_sigma_sequence_certifies_a_near_degenerate_ratio_on_the_proven_grid():
+    # Tolerance 1 asks for a 2^-2 grid, too coarse to separate sigma_1 from
+    # sigma0/2; the gap bound g = (sigma0/2) min(eps/4, q) = 1/8,000,000 caps
+    # the grid at k_max = grid_bits(g) + 2 = 25, and 23 is the coarsest passing.
+    s = sigma_sequence(Fraction(1, 1000), 1, 2, tol=1)
+    assert s.k == 23
+    assert_sigma_bounds(s, Fraction(1, 1000), 2)
 
 
 @settings(deadline=None, max_examples=50)
@@ -72,20 +84,7 @@ def test_sigma_sequence_certification_failure_is_an_arithmetic_error():
 )
 def test_sigma_sequence_invariants(n, ratio):
     Ln = Fraction(100)
-    sigma0 = ratio * Ln
-    s = sigma_sequence(sigma0, Ln, n).sigma_p
-    for p in range(1, n):
-        assert s[p - 1].lo > sigma0 * p / n
-        assert s[p - 1].hi < sigma0
-    for p in range(1, n - 1):
-        assert s[p - 1].hi < s[p].lo
-
-
-def sigma_or_none(sigma0, Ln, n, tol):
-    try:
-        return sigma_sequence(sigma0, Ln, n, tol)
-    except CertificationFailed:
-        return None
+    assert_sigma_bounds(sigma_sequence(ratio * Ln, Ln, n), ratio * Ln, n)
 
 
 tolerances = st.fractions(min_value=Fraction(1, 10**40), max_value=10, max_denominator=10**40)
@@ -94,30 +93,28 @@ tolerances = st.fractions(min_value=Fraction(1, 10**40), max_value=10, max_denom
 @settings(deadline=None, max_examples=150)
 @given(
     st.integers(min_value=2, max_value=8),
-    st.fractions(min_value=Fraction(1, 10**6), max_value=1 - Fraction(1, 10**6),
-                 max_denominator=10**6),
+    st.builds(lambda r, e: r / 10**e,
+              st.fractions(min_value=Fraction(1, 10**6), max_value=1 - Fraction(1, 10**6),
+                           max_denominator=10**6),
+              st.integers(min_value=0, max_value=54)),
     st.fractions(min_value=Fraction(1, 10), max_value=10**4, max_denominator=10),
     tolerances,
     tolerances,
 )
 @example(3, Fraction(1, 8), Fraction(64), Fraction(1, 3), Fraction(1, 7))
 @example(2, Fraction(1, 1000), Fraction(1), Fraction(1, 3), Fraction(1, 7))
+@example(8, Fraction(1, 10**60), Fraction(1, 10), Fraction(10), Fraction(1, 10**40))
 def test_sigma_brackets_nest_and_are_tol_wide_on_a_dyadic_grid(n, ratio, Ln, t1, t2):
     wide_tol, tight_tol = max(t1, t2), min(t1, t2)
-    wide = sigma_or_none(ratio * Ln, Ln, n, wide_tol)
-    tight = sigma_or_none(ratio * Ln, Ln, n, tight_tol)
-    if tight is None:  # certifying on a finer grid is never harder
-        assert wide is None
-        return
+    wide = sigma_sequence(ratio * Ln, Ln, n, wide_tol)
+    tight = sigma_sequence(ratio * Ln, Ln, n, tight_tol)
     for s, t in ((wide, wide_tol), (tight, tight_tol)):
-        if s is None:
-            continue
         assert [Bracket.dyadic(lo, hi, s.k) for lo, hi in s.ends] == list(s.sigma_p)
         for b in s.sigma_p:
             assert_dyadic_within(b, t)
-    if wide is not None:
-        for w, t in zip(wide.sigma_p, tight.sigma_p):
-            assert w.lo <= t.lo and t.hi <= w.hi
+        assert_sigma_bounds(s, ratio * Ln, n)
+    for w, t in zip(wide.sigma_p, tight.sigma_p):
+        assert w.lo <= t.lo and t.hi <= w.hi
 
 
 @settings(deadline=None, max_examples=150)
@@ -180,21 +177,29 @@ def rhs_reference(b, a, sigma_p, divisor):
                  for end in ("lo", "hi"))
 
 
+recursion_tols = st.sampled_from(
+    [Fraction(1, 10**12), Fraction(1, 3), Fraction(2), Fraction(1, 10**40)])
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     st.integers(min_value=2, max_value=4),
     st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100), max_denominator=100),
-    st.data(),
+    st.fractions(min_value=1, max_value=200, max_denominator=12),
+    st.lists(st.fractions(min_value=0, max_value=3, max_denominator=12), max_size=2),
+    st.fractions(min_value=0, max_value=3, max_denominator=12),
+    st.integers(min_value=1, max_value=50),
+    recursion_tols,
+    recursion_tols,
 )
-def test_recursion_bound_is_tol_wide_nests_and_encloses_the_root(n, ratio, data):
-    Ln = data.draw(st.fractions(min_value=1, max_value=200, max_denominator=12))
-    rest = data.draw(st.lists(st.fractions(min_value=0, max_value=3, max_denominator=12),
-                              max_size=n - 2))
-    b = [Fraction(0)] + sorted(rest)
-    a = data.draw(st.fractions(min_value=0, max_value=3, max_denominator=12))
-    minY = data.draw(st.integers(min_value=1, max_value=50))
-    tols = st.sampled_from([Fraction(1, 10**12), Fraction(1, 3), Fraction(2), Fraction(1, 10**40)])
-    t1, t2 = data.draw(tols), data.draw(tols)
+# sigma0/L^n = 10^-30: at tol 1e-12, sigma's checks need a 103-bit grid, 60 bits
+# finer than the first one that tol_s asks for
+@example(3, Fraction(1, 10**30), Fraction(10**30), [Fraction(1, 2)], Fraction(1), 1,
+         Fraction(1, 10**12), Fraction(1, 10**40))
+def test_recursion_bound_is_tol_wide_nests_and_encloses_the_root(
+    n, ratio, Ln, rest, a, minY, t1, t2,
+):
+    b = [Fraction(0)] + sorted(rest)[:n - 2]
     wide_tol, tight_tol = max(t1, t2), min(t1, t2)
     wide = recursion_bound(n, ratio * Ln, a, b, minY, Ln, wide_tol)
     tight = recursion_bound(n, ratio * Ln, a, b, minY, Ln, tight_tol)
@@ -433,7 +438,7 @@ def test_cn_constant_width_check_raises_when_the_grid_is_too_coarse(monkeypatch)
     # beta_p = 1/3 is far above the true schedule, so the factor slopes, and
     # with them the width, exceed what the grid was sized for
     monkeypatch.setattr(jumping, "floor_root", lambda num, den, q, k, a: (1 << k) // 3)
-    with pytest.raises(CertificationFailed, match="wider than the tolerance"):
+    with pytest.raises(AssertionError, match="wider than the tolerance"):
         cn_constant(8, Fraction(1, 10**12))
 
 
