@@ -40,11 +40,11 @@ def grid_bits(tol: Fraction) -> int:
     return (-(-1 // tol)).bit_length()
 
 
-def elem_sym_rows(values: Sequence[QLike]) -> list[list[Fraction]]:
-    """[S_0, ..., S_i] of values[:i] for i = 1..len(values), in one pass:
-    S_j(v_1..v_i) = S_j(v_1..v_{i-1}) + v_i S_{j-1}(v_1..v_{i-1})."""
-    rows, row = [], [Fraction(1)]
-    for v in map(Fraction, values):
+def elem_sym_rows(values: Sequence[QLike]) -> list[list[QLike]]:
+    """[S_0, ..., S_i] of values[:i], i = 1..len(values), exact on ints and Fractions
+    alike, in one pass: S_j(v_1..v_i) = S_j(v_1..v_{i-1}) + v_i S_{j-1}(v_1..v_{i-1})."""
+    rows, row = [], [1]
+    for v in values:
         row = [row[0], *[s + v * t for s, t in zip(row[1:], row)], v * row[-1]]
         rows.append(row)
     return rows

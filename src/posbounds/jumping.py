@@ -97,24 +97,19 @@ def sigma_sequence(
     return SigmaSequence(k, tuple(ends))
 
 
-def _coefficients(a: Fraction, b: Sequence[Fraction]) -> list[list[Fraction]]:
-    """[c_0, ..., c_{p-1}], c_j = S_j(b_1..b_p) a^j, for p = 1..len(b): as
-    S_j(a b) = a^j S_j(b), row p of one pass over a b without its last entry."""
-    return [row[:-1] for row in elem_sym_rows([a * x for x in b])]
+def _on_integers(b: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(D, [D b_j]) for D the lcm of b's denominators."""
+    D = math.lcm(*[x.denominator for x in b])
+    return D, [x.numerator * (D // x.denominator) for x in b]
 
 
-def _rhs_bracket(coeffs: Sequence[Fraction], sigma: SigmaSequence, divisor: QLike) -> Bracket:
-    """(1/divisor) sum_{j<p} c_j sigma_{p-j} as a bracket, p = len(coeffs), for
-    divisor > 0.  The coefficients are >= 0 (b, a >= 0), so each end is one
-    sum over sigma's integer ends under a common denominator."""
-    den = math.lcm(*[c.denominator for c in coeffs])
-    terms = [(c.numerator * (den // c.denominator), end)
-             for c, end in zip(coeffs, sigma.ends[len(coeffs) - 1::-1])]
-    divisor = Fraction(divisor)
-    scale = den * divisor.numerator << sigma.k
-    lo, hi = (Fraction(sum(w * end[i] for w, end in terms) * divisor.denominator, scale)
-              for i in (0, 1))
-    return Bracket(lo, hi)
+def _horner(row: Sequence[int], E: int, xs: Sequence[int]) -> int:
+    """sum_{j<p} row[j] E^(p-1-j) xs[j], p = len(xs), by Horner's rule in E:
+    E^(p-1) sum_j c_j xs[j] for the coefficients c_j = row[j] / E^j."""
+    acc = 0
+    for s, x in zip(row, xs):
+        acc = acc * E + s * x
+    return acc
 
 
 def recursion_bound(
@@ -148,14 +143,17 @@ def recursion_bound(
         raise InputError(f"b_prefix needs sigma_{p}, beyond the sigma sequence for n = {n}")
     if sigma0 <= 0:
         raise InputError("need 0 < sigma0 < L^n")
-    coeffs = _coefficients(a, b)[-1]
-    C = sum(coeffs) / minY
-    r = sigma0 * sum(c * (p - j) for j, c in enumerate(coeffs)) / (n * minY)
+    D, A = _on_integers(b)  # a b_j = a.num A_j / E, so S_j(a b) = S_j(a.num A) / E^j
+    E, row = a.denominator * D, elem_sym_rows([a.numerator * x for x in A])[-1]
+    scale = E ** (p - 1) * minY
+    C = Fraction(_horner(row, E, [1] * p), scale)
+    r = sigma0 * Fraction(_horner(row, E, range(p, 0, -1)), n * scale)
     X = b[-1] + max(1, C * sigma0)
-    rhs = _rhs_bracket(coeffs, sigma_sequence(sigma0, Ln, n, tol * p * r / (2 * C * X)), minY)
+    sigma = sigma_sequence(sigma0, Ln, n, tol * p * r / (2 * C * X))
+    rhs = [Fraction(_horner(row, E, e), scale << sigma.k) for e in zip(*sigma.ends[p - 1::-1])]
     k = grid_bits(tol) + 2
-    lo = _root_floor(b, rhs.lo, k)[0]
-    hi, exact = _root_floor(b, rhs.hi, k)
+    lo = _root_floor(b, rhs[0], k)[0]
+    hi, exact = _root_floor(b, rhs[1], k)
     return Bracket.dyadic(lo, hi if exact else hi + 1, k)
 
 
@@ -170,8 +168,8 @@ def _root_floor(b: Sequence[Fraction], target: Fraction, k: int) -> tuple[int, b
     convex g stay at or above the floor and decrease while g > 0, as in
     core.iroot: the floor is the first t with g(t) <= 0 or t <= 2^k b_p.
     """
-    D = math.lcm(*[x.denominator for x in b])
-    B = [x.numerator * (D // x.denominator) << k for x in b]
+    D, B = _on_integers(b)
+    B = [x << k for x in B]
     num, den, p = target.numerator, target.denominator, len(b)
     scaled = num * (D << k) ** p
     t = -(-B[-1] // D) + floor_root(num, den, p, k) + 1
@@ -217,11 +215,13 @@ def main_theorem_check(
         satisfied = False
     else:
         sigma = sigma_sequence(sigma0, Ln, n, tol)
+        D, A = _on_integers(betas)  # as in recursion_bound, with E = a.den D
         margins: dict[str, Fraction | None] = {}
-        for p, coeffs in enumerate(_coefficients(a, betas[:-1]), 1):
-            divisor = math.prod(betas[p] - bj for bj in betas[:p])
-            margins[str(p)] = (Fraction(minY[p]) - _rhs_bracket(coeffs, sigma, divisor).hi
-                               if p in minY else None)
+        for p, row in enumerate(elem_sym_rows([a.numerator * x for x in A[:-1]]), 1):
+            # rhs = D sum_j S_j E^(p-1-j) sigma_{p-j} / (a.den^(p-1) prod_j (A_{p+1} - A_j) 2^k)
+            den = a.denominator ** (p - 1) * math.prod(A[p] - x for x in A[:p]) << sigma.k
+            rhs = D * _horner(row, a.denominator * D, [hi for _, hi in sigma.ends[p - 1::-1]])
+            margins[str(p)] = Fraction(minY[p] * den - rhs, den) if p in minY else None
         details["margins"] = margins
         satisfied = all(m is not None and m > 0 for m in margins.values())
     inputs = {"n": n, "sigma0": sigma0, "a": a, "beta": betas,

@@ -33,7 +33,7 @@ from posbounds.lelong import ParamCurve, lelong_numeric
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 
 
-@given(st.lists(rationals, max_size=7))
+@given(st.lists(rationals, max_size=7) | st.lists(st.integers(-10**6, 10**6), max_size=7))
 def test_elem_sym_rows_are_sums_over_combinations(values):
     # row i is [S_0, ..., S_i] of the first i values; S_j sums every j-subset's product
     rows = elem_sym_rows(values)
@@ -41,6 +41,8 @@ def test_elem_sym_rows_are_sums_over_combinations(values):
     for i, row in enumerate(rows, 1):
         assert row == [sum(map(math.prod, itertools.combinations(values[:i], j)))
                        for j in range(i + 1)]
+        if all(type(v) is int for v in values):  # integers in, integers out: no Fraction built
+            assert all(type(s) is int for s in row)
 
 
 @given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=1, max_value=7))

@@ -1,6 +1,8 @@
 """Tests for the sigma sequence, the jump recursion, and derived thresholds."""
 
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -316,6 +318,39 @@ def test_main_theorem_margins_equal_the_reference(n, ratio, data):
     assert report.details["margins"] == expected
     satisfied = all(m is not None and m > 0 for m in expected.values())
     assert report.verdict == ("satisfied" if satisfied else "unsatisfied")
+
+
+@pytest.mark.parametrize("n, digest", [
+    (32, "ba8fd6f57787829e017df9994c249556df3656f595292ba76f5bf9c93da2130e"),
+    (64, "5552696270d3923e47889e4ae596cbaf56405dc85d9cad20774ca4d1131cbc62"),
+    (128, "93ba00d55bfc6eb50a7a2d8b8e1c6063e231f22ac0fbdec159b07ae4a2f3ab3e"),
+    (256, "fecc801bd4ad204ba81381c04fe0133ea00ab947029aa23bfe96da47fb81dd94"),
+])
+def test_main_theorem_report_bytes_are_pinned(n, digest):
+    # beta_p = (p-1)/n, a = 1/3, every minY = 10^6: the ROADMAP Baseline curve's inputs
+    report = main_theorem_check(n, 1, Fraction(1, 3), [Fraction(p, n) for p in range(n)],
+                                {p: 10**6 for p in range(1, n)}, 2)
+    text = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("digits, digest", [
+    (12, "a85cebed6edb51e3ffb3d3da3617a73507f43f3d30a58be5f67fe63c40af4347"),
+    (1000, "e1153a4a9bb4db2c82c66d116fd800e8a4a89e7a3e5773676141fd940f0b0b01"),
+    (3000, "f330aca8be774379eda517fe897d5e8f1e9dbe49f64af381efd147664911ba1d"),
+])
+def test_recursion_bound_bytes_are_pinned(digits, digest):
+    b = recursion_bound(8, 1, 1, [0, Fraction(1, 4), Fraction(1, 2)], 2, 2, Fraction(1, 10**digits))
+    text = f"{b.lo.numerator}/{b.lo.denominator},{b.hi.numerator}/{b.hi.denominator}"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.xfail(strict=True, reason="D7: 'unsatisfied' is not a disproof (ROADMAP item 10)")
+def test_main_theorem_verdict_does_not_depend_on_the_tolerance():
+    # at tol 1/2 margin 1 reads -13/8, yet the true right-hand side is ~75.23 < 76
+    verdicts = {main_theorem_check(3, 8, 1, [0, Fraction(1, 27), 1], {1: 76, 2: 6}, 64, tol).verdict
+                for tol in (Fraction(1, 2), Fraction(1, 10**60))}
+    assert len(verdicts) == 1
 
 
 def test_main_theorem_surface_reduction():
