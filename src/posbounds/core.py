@@ -19,7 +19,7 @@ from typing import Callable, Sequence, Union
 QLike = Union[int, Fraction]
 
 DEFAULT_TOL = Fraction(1, 10**12)
-_GUARD_BITS = 32  # floor_powers' bits past the output grid; more makes its fallback rarer
+_GUARD_BITS = 32  # floor_powers' bits past the output grid; more makes straddles rarer
 
 
 class InputError(ValueError):
@@ -53,18 +53,13 @@ def elem_sym_rows(values: Sequence[QLike]) -> list[list[QLike]]:
 def iroot(a: int, q: int) -> tuple[int, bool]:
     """Integer floor q-th root of a >= 0, plus whether it is exact.
 
-    Newton's method on integers with a precision-doubling seed (Brent &
-    Zimmermann, Modern Computer Arithmetic, 2010, sec. 1.5.2).  With r0 the
-    floor root of a >> qk, s = r0 + 1 has floor(a / 2^(qk)) < s^q, so the
-    seed s << k lies above a^(1/q); its Newton step divides by the half-size
-    power s^(q-1) alone, and k, about half the root's bits less log2(2q),
-    makes it land on the floor root or one above.  By AM-GM an integer Newton
-    step from any positive x never goes below the floor root, and from above
-    it strictly decreases, so the first iterate with x^q <= a is the floor
-    root: no division is needed to confirm it.  For q <= 16, roots under
-    about 2^64 are seeded from the bit length instead; for larger q that
-    seed, up to twice the root, would take about q steps, so the recursion
-    goes down to roots of at most bitlen(2q) + 2 bits, found by ``bisect``.
+    The loop is ``newton_floor``'s on x^q - a, from a seed above the root:
+    with s = iroot(a >> qk) + 1, floor(a / 2^(qk)) < s^q, so s << k > a^(1/q),
+    and its step divides by the half-size s^(q-1) alone; k, about half the
+    root's bits less log2(2q), lands it on the floor root or one above.  For
+    q <= 16, roots under about 2^64 are seeded from the bit length; for larger
+    q that seed, up to twice the root, would take about q steps, so the
+    recursion goes down to roots of at most bitlen(2q) + 2 bits, by ``bisect``.
     """
     if a < 0:
         raise InputError("iroot of negative integer")
@@ -85,7 +80,7 @@ def iroot(a: int, q: int) -> tuple[int, bool]:
     else:  # 2^((n-1)//q) <= root < 2^ceil(n/q)
         r = bisect(lambda x: x**q <= a, 1 << (n - 1) // q, 1 << -(-n // q))
         return r, r**q == a
-    while True:
+    while True:  # inline, as a newton_floor call per step slows small roots
         p = x ** (q - 1)
         if (xq := p * x) <= a:
             return x, xq == a
@@ -157,6 +152,28 @@ def floor_root(num: int, den: int, q: int, k: int = 0, a: int = 1) -> int:
     return iroot((num ** a << k * q) // den ** a, q)[0]
 
 
+def newton_floor(f: Callable[[int], tuple[int, int]], t: int) -> tuple[int, int]:
+    """(floor(x), g(floor(x))) for the root x < t of a g increasing and convex
+    on [x, t], with g(floor(x)) <= 0 and f(t) = (g(t), g'(t)), by integer Newton
+    steps from above (Brent & Zimmermann, Modern Computer Arithmetic, 2010, sec.
+    1.5.2).  At t > x the tangent of the convex g has its root t - g/g' >= x, so
+    t - ceil(g/g') = floor(t - g/g') >= floor(x), and t decreases while g(t) >
+    0 < g'(t): the first t with g(t) <= 0 is floor(x)."""
+    while True:
+        g, slope = f(t)
+        if g <= 0:
+            return t, g
+        t -= -(-g // slope)
+
+
+def horner(poly: Sequence[int], x: int) -> int:
+    """poly[0] x^d + ... + poly[d], d = len(poly) - 1, by Horner's rule."""
+    acc = 0
+    for c in poly:
+        acc = acc * x + c
+    return acc
+
+
 def bisect(ok: Callable[[int], bool], lo: int, hi: int) -> int:
     """Largest integer x in [lo, hi) with ok(x), given ok(lo) and ok monotone
     (true, then false).  ok(hi) is never called."""
@@ -194,17 +211,16 @@ def floor_powers(num: int, den: int, n: int, k: int) -> list[int]:
     """floor(2^k r^(p/n)) for r = num/den (num >= 0, den, n >= 1), p = 1..n-1.
 
     With R = floor(2^K r^(1/n)), K = k + guard, the truncated powers lo <=
-    2^K r^(p/n) <= hi of R and R + 1 give the floor when lo >> guard == hi >>
-    guard; a power whose bracket straddles a grid point takes its own root."""
+    2^K r^(p/n) <= hi of R and R + 1 put the floor in [lo, hi] >> guard, where
+    c <= 2^k r^(j/m) iff c^m den^j <= num^j 2^(km), j/m = p/n reduced, decides."""
     guard = max(0, num.bit_length() - den.bit_length()) + _GUARD_BITS
     big = k + guard
     root = floor_root(num, den, n, big)
     out, lo, hi = [], 1 << big, 1 << big
     for p in range(1, n):
         lo, hi = lo * root >> big, -(-hi * (root + 1) >> big)
-        t = lo >> guard
-        if t != hi >> guard:
-            g = math.gcd(p, n)
-            t = floor_root(num, den, n // g, k, p // g)
+        if (t := lo >> guard) != hi >> guard:  # a straddle: decide among its candidates
+            m, j = n // (g := math.gcd(p, n)), p // g
+            t = bisect(lambda c: c**m * den**j <= num**j << k * m, t, (hi >> guard) + 1)
         out.append(t)
     return out

@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import (
-    DEFAULT_TOL, Bracket, InputError, QLike, bisect, check_tol,
-    elem_sym_rows, floor_powers, floor_root, grid_bits, iroot, pow_bracket,
+    DEFAULT_TOL, Bracket, InputError, QLike, bisect, check_tol, elem_sym_rows,
+    floor_powers, floor_root, grid_bits, horner, iroot, newton_floor, pow_bracket,
 )
 from .report import BoundReport
 
@@ -103,15 +103,6 @@ def _on_integers(b: Sequence[Fraction]) -> tuple[int, list[int]]:
     return D, [x.numerator * (D // x.denominator) for x in b]
 
 
-def _horner(row: Sequence[int], E: int, xs: Sequence[int]) -> int:
-    """sum_{j<p} row[j] E^(p-1-j) xs[j], p = len(xs), by Horner's rule in E:
-    E^(p-1) sum_j c_j xs[j] for the coefficients c_j = row[j] / E^j."""
-    acc = 0
-    for s, x in zip(row, xs):
-        acc = acc * E + s * x
-    return acc
-
-
 def recursion_bound(
     n: int, sigma0: QLike, a: QLike, b_prefix: Sequence[QLike], minY: int, Ln: QLike,
     tol: QLike = DEFAULT_TOL,
@@ -145,15 +136,15 @@ def recursion_bound(
         raise InputError("need 0 < sigma0 < L^n")
     D, A = _on_integers(b)  # a b_j = a.num A_j / E, so S_j(a b) = S_j(a.num A) / E^j
     E, row = a.denominator * D, elem_sym_rows([a.numerator * x for x in A])[-1]
-    scale = E ** (p - 1) * minY
-    C = Fraction(_horner(row, E, [1] * p), scale)
-    r = sigma0 * Fraction(_horner(row, E, range(p, 0, -1)), n * scale)
+    scale = E ** (p - 1) * minY  # sum_{j<p} c_j x_j / minY = horner([row_j x_j], E) / scale
+    C = Fraction(horner(row[:p], E), scale)
+    r = sigma0 * Fraction(horner([s * (p - j) for j, s in enumerate(row[:p])], E), n * scale)
     X = b[-1] + max(1, C * sigma0)
     sigma = sigma_sequence(sigma0, Ln, n, tol * p * r / (2 * C * X))
-    rhs = [Fraction(_horner(row, E, e), scale << sigma.k) for e in zip(*sigma.ends[p - 1::-1])]
+    rhs = [Fraction(horner([s * x for s, x in zip(row, e)], E), scale << sigma.k)
+           for e in zip(*sigma.ends[p - 1::-1])]
     k = grid_bits(tol) + 2
-    lo = _root_floor(b, rhs[0], k)[0]
-    hi, exact = _root_floor(b, rhs[1], k)
+    (lo, _), (hi, exact) = [_root_floor(b, x, k) for x in rhs]
     return Bracket.dyadic(lo, hi if exact else hi + 1, k)
 
 
@@ -163,23 +154,23 @@ def _root_floor(b: Sequence[Fraction], target: Fraction, k: int) -> tuple[int, b
 
     With D = lcm of b's denominators and B_j = 2^k D b_j, an integer t has
     f(t/2^k) <= target iff g(t) = den prod(D t - B_j) - num (2^k D)^p <= 0.
-    From the seed ceil(2^k b_p) + floor(2^k target^(1/p)) + 1, above the root
-    as f(x) >= (x - b_p)^p, Newton steps t - ceil(g/g') on the increasing,
-    convex g stay at or above the floor and decrease while g > 0, as in
-    core.iroot: the floor is the first t with g(t) <= 0 or t <= 2^k b_p.
+    g, increasing and convex past 2^k b_p and -1 up to there, is floored by
+    core.newton_floor from ceil(2^k b_p) + floor(2^k target^(1/p)) + 1, above
+    the root as f(x) >= (x - b_p)^p.
     """
     D, B = _on_integers(b)
     B = [x << k for x in B]
     num, den, p = target.numerator, target.denominator, len(b)
     scaled = num * (D << k) ** p
-    t = -(-B[-1] // D) + floor_root(num, den, p, k) + 1
-    while True:
-        d = [D * t - x for x in B]
-        g = den * math.prod(d) - scaled
-        if g <= 0 or d[-1] <= 0:
-            return t, g == 0 < d[-1]
-        slope = den * D * sum(math.prod(d[:i] + d[i + 1:]) for i in range(p))
-        t -= -(-g // slope)
+
+    def g(t: int) -> tuple[int, int]:  # and g', by the product rule in one pass
+        h, slope = den, 0
+        for d in [D * t - x for x in B]:
+            h, slope = h * d, slope * d + h * D
+        return (h - scaled, slope) if D * t > B[-1] else (-1, 1)
+
+    t, g_t = newton_floor(g, -(-B[-1] // D) + floor_root(num, den, p, k) + 1)
+    return t, g_t == 0
 
 
 def main_theorem_check(
@@ -220,7 +211,8 @@ def main_theorem_check(
         for p, row in enumerate(elem_sym_rows([a.numerator * x for x in A[:-1]]), 1):
             # rhs = D sum_j S_j E^(p-1-j) sigma_{p-j} / (a.den^(p-1) prod_j (A_{p+1} - A_j) 2^k)
             den = a.denominator ** (p - 1) * math.prod(A[p] - x for x in A[:p]) << sigma.k
-            rhs = D * _horner(row, a.denominator * D, [hi for _, hi in sigma.ends[p - 1::-1]])
+            rhs = D * horner([s * hi for s, (_, hi) in zip(row, sigma.ends[p - 1::-1])],
+                             a.denominator * D)
             margins[str(p)] = Fraction(minY[p] * den - rhs, den) if p in minY else None
         details["margins"] = margins
         satisfied = all(m is not None and m > 0 for m in margins.values())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
-from .core import DEFAULT_TOL, InputError, QLike, bisect, check_tol
+from .core import DEFAULT_TOL, InputError, QLike, check_tol, floor_root, newton_floor
 from .report import BoundReport
 
 
@@ -115,17 +115,21 @@ def lelong_report(u: int, v: int, radii: Sequence[QLike], tol: QLike = DEFAULT_T
 def _density_lower(u: int, v: int, r2: Fraction, tol: Fraction) -> Fraction:
     """nu = u + (v - u) X^v / r2 rounded down to within tol, in integers.
 
-    Bisect X on the grid 2^-k.  Over one cell nu grows by at most
-    (v - u) v 2^-k / r2 (X <= 1), which the choice of k keeps below tol/2;
-    rounding the lower end down to the grid 2^-j <= tol/2 spends the rest.
+    core.newton_floor floors 2^k X from floor(2^k r2^(1/u)) + 1, above it as X^u < r2.
+    Over one cell nu grows by at most (v - u) v 2^-k / r2 (X <= 1), which k keeps
+    below tol/2; rounding down onto a grid 2^-j <= tol/2 spends the rest.
     """
     p, q = r2.numerator, r2.denominator
     k = max(0, (2 * (v - u) * v * q * tol.denominator).bit_length()
             - (p * tol.numerator).bit_length() + 1)
     j = max(0, (2 * tol.denominator).bit_length() - tol.numerator.bit_length() + 1)
-    # largest a with (a/2^k)^u + (a/2^k)^v <= p/q; a = 2^k fails, as 2 > r2
     top, shift = p << (k * v), k * (v - u)
-    lo = bisect(lambda a: q * ((a**u << shift) + a**v) <= top, 0, 1 << k)
+
+    def g(a: int) -> tuple[int, int]:  # q 2^(kv) ((a/2^k)^u + (a/2^k)^v - r2) and g'
+        au, av = a ** (u - 1), a ** (v - 1)
+        return q * ((au * a << shift) + av * a) - top, q * ((u * au << shift) + v * av)
+
+    lo = newton_floor(g, floor_root(p, q, u, k) + 1)[0]
     return u + Fraction(((v - u) * q * lo**v << j) // top, 1 << j)
 
 

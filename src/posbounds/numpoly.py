@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import InputError, bisect
+from .core import InputError, bisect, horner
 from .report import BoundReport
 
 
@@ -101,12 +101,12 @@ def _first_reaching(P: NumericalPolynomial, target: int, lo: int, hi: int) -> in
     chain = _sturm_chain(_shifted_power_coeffs(P, target))
     q = chain[0]
     m = lo  # lo <= hi for every window
-    while _horner(q, m) < 0:
+    while horner(q, m) < 0:
         v_m = _variations(chain, m)
 
         def root_in(x: int) -> bool:
             # a root in (m, x]; the Sturm count holds since q(m) != 0 != q(x)
-            return _horner(q, x) == 0 or _variations(chain, x) < v_m
+            return horner(q, x) == 0 or _variations(chain, x) < v_m
 
         if not root_in(hi):
             raise InputError(f"no m in [{lo}, {hi}] with P(m) >= {target}")
@@ -149,14 +149,7 @@ def _sturm_chain(q: list[int]) -> list[list[int]]:
     return [poly for poly in chain if poly]  # q' is empty at d = 0
 
 
-def _horner(poly: list[int], x: int) -> int:
-    v = 0
-    for c in poly:
-        v = v * x + c
-    return v
-
-
 def _variations(chain: list[list[int]], x: int) -> int:
     """Sign changes along the chain at x, zeros dropped."""
-    signs = [v > 0 for v in (_horner(poly, x) for poly in chain) if v]
+    signs = [v > 0 for v in (horner(poly, x) for poly in chain) if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))

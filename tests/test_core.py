@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from posbounds import core
+from posbounds import core, jumping
 from posbounds.convexity import ht_products
 from posbounds.core import (
     Bracket,
@@ -17,7 +17,9 @@ from posbounds.core import (
     elem_sym_rows,
     floor_powers,
     floor_root,
+    horner,
     iroot,
+    newton_floor,
     nth_root_bracket,
     pow_bracket,
 )
@@ -308,24 +310,94 @@ def test_floor_powers_are_the_floors_of_the_scaled_powers(case):
 
 def test_floor_powers_fallback_gives_the_same_floors(monkeypatch):
     """With no guard bits the truncated powers often straddle a grid point,
-    so floor_powers' own root for one power runs on irrational powers too."""
+    so floor_powers decides a floor among several candidates, on irrational
+    powers too."""
     straddles = []
 
-    def spy(num, den, q, k, a=1):
-        # only a fallback asks for a power a > 1; it is irrational unless the
-        # coprime num and den are perfect q-th powers
-        straddles.append(a > 1 and not (iroot(num, q)[1] and iroot(den, q)[1]))
-        return floor_root(num, den, q, k, a)
+    def spy(ok, lo, hi):
+        straddles.append(hi - lo > 1)  # more than one candidate floor
+        return bisect(ok, lo, hi)
 
     monkeypatch.setattr(core, "_GUARD_BITS", 0)
-    monkeypatch.setattr(core, "floor_root", spy)
+    monkeypatch.setattr(core, "bisect", spy)
     rng = random.Random(10)
+    irrational_straddles = 0
     for _ in range(200):
         r = Fraction(rng.randrange(1, 10**9), rng.randrange(1, 10**9))
         n, k = rng.randint(2, 12), rng.randint(4, 1330)
         num, den = r.numerator, r.denominator
+        straddles.clear()
         assert floor_powers(num, den, n, k) == floors_one_root_at_a_time(num, den, n, k)
-    assert any(straddles)
+        # every power r^(p/n), p < n, is irrational unless the coprime num
+        # and den are both perfect m-th powers for some m > 1
+        rational = any(iroot(num, m)[1] and iroot(den, m)[1] for m in range(2, n + 1))
+        irrational_straddles += any(straddles) and not rational
+    assert irrational_straddles
+
+
+def test_floor_powers_takes_one_root_per_call(monkeypatch):
+    # a straddle is decided among its candidates, not by a root of its own,
+    # so the roots do not grow with the straddles (this sequence has hundreds)
+    counts = {"floor_root": 0, "floor_powers": 0}
+
+    def counted(name, f):
+        def spy(*args):
+            counts[name] += 1
+            return f(*args)
+        return spy
+
+    monkeypatch.setattr(core, "floor_root", counted("floor_root", floor_root))
+    monkeypatch.setattr(jumping, "floor_powers", counted("floor_powers", floor_powers))
+    sigma_sequence(1, 2**200, 256)
+    assert counts["floor_root"] == counts["floor_powers"] > 1
+
+
+def newton_cases():
+    """(f, t, root): f(t) = (g(t), g'(t)) for an increasing convex integer g
+    with g(0) <= 0, t above its root, and root the root when it is an integer."""
+
+    @st.composite
+    def poly_minus_constant(draw):
+        # nonnegative coefficients, one of them positive at degree >= 1
+        c = draw(st.lists(st.integers(0, 10**6), min_size=2, max_size=6).filter(
+            lambda c: any(c[:-1])))
+        slope = [a * (len(c) - 1 - i) for i, a in enumerate(c[:-1])]
+        at = draw(st.integers(0, 10**12))
+        extra = draw(st.sampled_from([0, 1]) | st.integers(0, 10**30))
+        const = horner(c, at) + extra  # poly(at + e) >= poly(at) + e: the root is <= at + extra
+        return ((lambda t: (horner(c, t) - const, horner(slope, t))),
+                at + extra + draw(st.integers(1, 10**15)), None if extra else at)
+
+    @st.composite
+    def product_minus_constant(draw):
+        # prod_j (D t - B_j) - c past B_p / D, taken as -1 up to there
+        D = draw(st.integers(1, 1000))
+        B = sorted(draw(st.lists(st.integers(0, 10**9), min_size=1, max_size=6)))
+        at = B[-1] // D + draw(st.integers(1, 10**6))
+        extra = draw(st.sampled_from([0, 1]) | st.integers(0, 10**40))
+        c = math.prod(D * at - x for x in B) + extra  # factors >= 1 past B_p: root <= at + extra
+
+        def f(t):
+            if D * t <= B[-1]:
+                return -1, 1
+            h, slope = 1, 0
+            for x in B:
+                h, slope = h * (D * t - x), slope * (D * t - x) + h * D
+            return h - c, slope
+        return f, at + extra + draw(st.integers(1, 10**12)), None if extra else at
+
+    return poly_minus_constant() | product_minus_constant()
+
+
+@settings(deadline=None, max_examples=300)
+@given(newton_cases())
+def test_newton_floor_matches_bisection(case):
+    f, t, root = case
+    assert f(t)[0] > 0
+    floor, g = newton_floor(f, t)
+    assert floor == bisect(lambda x: f(x)[0] <= 0, 0, t)
+    assert g == f(floor)[0] <= 0
+    assert root is None or (floor, g) == (root, 0)
 
 
 def test_floor_powers_edge_cases():

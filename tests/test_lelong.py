@@ -130,15 +130,17 @@ def density_at_least(u: int, v: int, r: Fraction, y: Fraction) -> bool:
 
 def test_lelong_numeric_is_within_tol_below_the_density():
     rng = random.Random(2)
-    for _ in range(400):
-        u = rng.randint(1, 6)
-        v = u + rng.choice([d for d in range(1, 5) if math.gcd(u, u + d) == 1])
-        r = Fraction(rng.randint(1, 10**6), 10**6)
-        tol = Fraction(1, 10 ** rng.randint(1, 30))
-        [(_, lo)] = lelong_numeric(ParamCurve(u, v), [r], tol)
-        assert lo >= u
-        assert density_at_least(u, v, r, lo)
-        assert not density_at_least(u, v, r, lo + tol)
+    # r down to 1e-6 at tol down to 1e-30, then r down to 1e-300 at tol down to 1e-1000
+    for draws, r_digits, tol_digits in ((400, 6, 30), (100, 300, 1000)):
+        for _ in range(draws):
+            u = rng.randint(1, 6)
+            v = u + rng.choice([d for d in range(1, 5) if math.gcd(u, u + d) == 1])
+            r = Fraction(rng.randint(1, 10**6), 10 ** rng.randint(6, r_digits))
+            tol = Fraction(1, 10 ** rng.randint(1, tol_digits))
+            [(_, lo)] = lelong_numeric(ParamCurve(u, v), [r], tol)
+            assert lo >= u
+            assert density_at_least(u, v, r, lo)
+            assert not density_at_least(u, v, r, lo + tol)
 
 
 def test_area_formula_against_exact_riemann_sums():
