@@ -67,7 +67,8 @@ def sigma_sequence(
     min(eps (n-1)/(2n), q); a check loses at most two widths, so all pass once
     2^(2-k) < g, as at k_max = grid_bits(g) + 2.  Brackets nest as k grows, so
     the coarsest passing k <= k_max is taken, and nests as tol shrinks.  If
-    grid_bits(tol) + 1 fails, k_max - grid_bits(tol) > _SIGMA_CAP is refused.
+    grid_bits(tol) + 1 fails, k_max - grid_bits(tol) > _SIGMA_CAP is refused,
+    and each probe j shifts the t_p of k_max right by k_max - j: one more root.
     """
     sigma0, Ln, tol = Fraction(sigma0), Fraction(Ln), check_tol(tol)
     if n < 1:
@@ -77,21 +78,21 @@ def sigma_sequence(
         raise InputError("need 0 < sigma0 < L^n")
     e = (-(-a // b)).bit_length() + 1
 
-    def attempt(k: int) -> tuple[bool, list[tuple[int, int]]]:
+    def attempt(k: int, ts: list[int]) -> tuple[bool, list[tuple[int, int]]]:
         one, den = 1 << k + e, b << e
-        ends = [(a * (one - t - 1) // den, -(-a * (one - t) // den))
-                for t in floor_powers(a * d - s * b, a * d, n, k + e)]
+        ends = [(a * (one - t - 1) // den, -(-a * (one - t) // den)) for t in ts]
         ok = all(s * p << k < lo * d * n and hi * d < s << k for p, (lo, hi) in enumerate(ends, 1))
         return ok and all(x[1] < y[0] for x, y in zip(ends, ends[1:])), ends
 
     k = grid_bits(tol) + 1
-    ok, ends = attempt(k)
+    ok, ends = attempt(k, floor_powers(a * d - s * b, a * d, n, k + e))
     if not ok:
         k_max = grid_bits(sigma0 / n * min(sigma0 * (n - 1) / (2 * n * Ln), 1 - sigma0 / Ln)) + 2
         if k_max - k + 1 > _SIGMA_CAP:
             raise InputError(f"sigma needs {k_max - k + 1} grid bits past tol; cap {_SIGMA_CAP}")
-        k = bisect(lambda j: not attempt(j)[0], k, k_max) + 1
-        ok, ends = attempt(k)
+        top = floor_powers(a * d - s * b, a * d, n, k_max + e)  # floor(2^j y) = floor(2^k_max y) >> k_max - j
+        k = bisect(lambda j: not attempt(j, [t >> k_max - j for t in top])[0], k, k_max) + 1
+        ok, ends = attempt(k, [t >> k_max - k for t in top])
         if not ok:
             raise AssertionError(f"sigma checks fail on the proven grid 2^-{k}")
     return SigmaSequence(k, tuple(ends))

@@ -5,8 +5,8 @@ construction; C(m, j) is the polynomial m (m-1) ... (m-j+1) / j!, so P is
 defined at negative m too.  The window searches assume (caller contract) that
 P >= 0 on [m0, infinity); a failed search therefore signals a violated
 assertion, not a missing value, and raises InputError.  Each search finds
-the least qualifying integer exactly, by Sturm-sequence root isolation of the
-integer polynomial d! (P(x) - target): its cost grows with log N, not N.
+the least qualifying integer exactly, by bisection on pieces where the integer
+polynomial d! (P(x) - target) is monotone: its cost grows with log N, not N.
 """
 
 from __future__ import annotations
@@ -93,25 +93,40 @@ def poly_report(
 def _first_reaching(P: NumericalPolynomial, target: int, lo: int, hi: int) -> int:
     """Smallest integer m in [lo, hi] with P(m) >= target.
 
-    q = d! (P - target) has integer coefficients.  While q(m) < 0, the next
-    integer where q can be nonnegative is the ceiling of the next real root
-    above m, found by bisecting over integers on Sturm counts; q has at most
-    d distinct roots, so this costs O(d log(hi - lo)) chain evaluations.
+    q = d! (P - target) has integer coefficients and is monotone on each piece
+    [a, b - 1] of _monotone_cuts.  So q >= 0 somewhere on a piece iff at one of
+    its ends, and if q(a) < 0 <= q(b - 1), q increases there and the least such
+    m is found by bisection.  The cuts cost O(d^2 log(hi - lo)) evaluations.
     """
-    chain = _sturm_chain(_shifted_power_coeffs(P, target))
-    q = chain[0]
-    m = lo  # lo <= hi for every window
-    while horner(q, m) < 0:
-        v_m = _variations(chain, m)
+    q = _shifted_power_coeffs(P, target)
+    cuts = _monotone_cuts(q, lo, hi + 1)  # lo <= hi for every window
+    for a, b in zip(cuts, cuts[1:]):
+        if horner(q, a) >= 0:
+            return a
+        if b - a > 1 and horner(q, b - 1) >= 0:
+            return bisect(lambda x: horner(q, x) < 0, a, b - 1) + 1
+    raise InputError(f"no m in [{lo}, {hi}] with P(m) >= {target}")
 
-        def root_in(x: int) -> bool:
-            # a root in (m, x]; the Sturm count holds since q(m) != 0 != q(x)
-            return horner(q, x) == 0 or _variations(chain, x) < v_m
 
-        if not root_in(hi):
-            raise InputError(f"no m in [{lo}, {hi}] with P(m) >= {target}")
-        m = bisect(lambda x: not root_in(x), m, hi) + 1  # least x with a root in (m, x]
-    return m
+def _monotone_cuts(q: list[int], lo: int, hi: int) -> list[int]:
+    """Integers lo = c_0 < ... < c_r = hi with q monotone on each real interval
+    [c_i, c_{i+1} - 1], cut from the linear derivative up to q' (derivative-
+    sequence isolation; Collins & Loos, Real zeros of polynomials, 1982).  The
+    linear q^(d-1) is monotone on [lo, hi - 1].  If f = q^(j) is monotone on a
+    piece, it changes sign there at most once, and a cut just past the change
+    leaves f of one sign, so q^(j-1) monotone, on both sides; a piece of one
+    integer needs no cut.  Each q^(j) is read off q, one at a time, with
+    coefficients at most log2(d!) bits larger than q's."""
+    d, cuts = len(q) - 1, [lo, hi]
+    for j in range(d - 1, 0, -1):  # f = q^(j), from the linear one up to q'
+        f = [c * math.perm(d - i, j) for i, c in enumerate(q[:d + 1 - j])]
+        new = [lo]
+        for a, b in zip(cuts, cuts[1:]):
+            if b - a > 1 and horner(f, a) * (s := horner(f, b - 1)) < 0:
+                new.append(bisect(lambda x: horner(f, x) * s <= 0, a, b - 1) + 1)
+            new.append(b)
+        cuts = new
+    return cuts
 
 
 def _shifted_power_coeffs(P: NumericalPolynomial, target: int) -> list[int]:
@@ -126,30 +141,3 @@ def _shifted_power_coeffs(P: NumericalPolynomial, target: int) -> list[int]:
         falling = [a - j * b for a, b in zip([0] + falling, falling + [0])]
     out[0] -= math.factorial(d) * target
     return out[::-1]
-
-
-def _sturm_chain(q: list[int]) -> list[list[int]]:
-    """Sturm sequence q, q', -rem(q, q'), ... (highest degree first).  Each
-    remainder is taken times a positive factor, so it stays integral and the
-    sign changes are those of the rational sequence."""
-    d = len(q) - 1
-    chain = [q, [c * (d - i) for i, c in enumerate(q[:-1])]]
-    while len(chain[-1]) > 1:
-        r, b = chain[-2], chain[-1]
-        scale, sign = abs(b[0]), 1 if b[0] > 0 else -1
-        while len(r) >= len(b):
-            pad = [0] * (len(r) - len(b))
-            r = [scale * x - sign * r[0] * y for x, y in zip(r[1:], b[1:] + pad)]
-        while r and r[0] == 0:
-            r = r[1:]
-        if not r:
-            break
-        g = math.gcd(*r)
-        chain.append([-x // g for x in r])
-    return [poly for poly in chain if poly]  # q' is empty at d = 0
-
-
-def _variations(chain: list[list[int]], x: int) -> int:
-    """Sign changes along the chain at x, zeros dropped."""
-    signs = [v > 0 for v in (horner(poly, x) for poly in chain) if v]
-    return sum(a != b for a, b in zip(signs, signs[1:]))

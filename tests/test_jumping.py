@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from posbounds import jumping
 from posbounds.adjoint import JetSpec
 from posbounds.core import (
-    Bracket, InputError, floor_root, grid_bits, iroot, pow_bracket,
+    Bracket, InputError, floor_powers, floor_root, grid_bits, iroot, pow_bracket,
 )
 from posbounds.jumping import (
     _root_floor,
@@ -77,6 +77,17 @@ def test_sigma_sequence_certifies_a_near_degenerate_ratio_on_the_proven_grid():
     s = sigma_sequence(Fraction(1, 1000), 1, 2, tol=1)
     assert s.k == 23
     assert_sigma_bounds(s, Fraction(1, 1000), 2)
+
+
+def test_sigma_bisection_takes_one_root(monkeypatch):
+    # the first grid fails, so the bisection probes several; each reads its
+    # floors off the one root at k_max, as floor(2^j y) = floor(2^k y) >> (k - j)
+    # (a root per probe takes 13 here)
+    calls = []
+    monkeypatch.setattr(jumping, "floor_powers", lambda *args: calls.append(args) or floor_powers(*args))
+    s = sigma_sequence(1, 2**3000, 64)
+    assert len(calls) == 2 and calls[0][3] < calls[1][3]  # the first grid, then k_max
+    assert_sigma_bounds(s, 1, 64)
 
 
 @settings(deadline=None, max_examples=50)

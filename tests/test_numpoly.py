@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from posbounds.core import InputError
+from posbounds import numpoly
+from posbounds.core import InputError, horner
 from posbounds.numpoly import (
     NumericalPolynomial,
     window_a,
@@ -194,7 +195,7 @@ def test_iterated_difference_property(coeffs, base):
     assert iterated_difference(P, base) == iterated_difference(P, base + 7) == P.leading
 
 
-coeff_lists = st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=6).map(
+coeff_lists = st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=11).map(
     lambda c: tuple(c[:-1]) + (c[-1] or 1,)
 )
 
@@ -203,9 +204,9 @@ coeff_lists = st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max
 def repeated_root_polys(draw):
     """P = N + c * prod (x - r_i)^e_i: P - N has repeated integer roots."""
     N = draw(st.integers(min_value=0, max_value=60))
-    factors = draw(st.lists(st.tuples(st.integers(-10, 40), st.integers(1, 3)), min_size=1, max_size=3))
+    factors = draw(st.lists(st.tuples(st.integers(-10, 40), st.integers(1, 3)), min_size=1, max_size=6))
     degree = sum(e for _, e in factors)
-    assume(degree <= 5)
+    assume(degree <= 10)
     c = draw(st.sampled_from([-2, -1, 1, 3]))
     values = [N + c * math.prod((x - r) ** e for r, e in factors) for x in range(degree + 1)]
     return binomial_coeffs(values), N
@@ -215,6 +216,7 @@ def repeated_root_polys(draw):
 @example(((-1,), None), 3, 0, 1)  # N = 0 and P = -1 never meets it
 @example(((0, -1), None), 0, 0, 1)  # N = 0, P(m0) = 0 meets it
 @example(((5, -3, 1), None), -4, 0, 1)
+@example(((-1, -5, 0, 2), None), -4, 2, 1)  # 6 (P - 2) peaks in (-2, -1) and is 0 only at -1
 @given(
     st.one_of(coeff_lists.map(lambda c: (c, None)), repeated_root_polys()),
     st.integers(min_value=-40, max_value=40),
@@ -229,3 +231,24 @@ def test_windows_match_the_linear_scan(poly_and_N, m0, N, k):
     assert outcome(window_a, P, m0, N) == outcome(scan_window_a, P, m0, N)
     assert outcome(window_b, P, m0, k) == outcome(scan_window_b, P, m0, k)
     assert outcome(window_c, P, m0, N) == outcome(scan_window_c, P, m0, N)
+
+
+def test_window_search_evaluates_only_q_and_its_derivatives(monkeypatch):
+    # C(m, 40) vanishes at m = 0..39, at the window's start.  The search cuts
+    # where the derivatives of q = 40! (C(x, 40) - N) change sign, so it
+    # evaluates nothing but q and them, whose coefficients stay near q's 180
+    # bits (a Sturm chain's remainders reach 1,166 bits here).
+    d, N = 40, 10**6
+    q = [1]  # x (x-1) ... (x-d+1), highest degree first
+    for j in range(d):
+        q = [a - j * b for a, b in zip(q + [0], [0] + q)]
+    q[-1] -= math.factorial(d) * N
+    derivatives = {tuple(q)}
+    while len(q) > 1:
+        q = [c * (len(q) - 1 - i) for i, c in enumerate(q[:-1])]
+        derivatives.add(tuple(q))
+    seen = set()
+    monkeypatch.setattr(numpoly, "horner", lambda poly, x: seen.add(tuple(poly)) or horner(poly, x))
+    P = NumericalPolynomial((0,) * d + (1,))
+    assert window_a(P, 0, N) == scan_window_a(P, 0, N)
+    assert seen and seen <= derivatives
