@@ -9,26 +9,25 @@ are caller declarations echoed into the report, never verified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import InputError
+from .core import InputError, Record
 from .report import BoundReport
 
 
-@dataclass(frozen=True)
-class JetSpec:
-    """Requested jet orders s_j at finitely many points."""
+class JetSpec(Record):
+    """Requested jet orders s_j at finitely many points, a tuple."""
 
-    orders: tuple[int, ...]
+    __slots__ = ("orders",)
 
-    def __post_init__(self) -> None:
-        if not self.orders:
+    def __init__(self, orders: tuple[int, ...]) -> None:  # direct: built on library hot paths
+        if not orders:
             raise InputError("jets must list at least one jet order")
-        if any(s < 0 for s in self.orders):
+        if any(s < 0 for s in orders):
             raise InputError("jet orders must be nonnegative")
+        object.__setattr__(self, "orders", orders)
 
 
 def siu_jet_threshold(n: int, jets: JetSpec) -> int:
@@ -122,10 +121,12 @@ class CheckOutcome(Enum):
     CRITERION_HOLDS = "criterion-holds"
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    outcome: CheckOutcome
-    matched: tuple[tuple[int, int], ...] = ()
+class CheckResult(Record):
+    __slots__ = ("outcome", "matched")  # matched: the (L.D, D^2) pairs that are exceptions
+
+    def __init__(self, outcome: CheckOutcome, matched: tuple = ()) -> None:  # direct, as JetSpec
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "matched", matched)
 
 
 REIDER_SPANNED_EXCEPTIONS = ((0, -1), (1, 0))

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import inspect
 import json
 import os
 import sys
@@ -214,7 +213,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     del args["command"]
     args.pop("variant", None)
     as_table = args.pop("format", "json") == "table"
-    takes_tol = "tol" in inspect.signature(report_of).parameters
+    code = report_of.__code__  # its named parameters come first in co_varnames
+    takes_tol = "tol" in code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
     try:
         tol = default_tol()  # validated for every command
         report = report_of(**args, tol=tol) if takes_tol else report_of(**args)

@@ -8,13 +8,12 @@ report prints is enclosed by the ends of certified root brackets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .core import (
-    DEFAULT_TOL, Bracket, InputError, QLike, check_tol, elem_sym_rows, nth_root_bracket,
+    DEFAULT_TOL, Bracket, InputError, QLike, Record, check_tol, elem_sym_rows, nth_root_bracket,
 )
 from .report import BoundReport
 
@@ -25,11 +24,8 @@ class Verdict(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class InequalityResult:
-    verdict: Verdict
-    slack: Bracket  # LHS minus RHS of the certified inequality
-    equality: bool = False
+class InequalityResult(Record):
+    __slots__ = ("verdict", "slack", "equality")  # slack: LHS minus RHS, a Bracket
 
 
 def ht_products(
@@ -60,7 +56,7 @@ def ht_products(
     holds, violated = mixed >= 0 and mixed ** n >= top, mixed < 0 or mixed ** n < bottom
     verdict = Verdict.HOLDS if holds else Verdict.VIOLATED if violated else Verdict.UNKNOWN
     return InequalityResult(verdict, Bracket(mixed - gm_hi, mixed - gm_lo),
-                            equality=verdict is Verdict.HOLDS and mixed ** n == bottom)
+                            verdict is Verdict.HOLDS and mixed ** n == bottom)  # equality
 
 
 def _inequality_report(theorem: str, inputs: dict, res: InequalityResult) -> BoundReport:
@@ -79,7 +75,7 @@ def ht_products_report(
 def _at_least(big: Fraction, small: Fraction) -> InequalityResult:
     """The exact inequality big >= small, with slack big - small."""
     verdict = Verdict.HOLDS if big >= small else Verdict.VIOLATED
-    return InequalityResult(verdict, Bracket.point(big - small), equality=big == small)
+    return InequalityResult(verdict, Bracket.point(big - small), big == small)  # equality
 
 
 def ht_mixed_chain(Ln: QLike, LH: QLike, LnpHp: QLike, n: int, p: int) -> InequalityResult:

@@ -12,9 +12,8 @@ No certification gives up; any exception but ``InputError`` is a bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Any, Callable, Sequence, Union
 
 QLike = Union[int, Fraction]
 
@@ -87,16 +86,53 @@ def iroot(a: int, q: int) -> tuple[int, bool]:
         x = ((q - 1) * x + a // p) // q
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Record:
+    """A value record: the fields are the subclass's __slots__, all given in order
+    and then checked by _check; equal by value."""
+
+    __slots__ = ()
+
+    def __init__(self, *args: Any) -> None:
+        names = self.__slots__
+        if len(args) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    def _check(self) -> None:
+        """A subclass raises InputError here on invalid fields."""
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"{type(self).__name__} fields are read-only: {name!r}")
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:  # the class and the fields: pickle, copy and == read them
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented  # so a Bracket never equals a tuple
+        return other is self or self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+
+class Bracket(Record):
     """Closed rational interval [lo, hi] certified to contain a real value."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"bracket endpoints out of order: {self.lo} > {self.hi}")
+    def __init__(self, lo: Fraction, hi: Fraction) -> None:
+        if lo > hi:
+            raise ValueError(f"bracket endpoints out of order: {lo} > {hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @staticmethod
     def point(x: QLike) -> "Bracket":

@@ -10,12 +10,11 @@ side of each strict inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import (
-    DEFAULT_TOL, Bracket, InputError, QLike, bisect, check_tol, elem_sym_rows,
+    DEFAULT_TOL, Bracket, InputError, QLike, Record, bisect, check_tol, elem_sym_rows,
     floor_powers, floor_root, grid_bits, horner, iroot, newton_floor, pow_bracket,
 )
 from .report import BoundReport
@@ -26,13 +25,11 @@ if TYPE_CHECKING:  # annotation only; jets subcommands need not load adjoint
 _SIGMA_CAP = 4096  # most bits past grid_bits(tol) that sigma_sequence bisects over
 
 
-@dataclass(frozen=True)
-class SigmaSequence:
+class SigmaSequence(Record):
     """Certified brackets for sigma_1..sigma_{n-1}, held as integer pairs ends
     over 2^k; a Bracket is built only when one is read."""
 
-    k: int
-    ends: tuple[tuple[int, int], ...]
+    __slots__ = ("k", "ends")
 
     @property
     def sigma_p(self) -> tuple[Bracket, ...]:
@@ -201,6 +198,8 @@ def main_theorem_check(
     extra = sorted(p for p in minY if not 1 <= p < n)
     if extra:
         raise InputError(f"minY for p in {extra} outside 1..{n - 1}")
+    if any(v < 1 for v in minY.values()):
+        raise InputError("minY must be a positive integer")
     details: dict = {"nef_twist": False}  # a schema-1 field: L is taken without a nef twist
     if sigma0 >= Ln:
         details["reason"] = "L^n does not exceed sigma0"

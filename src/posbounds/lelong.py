@@ -10,11 +10,10 @@ tends to the multiplicity u.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
-from .core import DEFAULT_TOL, InputError, QLike, check_tol, floor_root, newton_floor
+from .core import DEFAULT_TOL, InputError, QLike, Record, check_tol, floor_root, newton_floor
 from .report import BoundReport
 
 
@@ -27,22 +26,18 @@ def ord_at_origin(poly: Mapping[tuple[int, ...], int]) -> int:
     return min(degrees)
 
 
-@dataclass(frozen=True)
-class Component:
-    coeff: Fraction
-    id: Hashable
-    point_multiplicities: Mapping[Hashable, int]
+class Component(Record):
+    __slots__ = ("coeff", "id", "point_multiplicities")  # a Fraction, a key, {point: mult}
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.coeff <= 0:
             raise InputError("component coefficient must be positive")
         if any(m < 0 for m in self.point_multiplicities.values()):
             raise InputError("multiplicities must be nonnegative")
 
 
-@dataclass(frozen=True)
-class DivisorCurrent:
-    components: tuple[Component, ...]
+class DivisorCurrent(Record):
+    __slots__ = ("components",)  # a tuple of Components
 
     @staticmethod
     def of(*parts: tuple[QLike, Hashable, Mapping[Hashable, int]]) -> "DivisorCurrent":
@@ -67,14 +62,12 @@ def upperlevel_set(T: DivisorCurrent, c: QLike) -> set[Hashable]:
     return {comp.id for comp in T.components if comp.coeff >= c}
 
 
-@dataclass(frozen=True)
-class ParamCurve:
+class ParamCurve(Record):
     """Parametrized curve t -> (t^u, t^v) with 1 <= u <= v, gcd(u, v) = 1."""
 
-    u: int
-    v: int
+    __slots__ = ("u", "v")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not (1 <= self.u <= self.v):
             raise InputError("need 1 <= u <= v")
         if math.gcd(self.u, self.v) != 1:
@@ -133,11 +126,10 @@ def _density_lower(u: int, v: int, r2: Fraction, tol: Fraction) -> Fraction:
     return u + Fraction(((v - u) * q * lo**v << j) // top, 1 << j)
 
 
-@dataclass(frozen=True)
-class CurveData:
-    """Finite sample of curves through a point: (L . C, multiplicity)."""
+class CurveData(Record):
+    """Finite sample of curves through a point: a tuple of (L . C, multiplicity)."""
 
-    curves: tuple[tuple[Fraction, int], ...]
+    __slots__ = ("curves",)
 
     @staticmethod
     def of(*curves: tuple[QLike, int]) -> "CurveData":

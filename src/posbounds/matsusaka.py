@@ -10,11 +10,10 @@ powers of rationals and reported as point Brackets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .core import Bracket, InputError, QLike
+from .core import Bracket, InputError, QLike, Record
 from .report import BoundReport
 
 
@@ -56,15 +55,10 @@ def lambda_n(n: int, policy: Union[str, int]) -> int:
     raise InputError(f"unknown lambda policy {policy!r}")
 
 
-@dataclass(frozen=True)
-class MatsusakaInputs:
-    """Intersection data for the main bound."""
+class MatsusakaInputs(Record):
+    """Intersection data for the main bound: Ln, LB and LK are Fractions."""
 
-    n: int
-    Ln: Fraction
-    LB: Fraction
-    LK: Fraction
-    lambda_policy: Union[str, int] = "demailly"
+    __slots__ = ("n", "Ln", "LB", "LK", "lambda_policy")
 
     @staticmethod
     def of(

@@ -11,20 +11,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import InputError, QLike
+from .core import InputError, QLike, Record
 from .report import BoundReport
 
 
-@dataclass(frozen=True)
-class MonomialWeightData:
-    alpha: tuple[Fraction, ...]
+class MonomialWeightData(Record):
+    __slots__ = ("alpha",)  # a tuple of positive Fractions
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.alpha or any(a <= 0 for a in self.alpha):
             raise InputError("weight exponents must be positive")
 
@@ -33,11 +31,10 @@ class MonomialWeightData:
         return MonomialWeightData(tuple(Fraction(a) for a in alpha))
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
-    """Monomial ideal given by its minimal generators (an antichain)."""
+class MonomialIdeal(Record):
+    """Monomial ideal given by its minimal generators (an antichain), a frozenset."""
 
-    generators: frozenset[tuple[int, ...]]
+    __slots__ = ("generators",)
 
     def contains(self, beta: Sequence[int]) -> bool:
         return any(all(b >= g for b, g in zip(beta, gen)) for gen in self.generators)
@@ -103,10 +100,8 @@ class SkodaClass(Enum):
     CONTAINED_IN_POWER = "contained_in_power"
 
 
-@dataclass(frozen=True)
-class SkodaResult:
-    kind: SkodaClass
-    power: int | None = None  # I(phi) is inside m^power when kind is CONTAINED_IN_POWER
+class SkodaResult(Record):
+    __slots__ = ("kind", "power")  # I(phi) is inside m^power when kind is CONTAINED_IN_POWER
 
 
 def skoda_classify(nu: QLike, n: int) -> SkodaResult:
@@ -119,8 +114,8 @@ def skoda_classify(nu: QLike, n: int) -> SkodaResult:
     if nu < 0:
         raise InputError("Lelong number must be nonnegative")
     if nu < 1:
-        return SkodaResult(SkodaClass.TRIVIAL)
+        return SkodaResult(SkodaClass.TRIVIAL, None)
     if nu >= n:
         s = math.floor(nu - n)
-        return SkodaResult(SkodaClass.CONTAINED_IN_POWER, power=s + 1)
-    return SkodaResult(SkodaClass.INDETERMINATE)
+        return SkodaResult(SkodaClass.CONTAINED_IN_POWER, s + 1)
+    return SkodaResult(SkodaClass.INDETERMINATE, None)

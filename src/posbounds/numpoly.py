@@ -12,20 +12,18 @@ polynomial d! (P(x) - target) is monotone: its cost grows with log N, not N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import InputError, bisect, horner
+from .core import InputError, Record, bisect, horner
 from .report import BoundReport
 
 
-@dataclass(frozen=True)
-class NumericalPolynomial:
-    """Integer-valued polynomial P(m) = sum coeffs[j] * C(m, j)."""
+class NumericalPolynomial(Record):
+    """Integer-valued polynomial P(m) = sum coeffs[j] * C(m, j), coeffs a tuple."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.coeffs or self.coeffs[-1] == 0:
             raise InputError("leading binomial-basis coefficient must be nonzero")
 

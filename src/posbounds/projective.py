@@ -8,17 +8,15 @@ ring is Z[H_1,...,H_r]/(H_i^{k_i+1}) and all numbers are computable exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .core import InputError
+from .core import InputError, Record
 
 
-@dataclass(frozen=True)
-class ProductSpace:
-    factor_dims: tuple[int, ...]
+class ProductSpace(Record):
+    __slots__ = ("factor_dims",)  # a tuple of positive ints
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.factor_dims or any(k < 1 for k in self.factor_dims):
             raise InputError("factor dimensions must be positive integers")
 
@@ -31,12 +29,10 @@ class ProductSpace:
         return len(self.factor_dims)
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    space: ProductSpace
-    coeffs: tuple[int, ...]
+class DivisorClass(Record):
+    __slots__ = ("space", "coeffs")  # a ProductSpace, a tuple of ints
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.coeffs) != self.space.r:
             raise InputError("coefficient count must match the number of factors")
 
@@ -135,21 +131,18 @@ def _splits(dims: tuple[int, ...], total: int):
             yield (e,) + rest
 
 
-@dataclass
-class IntersectionProfile:
-    """Declared intersection data consumed by the bound modules.
+class IntersectionProfile(Record):
+    """Declared intersection data consumed by the bound modules; mutable.
 
     per_dim_min entries are caller declarations (the true minimum over all
     subvarieties is not computable from finite data); the fixture's strata
     minima are upper bounds only.
     """
 
-    n: int
-    Ln: int
-    LK: int = 0
-    per_dim_min: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("n", "Ln", "LK", "per_dim_min")  # ints, and {p: declared min}
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.n < 1:
             raise InputError("dimension must be >= 1")
 
@@ -160,9 +153,4 @@ def profile_from_fixture(space: ProductSpace, L: DivisorClass) -> IntersectionPr
     K = canonical_class(space)
     Ln = top_intersection([L] * n)
     LK = top_intersection([L] * (n - 1) + [K]) if n >= 2 else sum(K.coeffs)
-    return IntersectionProfile(
-        n=n,
-        Ln=Ln,
-        LK=LK,
-        per_dim_min=strata_minima(space, L),
-    )
+    return IntersectionProfile(n, Ln, LK, strata_minima(space, L))

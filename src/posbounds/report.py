@@ -8,11 +8,10 @@ report fields; a missing or unknown field is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .core import Bracket, InputError
+from .core import Bracket, InputError, Record
 
 SCHEMA_VERSION = 1
 
@@ -52,13 +51,17 @@ def value_from_json(v: Any) -> Any:
     return v
 
 
-@dataclass
-class BoundReport:
-    theorem: str
-    inputs: dict[str, Any] = field(default_factory=dict)
-    threshold: Any = None
-    verdict: str = "threshold-only"
-    details: dict[str, Any] = field(default_factory=dict)
+class BoundReport(Record):
+    """A bound's answer in its schema-1 fields; mutable and unhashable."""
+
+    __slots__ = ("theorem", "inputs", "threshold", "verdict", "details")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, theorem: str, inputs: dict | None = None, threshold: Any = None,
+                 verdict: str = "threshold-only", details: dict | None = None) -> None:
+        self.theorem, self.threshold, self.verdict = theorem, threshold, verdict
+        self.inputs = {} if inputs is None else inputs  # a fresh dict per report
+        self.details = {} if details is None else details
 
     def to_json(self) -> dict:
         return {
@@ -78,10 +81,8 @@ class BoundReport:
             raise InputError(f"unknown report fields: {unknown}, missing: {missing}")
         if data["schema"] != SCHEMA_VERSION:
             raise InputError(f"unsupported schema version {data['schema']!r}")
-        return BoundReport(
-            theorem=data["theorem"],
-            inputs=value_from_json(data["inputs"]),
-            threshold=value_from_json(data["threshold"]),
-            verdict=data["verdict"],
-            details=value_from_json(data["details"]),
-        )
+        inputs, details = value_from_json(data["inputs"]), value_from_json(data["details"])
+        if type(inputs) is not dict or type(details) is not dict:
+            raise InputError("report inputs and details must be JSON objects")
+        return BoundReport(data["theorem"], inputs, value_from_json(data["threshold"]),
+                           data["verdict"], details)

@@ -159,16 +159,36 @@ print("numpy" in sys.modules)
     ids=["bounds-siu", "jets-mu", "help", "usage-error"],
 )
 def test_cli_imports_only_the_family_it_runs(argv, families):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run(
-        [sys.executable, "-c", LOADED_BY_MAIN, *argv],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout.splitlines()
+    out = fresh_python(LOADED_BY_MAIN, *argv).splitlines()
     expected = sorted(f"posbounds.{name}" for name in ["cli", "core", *families])
     assert json.loads(out[0]) == expected
     assert out[1] == "False"
+
+
+def fresh_python(code, *argv):
+    """stdout of code run in a new interpreter that imports posbounds from src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env=env, capture_output=True, text=True, check=True).stdout
+
+
+LOADED_BY_EVERY_FAMILY = """
+import importlib, json, sys
+before = set(sys.modules)
+from posbounds.cli import COMMANDS
+for entry in COMMANDS.values():
+    importlib.import_module("posbounds." + entry[1].rpartition(".")[0])
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_no_command_loads_dataclasses_or_inspect():
+    # each costs milliseconds of import per process (inspect pulls in ast, dis, tokenize)
+    loaded = json.loads(fresh_python(LOADED_BY_EVERY_FAMILY))
+    assert "posbounds.matsusaka" in loaded
+    assert not {"dataclasses", "inspect"} & set(loaded)
 
 
 @pytest.mark.parametrize("path", list(COMMANDS), ids=" ".join)
@@ -181,10 +201,14 @@ def test_command_table_resolves(path):
     dests = {parser.add_argument(flag, **kwargs).dest for flag, kwargs in flags.items()}
     dests.discard("format")  # main consumes --format itself
     signature = inspect.signature(report_of)
+    # main reads tol off the code object, which a functools.wraps wrapper would not forward
+    code = report_of.__code__
+    takes_tol = "tol" in code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+    assert takes_tol == ("tol" in signature.parameters)
     assert "tol" not in dests and dests <= signature.parameters.keys()
     # main's call binds: every required parameter is a flag, and tol goes
     # only to a function that takes it
-    signature.bind(**dict.fromkeys(dests | ({"tol"} & signature.parameters.keys())))
+    signature.bind(**dict.fromkeys(dests | ({"tol"} if takes_tol else set())))
 
 
 def test_window_choices_are_the_numpoly_windows():
@@ -258,6 +282,10 @@ def test_empty_lists_exit_2_with_the_argument_named(capsys):
      "per-dimension minima for p in [5] outside 1..2"),
     (["jets", "main", "--n", "3", "--sigma0", "8", "--a", "1", "--beta", "0,1/27,1",
       "--min", "1=76,2=6,7=1", "--Ln", "64"], "minY for p in [7] outside 1..2"),
+    (["jets", "main", "--n", "2", "--sigma0", "1", "--beta", "0,1", "--min", "1=0", "--Ln", "2"],
+     "minY must be a positive integer"),
+    (["jets", "main", "--n", "2", "--sigma0", "1", "--beta", "0,1", "--min", "1=-1", "--Ln", "2"],
+     "minY must be a positive integer"),
 ])
 def test_degenerate_inputs_exit_2(capsys, argv, message):
     assert main(argv) == EXIT_INPUT
@@ -368,8 +396,11 @@ def test_d1_answer_too_long_to_print_exits_1(capsys):
 
 # Checks on values the program computed itself: their failure is a bug (exit 1)
 COMPUTED_VALUE_CHECKS = {
-    ("core", "Bracket.__post_init__", "ValueError"),
+    ("core", "Bracket.__init__", "ValueError"),
     ("core", "Bracket.dyadic", "ValueError"),
+    # a record called with the wrong fields, or a field assigned, is a caller bug
+    ("core", "Record.__init__", "TypeError"),
+    ("core", "Record.__setattr__", "AttributeError"),
     ("jumping", "beta_schedule", "AssertionError"),
     ("jumping", "cn_constant", "AssertionError"),
     ("jumping", "sigma_sequence", "AssertionError"),

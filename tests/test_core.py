@@ -1,7 +1,9 @@
 """Unit and property tests for rationals, brackets, and rational powers."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -31,6 +33,8 @@ from posbounds.jumping import (
     sigma_sequence,
 )
 from posbounds.lelong import ParamCurve, lelong_numeric
+from posbounds.multiplier import SkodaClass, SkodaResult
+from posbounds.report import BoundReport
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 
@@ -146,6 +150,32 @@ def test_iroot_matches_plain_newton_on_large_perfect_powers_and_neighbours(q):
 def test_bracket_rejects_reversed_endpoints():
     with pytest.raises(ValueError):
         Bracket(Fraction(1), Fraction(0))
+
+
+def test_records_are_read_only_values():
+    # what frozen dataclasses gave: value equality and hashing, a field repr,
+    # read-only fields, pickling; a Bracket never equals the tuple of its ends
+    b = Bracket.dyadic(1, 3, 2)
+    assert b == Bracket(Fraction(1, 4), Fraction(3, 4)) and b != (b.lo, b.hi)
+    assert hash(b) == hash(Bracket(Fraction(1, 4), Fraction(3, 4)))
+    assert repr(b) == "Bracket(lo=Fraction(1, 4), hi=Fraction(3, 4))"
+    assert pickle.loads(pickle.dumps(b)) == b == copy.deepcopy(b)
+    for mutate in (lambda: setattr(b, "lo", 0), lambda: delattr(b, "hi")):
+        with pytest.raises(AttributeError):
+            mutate()
+    assert SkodaResult(SkodaClass.TRIVIAL, None) != SkodaResult(SkodaClass.TRIVIAL, 1)
+    for fields in [(SkodaClass.TRIVIAL,), (SkodaClass.TRIVIAL, None, 1)]:
+        with pytest.raises(TypeError):  # every field is given, by position
+            SkodaResult(*fields)
+
+
+def test_bound_report_stays_mutable_and_unhashable():
+    report, other = BoundReport("x"), BoundReport("x")
+    assert report == other and report.details is not other.details
+    report.verdict = "satisfied"
+    assert report != other
+    with pytest.raises(TypeError):
+        hash(report)
 
 
 @given(

@@ -397,6 +397,15 @@ def test_main_theorem_rejects_minY_outside_1_to_n_minus_1():
                 main_theorem_check(3, 8, 1, beta, {1: 76, 2: 6, p: 1}, Ln)
 
 
+def test_main_theorem_rejects_nonpositive_minY():
+    # minY_p is a degree L^(n-p).Y, a positive integer, as recursion_bound requires
+    beta = [0, Fraction(1, 27), 1]
+    for v in (0, -1):
+        for Ln in (64, 8):  # also when L^n does not exceed sigma0
+            with pytest.raises(InputError, match="^minY must be a positive integer$"):
+                main_theorem_check(3, 8, 1, beta, {1: 76, 2: v}, Ln)
+
+
 def test_main_theorem_beta_validation():
     with pytest.raises(ValueError):
         main_theorem_check(2, 4, 0, [Fraction(1, 2), 1], {1: 3}, 5)

@@ -202,13 +202,25 @@ coeff_lists = st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max
 
 @st.composite
 def repeated_root_polys(draw):
-    """P = N + c * prod (x - r_i)^e_i: P - N has repeated integer roots."""
+    """P = N + c * prod (d x - r_i)^e_i: P - N has repeated rational roots r_i / d.
+    Either every r_i is drawn on its own from [-10, 40] with d = 1, so integer
+    roots lie up to 50 apart, or d is in {3, 2, 1} (thirds first) and
+    r_1 <= r_2 <= ... are at most 2d apart, so roots lie closer than one
+    integer and q and its derivatives change sign between integers."""
     N = draw(st.integers(min_value=0, max_value=60))
-    factors = draw(st.lists(st.tuples(st.integers(-10, 40), st.integers(1, 3)), min_size=1, max_size=6))
+    exponents = st.integers(1, 3)
+    if draw(st.booleans()):  # clustered rational roots
+        d = draw(st.sampled_from([3, 2, 1]))
+        r, factors = draw(st.integers(-10, 40)), []
+        for gap, e in draw(st.lists(st.tuples(st.integers(0, 2 * d), exponents), min_size=1, max_size=6)):
+            r += gap
+            factors.append((r, e))
+    else:  # independent integer roots
+        d, factors = 1, draw(st.lists(st.tuples(st.integers(-10, 40), exponents), min_size=1, max_size=6))
     degree = sum(e for _, e in factors)
     assume(degree <= 10)
     c = draw(st.sampled_from([-2, -1, 1, 3]))
-    values = [N + c * math.prod((x - r) ** e for r, e in factors) for x in range(degree + 1)]
+    values = [N + c * math.prod((d * x - r) ** e for r, e in factors) for x in range(degree + 1)]
     return binomial_coeffs(values), N
 
 

@@ -80,6 +80,15 @@ def test_report_rejects_malformed_numbers(threshold, shown):
     assert shown in str(info.value)
 
 
+@pytest.mark.parametrize("field", ["inputs", "details"])
+@pytest.mark.parametrize("value", [None, 5, [], {"num": 1, "den": 2}])
+def test_report_rejects_inputs_and_details_that_are_not_objects(field, value):
+    doc = BoundReport(theorem="x").to_json()
+    doc[field] = value
+    with pytest.raises(InputError, match="^report inputs and details must be JSON objects$"):
+        BoundReport.from_json(doc)
+
+
 def test_report_rejects_wrong_schema():
     doc = BoundReport(theorem="x").to_json()
     doc["schema"] = 2
