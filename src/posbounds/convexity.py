@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .core import (
-    DEFAULT_TOL, Bracket, InputError, QLike, Record, check_tol, elem_sym_rows, nth_root_bracket,
+    DEFAULT_TOL, Bracket, InputError, QLike, Record, check_tol, dyadic_fraction, elem_sym_rows,
+    grid_bits, root_ends,
 )
 from .report import BoundReport
 
@@ -47,15 +48,19 @@ def ht_products(
     if any(b.lo < 0 for b in brackets):
         raise InputError("self-intersections of nef classes must be nonnegative")
 
-    # the n-th root is increasing: the product's ends are the roots' ends multiplied
-    los = [nth_root_bracket(b.lo, n, tol) for b in brackets]
-    his = [lo if b.is_point else nth_root_bracket(b.hi, n, tol) for b, lo in zip(brackets, los)]
-    gm_lo, gm_hi = math.prod(r.lo for r in los), math.prod(r.hi for r in his)
+    # the n-th root is increasing: the slack's ends are m/d less the products t / (c 2^e)
+    # of the roots' upper and lower ends, each (lo, hi, e, c) over c 2^e (core.root_ends)
+    k, m, d = grid_bits(tol), mixed.numerator, mixed.denominator
+    los = [root_ends(b.lo, n, k) for b in brackets]
+    his = [lo if b.is_point else root_ends(b.hi, n, k) for b, lo in zip(brackets, los)]
+    ends = [(math.prod(x[i] for x in r), sum(x[2] for x in r), math.prod(x[3] for x in r))
+            for r, i in ((his, 1), (los, 0))]
+    slack = Bracket(*[dyadic_fraction((m * c << e) - d * t, e, d * c) for t, e, c in ends])
     bottom, top = math.prod(b.lo for b in brackets), math.prod(b.hi for b in brackets)
     # mixed >= g^(1/n)  <=>  mixed^n >= g, for mixed >= 0
     holds, violated = mixed >= 0 and mixed ** n >= top, mixed < 0 or mixed ** n < bottom
     verdict = Verdict.HOLDS if holds else Verdict.VIOLATED if violated else Verdict.UNKNOWN
-    return InequalityResult(verdict, Bracket(mixed - gm_hi, mixed - gm_lo),
+    return InequalityResult(verdict, slack,
                             verdict is Verdict.HOLDS and mixed ** n == bottom)  # equality
 
 

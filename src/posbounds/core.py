@@ -5,7 +5,7 @@ denominator, reduced).  Irrational quantities such as x^(p/q) are returned as
 ``Bracket`` intervals certified to enclose the true value, at most tol wide
 with endpoints on a grid 2^-k; the bracket degenerates to a point whenever the
 value is rational and detected (integer exponents, perfect powers).  Inside
-the kernel brackets are integers over 2^k; Fractions are built at the end.
+the kernel brackets are integers over 2^k, made Fractions by ``dyadic_fraction``.
 No certification gives up; any exception but ``InputError`` is a bug.
 """
 
@@ -140,14 +140,14 @@ class Bracket(Record):
         return Bracket(x, x)
 
     @staticmethod
-    def dyadic(lo: int, hi: int, k: int) -> "Bracket":
-        """[lo, hi] / 2^k, the form of every non-point certified bracket; the
-        order is checked on the integers, so no Fraction is compared."""
+    def dyadic(lo: int, hi: int, k: int, c: int = 1) -> "Bracket":
+        """[lo, hi] / (c 2^k), c >= 1, the form of every certified kernel bracket;
+        the order is checked on the integers, so no Fraction is compared."""
         if lo > hi:
             raise ValueError(f"bracket endpoints out of order: {lo} > {hi} (over 2^{k})")
         b = object.__new__(Bracket)
-        object.__setattr__(b, "lo", Fraction(lo, 1 << k))
-        object.__setattr__(b, "hi", Fraction(hi, 1 << k))
+        object.__setattr__(b, "lo", dyadic_fraction(lo, k, c))
+        object.__setattr__(b, "hi", dyadic_fraction(hi, k, c))
         return b
 
     @property
@@ -160,23 +160,38 @@ class Bracket(Record):
 
 
 def nth_root_bracket(r: QLike, q: int, tol: QLike) -> Bracket:
-    """Certified bracket for r^(1/q), r >= 0, q >= 1: [t, t + 1] / 2^k with
-    k = grid_bits(tol) and t the floor of 2^k r^(1/q); exact on perfect powers."""
+    """Certified bracket for r^(1/q), r >= 0, q >= 1: root_ends on the grid
+    k = grid_bits(tol), so at most tol wide and a point on perfect powers."""
     r = Fraction(r)
     tol = check_tol(tol)
     if r < 0:
         raise InputError("nth root of negative rational")
     if q < 1:
         raise InputError("root index must be >= 1")
-    if q == 1 or r in (0, 1):
-        return Bracket.point(r)
+    return Bracket.dyadic(*root_ends(r, q, grid_bits(tol)))
+
+
+def root_ends(r: Fraction, q: int, k: int) -> tuple[int, int, int, int]:
+    """(lo, hi, e, c): r^(1/q) in [lo, hi] / (c 2^e), r >= 0, q >= 1; the exact root t/c
+    as (t, t, 0, c) on perfect powers, else (t, t + 1, k, 1), t = floor(2^k r^(1/q))."""
     num_root, num_exact = iroot(r.numerator, q)
     den_root, den_exact = iroot(r.denominator, q)
     if num_exact and den_exact:
-        return Bracket.point(Fraction(num_root, den_root))
-    k = grid_bits(tol)
+        return num_root, num_root, 0, den_root
     t = floor_root(r.numerator, r.denominator, q, k)
-    return Bracket.dyadic(t, t + 1, k)
+    return t, t + 1, k, 1
+
+
+def dyadic_fraction(num: int, k: int, c: int = 1) -> Fraction:
+    """num / (c 2^k) in lowest terms, k >= 0, c >= 1, with no gcd of two big integers
+    (CPython's is quadratic): strip v = min(k, nu_2(num)) twos, v = k for num = 0.
+    Then v = k or num >> v is odd, so gcd(num >> v, c 2^(k - v)) = gcd(num >> v, c),
+    and the slots of the canonical Fraction(num, c << k) are set directly."""
+    v = k if num == 0 else min(k, (num & -num).bit_length() - 1)
+    g = math.gcd(num := num >> v, c)
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = num // g, c // g << k - v
+    return f
 
 
 def floor_root(num: int, den: int, q: int, k: int = 0, a: int = 1) -> int:

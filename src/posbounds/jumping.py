@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import (
-    DEFAULT_TOL, Bracket, InputError, QLike, Record, bisect, check_tol, elem_sym_rows,
-    floor_powers, floor_root, grid_bits, horner, iroot, newton_floor, pow_bracket,
+    DEFAULT_TOL, Bracket, InputError, QLike, Record, bisect, check_tol, dyadic_fraction,
+    elem_sym_rows, floor_powers, floor_root, grid_bits, horner, iroot, newton_floor, pow_bracket,
 )
 from .report import BoundReport
 
@@ -139,7 +139,7 @@ def recursion_bound(
     r = sigma0 * Fraction(horner([s * (p - j) for j, s in enumerate(row[:p])], E), n * scale)
     X = b[-1] + max(1, C * sigma0)
     sigma = sigma_sequence(sigma0, Ln, n, tol * p * r / (2 * C * X))
-    rhs = [Fraction(horner([s * x for s, x in zip(row, e)], E), scale << sigma.k)
+    rhs = [dyadic_fraction(horner([s * x for s, x in zip(row, e)], E), sigma.k, scale)
            for e in zip(*sigma.ends[p - 1::-1])]
     k = grid_bits(tol) + 2
     (lo, _), (hi, exact) = [_root_floor(b, x, k) for x in rhs]
@@ -210,10 +210,11 @@ def main_theorem_check(
         margins: dict[str, Fraction | None] = {}
         for p, row in enumerate(elem_sym_rows([a.numerator * x for x in A[:-1]]), 1):
             # rhs = D sum_j S_j E^(p-1-j) sigma_{p-j} / (a.den^(p-1) prod_j (A_{p+1} - A_j) 2^k)
-            den = a.denominator ** (p - 1) * math.prod(A[p] - x for x in A[:p]) << sigma.k
+            c = a.denominator ** (p - 1) * math.prod(A[p] - x for x in A[:p])
             rhs = D * horner([s * hi for s, (_, hi) in zip(row, sigma.ends[p - 1::-1])],
                              a.denominator * D)
-            margins[str(p)] = Fraction(minY[p] * den - rhs, den) if p in minY else None
+            margins[str(p)] = (dyadic_fraction((minY[p] * c << sigma.k) - rhs, sigma.k, c)
+                               if p in minY else None)
         details["margins"] = margins
         satisfied = all(m is not None and m > 0 for m in margins.values())
     inputs = {"n": n, "sigma0": sigma0, "a": a, "beta": betas,

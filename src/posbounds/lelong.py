@@ -13,7 +13,9 @@ import math
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
-from .core import DEFAULT_TOL, InputError, QLike, Record, check_tol, floor_root, newton_floor
+from .core import (
+    DEFAULT_TOL, InputError, QLike, Record, check_tol, dyadic_fraction, floor_root, newton_floor,
+)
 from .report import BoundReport
 
 
@@ -123,7 +125,7 @@ def _density_lower(u: int, v: int, r2: Fraction, tol: Fraction) -> Fraction:
         return q * ((au * a << shift) + av * a) - top, q * ((u * au << shift) + v * av)
 
     lo = newton_floor(g, floor_root(p, q, u, k) + 1)[0]
-    return u + Fraction(((v - u) * q * lo**v << j) // top, 1 << j)
+    return dyadic_fraction((u << j) + ((v - u) * q * lo**v << j) // top, j)
 
 
 class CurveData(Record):

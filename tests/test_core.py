@@ -16,6 +16,7 @@ from posbounds.core import (
     Bracket,
     InputError,
     bisect,
+    dyadic_fraction,
     elem_sym_rows,
     floor_powers,
     floor_root,
@@ -176,6 +177,35 @@ def test_bound_report_stays_mutable_and_unhashable():
     assert report != other
     with pytest.raises(TypeError):
         hash(report)
+
+
+def dyadic_cases():
+    """(num, k, c): num of either sign, zero, or an odd part times 2^t with t
+    above or below k; k up to 4,000; c odd, even or 1."""
+    odd = st.integers(0, 10**6) | st.integers(0, 2**4000)
+    num = st.just(0) | st.builds(lambda sign, m, t: sign * (2 * m + 1) << t,
+                                 st.sampled_from([1, -1]), odd, st.integers(0, 4100))
+    c = st.just(1) | st.integers(1, 10**9) | st.integers(1, 2**200) | st.builds(
+        lambda m, t: m << t, st.integers(1, 10**6), st.integers(1, 64))
+    return st.tuples(num, st.integers(0, 4000), c)
+
+
+@given(dyadic_cases())
+@example((0, 0, 1))
+@example((0, 3000, 6))
+@example((-(3 << 10), 4, 1))
+@example((12 << 4000, 4000, 6))
+@example((-(5 << 20), 3000, 10))
+def test_dyadic_fraction_is_fraction_num_over_c_2k(case):
+    # every slot, and all that reads them, equals what Fraction's own gcd gives
+    num, k, c = case
+    got, want = dyadic_fraction(num, k, c), Fraction(num, c << k)
+    assert type(got) is Fraction and type(got.numerator) is type(got.denominator) is int
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert hash(got) == hash(want) and repr(got) == repr(want) and got == want
+    for clone in (pickle.loads(pickle.dumps(got)), copy.copy(got), copy.deepcopy(got)):
+        assert type(clone) is Fraction and clone == want
+        assert (clone.numerator, clone.denominator) == (want.numerator, want.denominator)
 
 
 @given(
@@ -380,6 +410,30 @@ def test_floor_powers_takes_one_root_per_call(monkeypatch):
     monkeypatch.setattr(jumping, "floor_powers", counted("floor_powers", floor_powers))
     sigma_sequence(1, 2**200, 256)
     assert counts["floor_root"] == counts["floor_powers"] > 1
+
+
+def test_dyadic_results_take_no_gcd_of_two_big_integers(monkeypatch):
+    # at tol 1e-1000 ends have k = 3,322 bits, and Fraction(t, 1 << k) would
+    # run CPython's quadratic gcd on two such integers: every sigma end, margin
+    # and ht slack is built by dyadic_fraction instead, with a gcd against c alone
+    new, big = Fraction.__new__, []
+
+    def spy(cls, *args, **kwargs):
+        if len(args) == 2 and all(isinstance(x, int) and x.bit_length() > 512 for x in args):
+            big.append(args)
+        return new(cls, *args, **kwargs)
+
+    tol, beta = Fraction(1, 10**1000), [0, Fraction(1, 27), Fraction(1, 2), 1]
+    brackets = [Bracket(Fraction(1), Fraction(2)), Bracket.point(Fraction(4, 9)),
+                Bracket(Fraction(1, 3), Fraction(9, 4))]
+    monkeypatch.setattr(Fraction, "__new__", spy)
+    sigma = sigma_sequence(1, 2, 8, tol).sigma_p
+    margins = main_theorem_check(4, 8, 1, beta, {1: 100, 2: 1}, 64, tol).details["margins"]
+    slack = ht_products(brackets, 2, tol).slack
+    monkeypatch.undo()  # the checks below may do Fraction arithmetic of their own
+    assert big == []
+    assert sigma[0].hi.denominator.bit_length() > 512 < slack.hi.denominator.bit_length()
+    assert margins["1"] > 0 > margins["2"] and margins["3"] is None
 
 
 def newton_cases():
