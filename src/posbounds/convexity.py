@@ -48,15 +48,15 @@ def ht_products(
     if any(b.lo < 0 for b in brackets):
         raise InputError("self-intersections of nef classes must be nonnegative")
 
-    # the n-th root is increasing: the slack's ends are m/d less the products t / (c 2^e)
-    # of the roots' upper and lower ends, each (lo, hi, e, c) over c 2^e (core.root_ends)
-    k, m, d = grid_bits(tol), mixed.numerator, mixed.denominator
-    los = [root_ends(b.lo, n, k) for b in brackets]
-    his = [lo if b.is_point else root_ends(b.hi, n, k) for b, lo in zip(brackets, los)]
-    ends = [(math.prod(x[i] for x in r), sum(x[2] for x in r), math.prod(x[3] for x in r))
-            for r, i in ((his, 1), (los, 0))]
-    slack = Bracket(*[dyadic_fraction((m * c << e) - d * t, e, d * c) for t, e, c in ends])
+    # a product of n-th roots is the increasing n-th root of the product: the slack's ends are
+    # m/d less t / (c 2^e), the upper end of top^(1/n) and the lower end of bottom^(1/n), each
+    # (lo, hi, e, c) over c 2^e (core.root_ends), so on point inputs it is at most tol wide
     bottom, top = math.prod(b.lo for b in brackets), math.prod(b.hi for b in brackets)
+    k, m, d = grid_bits(tol), mixed.numerator, mixed.denominator
+    low = root_ends(bottom, n, k)
+    high = low if top == bottom else root_ends(top, n, k)
+    slack = Bracket(*[dyadic_fraction((m * c << e) - d * t, e, d * c)
+                      for t, e, c in ((high[1], *high[2:]), (low[0], *low[2:]))])
     # mixed >= g^(1/n)  <=>  mixed^n >= g, for mixed >= 0
     holds, violated = mixed >= 0 and mixed ** n >= top, mixed < 0 or mixed ** n < bottom
     verdict = Verdict.HOLDS if holds else Verdict.VIOLATED if violated else Verdict.UNKNOWN

@@ -52,13 +52,20 @@ def elem_sym_rows(values: Sequence[QLike]) -> list[list[QLike]]:
 def iroot(a: int, q: int) -> tuple[int, bool]:
     """Integer floor q-th root of a >= 0, plus whether it is exact.
 
-    The loop is ``newton_floor``'s on x^q - a, from a seed above the root:
-    with s = iroot(a >> qk) + 1, floor(a / 2^(qk)) < s^q, so s << k > a^(1/q),
-    and its step divides by the half-size s^(q-1) alone; k, about half the
-    root's bits less log2(2q), lands it on the floor root or one above.  For
-    q <= 16, roots under about 2^64 are seeded from the bit length; for larger
-    q that seed, up to twice the root, would take about q steps, so the
-    recursion goes down to roots of at most bitlen(2q) + 2 bits, by ``bisect``.
+    Roots of a >> (n - m), n = bitlen(a), are taken for m growing to n.  The
+    base is exact: for q <= 16 the loop ends at the first x with x^q <= a, from
+    the bit-length seed above the root; a larger q bisects, as that seed would
+    take about q steps.  Each level takes one Newton step from (x + 1) << k, k
+    about half the root's bits less log2(2q), dividing by a half-size power with
+    both operands cut to the quotient's bits plus 32, which can only raise the
+    quotient, by one at most.  An integer Newton step from any y > 0 is at least
+    the floor root by AM-GM, so only the top x is certified, on lo 2^e <= x^q <=
+    hi 2^e (``_power_ends``; Brent & Zimmermann, Modern Computer Arithmetic,
+    2010, sec. 1.5 and ch. 4), with x**q only when a >> e is in [lo, hi].  If
+    x^q > a, then x > a^(1/q), and g(t) = t^q - a has g(x) > (lo - (a >> e) -
+    1) 2^e and g'(x) <= q hi 2^e / x, so the step is in [1, ceil(g / g')]: x
+    stays at or above the floor (see ``newton_floor``) and falls every round,
+    so the loop ends at the floor root, most often at once.
     """
     if a < 0:
         raise InputError("iroot of negative integer")
@@ -69,21 +76,53 @@ def iroot(a: int, q: int) -> tuple[int, bool]:
     if q == 2:
         r = math.isqrt(a)
         return r, r * r == a
-    n = a.bit_length()
-    k = ((n - 1) // q - (2 * q).bit_length()) // 2
-    if k >= 32 or q > 16 and k > 0:
-        s = iroot(a >> q * k, q)[0] + 1
-        x = ((q - 1) * (s << k) + (a >> k * (q - 1)) // s ** (q - 1)) // q
-    elif q <= 16:
-        x = 1 << -(-n // q)
-    else:  # 2^((n-1)//q) <= root < 2^ceil(n/q)
-        r = bisect(lambda x: x**q <= a, 1 << (n - 1) // q, 1 << -(-n // q))
-        return r, r**q == a
-    while True:  # inline, as a newton_floor call per step slows small roots
-        p = x ** (q - 1)
-        if (xq := p * x) <= a:
-            return x, xq == a
-        x = ((q - 1) * x + a // p) // q
+    n = m = a.bit_length()
+    shifts = []
+    while (k := ((m - 1) // q - (2 * q).bit_length()) // 2) >= 32 or q > 16 and k > 0:
+        shifts.append(k)
+        m -= q * k
+    b = a >> n - m
+    if q > 16:  # 2^((m-1)//q) <= root < 2^ceil(m/q)
+        x = bisect(lambda x: x**q <= b, 1 << (m - 1) // q, 1 << -(-m // q))
+        xq = x**q
+    else:
+        x = 1 << -(-m // q)
+        while (xq := (p := x ** (q - 1)) * x) > b:
+            x = ((q - 1) * x + b // p) // q
+    if not shifts:
+        return x, xq == a
+    for k in reversed(shifts):
+        m += q * k
+        s = x + 1
+        d = s ** (q - 1)
+        t = max(0, d.bit_length() - m // q - 32)
+        x = ((q - 1) * (s << k) + ((a >> n - m + k * (q - 1) + t) + 1) // (d >> t)) // q
+    while True:
+        lo, hi, e = _power_ends(x, q)
+        if e and lo <= a >> e <= hi:
+            lo = hi = x**q
+            e = 0
+        if (top := a >> e) >= lo:  # x^q <= a; with e > 0, top > hi and x^q < a
+            return x, top == lo
+        x -= max(1, (lo - top - 1) * x // (q * hi))
+
+
+def _power_ends(x: int, q: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo 2^e <= x^q <= hi 2^e, x >= 1, q >= 2: left-to-right
+    square-and-multiply, lo floored and hi ceiled to bitlen(x) + 64 bits after
+    each step, as in ``floor_powers``.  The exact (x**q, x**q, 0) for q < 5, or
+    when q (bitlen(x) + 64) < 4096, where it is as fast or faster (CHANGES.md)."""
+    keep = x.bit_length() + 64
+    if q < 5 or q * keep < 4096:
+        return (p := x**q), p, 0
+    lo, hi, e = x, x, 0
+    for bit in bin(q)[3:]:
+        lo, hi, e = lo * lo, hi * hi, 2 * e
+        if bit == "1":
+            lo, hi = lo * x, hi * x
+        if (s := hi.bit_length() - keep) > 0:
+            lo, hi, e = lo >> s, -(-hi >> s), e + s
+    return lo, hi, e
 
 
 class Record:

@@ -359,7 +359,9 @@ def mu_invariant(
     the true infimum.  Homogeneous: scaling F^p.Y by k^p scales mu by k.  The
     minimum is taken over integers on the grid 2^-k, k = grid_bits(tol): the
     floor t of (v 2^(kp))^(1/p) gives [t, t + 1], or the point t when the root
-    is exact (v 2^(kp) is a p-th power exactly when v is).
+    is exact (v 2^(kp) is a p-th power exactly when v is).  Only the p whose
+    floor c on the grid 2^-g, g = min(k, 64), is the least, m, take that root:
+    c > m gives v^(1/p) >= (m + 1) 2^-g > the least root, so it sets neither end.
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
@@ -371,15 +373,15 @@ def mu_invariant(
     extra = sorted(p for p in per_dim if not 1 <= p <= n)
     if extra:
         raise InputError(f"per-dimension minima for p in {extra} outside 1..{n}")
+    if any(per_dim[p] < 1 for p in range(1, n + 1)):
+        raise InputError("per-dimension minima must be positive integers")
     k = grid_bits(check_tol(tol))
-    ends = []
-    for p in range(1, n + 1):
-        v = per_dim[p]
-        if v < 1:
-            raise InputError("per-dimension minima must be positive integers")
-        t, exact = iroot(v << k * p, p)
-        ends.append((t, t if exact else t + 1))
-    return Bracket.dyadic(min(lo for lo, _ in ends), min(hi for _, hi in ends), k)
+    g = min(k, 64)
+    coarse = {p: iroot(per_dim[p] << g * p, p) for p in range(1, n + 1)}
+    m = min(t for t, _ in coarse.values())
+    ends = [iroot(per_dim[p] << k * p, p) if g < k else root
+            for p, root in coarse.items() if root[0] == m]
+    return Bracket.dyadic(min(t for t, _ in ends), min(t if exact else t + 1 for t, exact in ends), k)
 
 
 def mu_report(n: int, per_dim: Mapping[int, int], tol: QLike = DEFAULT_TOL) -> BoundReport:

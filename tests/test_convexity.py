@@ -115,6 +115,17 @@ def test_ht_products_slack_encloses_every_point_of_the_box(case):
         assert nth_root_within(math.prod(x), mixed - slack.hi, mixed - slack.lo, n)
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.fractions(min_value=0, max_value=1000, max_denominator=100), min_size=1, max_size=5),
+       st.fractions(min_value=-50, max_value=50, max_denominator=100),
+       st.sampled_from([Fraction(1, 10**e) for e in (6, 12, 40, 300)] + [Fraction(1, 3)]))
+@example([100, 99, 98], Fraction(5), Fraction(1, 10**12))  # 58 tol wide as a product of three roots
+def test_ht_products_slack_on_point_inputs_is_at_most_tol_wide(selfints, mixed, tol):
+    slack = ht_products(selfints, mixed, tol).slack
+    assert slack.width <= tol
+    assert nth_root_within(math.prod(selfints), mixed - slack.hi, mixed - slack.lo, len(selfints))
+
+
 def test_ht_products_rejects_negative():
     with pytest.raises(ValueError):
         ht_products([-1, 4], 2)

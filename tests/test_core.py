@@ -76,7 +76,7 @@ def iroot_by_plain_newton(a, q):
 
 @st.composite
 def large_root_inputs(draw):
-    q = draw(st.integers(2, 16))
+    q = draw(st.integers(2, 20))
     kind = draw(st.sampled_from(["bits", "power", "power-1", "power+1", "two", "threshold"]))
     if kind == "two":
         return 1 << draw(st.integers(0, 40000)), q
@@ -107,6 +107,44 @@ def test_iroot_on_perfect_powers_near_the_threshold():
         for r in ((1 << bits // q) - 1, 1 << bits // q, (1 << bits // q + 1) - 1, 3 ** (bits // q)):
             for a in (r**q - 1, r**q, r**q + 1):
                 assert iroot(a, q) == iroot_by_plain_newton(a, q)
+
+
+@pytest.mark.parametrize("q", range(5, 21))
+def test_iroot_matches_plain_newton_around_the_truncation_cutover(q):
+    # iroot certifies x on a truncated bracket of x^q once q >= 5 and q (bitlen(x)
+    # + 64) >= 4096: roots two bits either side of that, random and perfect powers
+    # with their neighbours, which put a inside the bracket or just outside it
+    rng = random.Random(q)
+    cut = -(-4096 // q) - 64
+    for bits in range(cut - 2, cut + 3):
+        r = rng.getrandbits(bits) | 1 << bits - 1
+        for a in (rng.getrandbits(q * bits) | 1 << q * bits - 1, r**q - 1, r**q, r**q + 1):
+            assert iroot(a, q) == iroot_by_plain_newton(a, q), (bits, a - r**q)
+
+
+def test_iroot_takes_the_exact_power_only_inside_its_bracket(monkeypatch):
+    # a clock-free work pin: at tol-1e-1000 sizes (3,322-bit roots) and q >= 5 the
+    # truncated bracket of x^q decides x, nearly always in one round, and never needs
+    # x**q; a perfect power lies inside the bracket of its root, so it needs x**q once
+    real, brackets = core._power_ends, []
+    monkeypatch.setattr(core, "_power_ends", lambda x, q: brackets.append(real(x, q)) or brackets[-1])
+    rounds, calls = 0, 0
+
+    def exact_powers(a, q):
+        nonlocal rounds, calls
+        brackets.clear()
+        r, exact = iroot(a, q)
+        assert r**q <= a < (r + 1) ** q and exact == (r**q == a)
+        rounds, calls = rounds + len(brackets), calls + 1
+        return sum(1 for lo, hi, e in brackets if e and lo <= a >> e <= hi)
+
+    rng = random.Random(1000)
+    for q in range(5, 13):
+        bits = 3322 * q
+        for _ in range(8):
+            assert exact_powers(rng.getrandbits(bits) | 1 << bits - 1, q) == 0
+        assert exact_powers((rng.getrandbits(3322) | 1 << 3321) ** q, q) == 1
+    assert rounds <= calls + calls // 8  # the seed levels land on the floor or one above
 
 
 def large_index_cases():

@@ -615,6 +615,27 @@ def test_mu_invariant_takes_one_root_on_perfect_powers_and_their_neighbours(tol)
                 assert mu.is_point == (p == 1 or v == base**p)
 
 
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 6), st.integers(1, 10**4), st.data(),
+       st.sampled_from([Fraction(1, 3), Fraction(1, 10**12), Fraction(1, 10**30), Fraction(1, 10**300)]))
+def test_mu_invariant_matches_every_root_on_ties_and_near_ties(n, base, data, tol):
+    # base^p ties every root; base^p +- 1 moves a root by about 1/(p base^(p-1)),
+    # below 2^-64 for large base and p, where the floors on 2^-64 agree or differ by one
+    shifts = data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n))
+    per_dim = {p: max(1, base**p + d) for p, d in enumerate(shifts, 1)}
+    assert mu_invariant(per_dim, n, tol) == mu_by_two_roots(per_dim, n, tol)
+
+
+def test_mu_invariant_takes_one_full_root_when_the_roots_are_distinct(monkeypatch):
+    real, calls = jumping.iroot, []
+    monkeypatch.setattr(jumping, "iroot", lambda a, q: calls.append((a, q)) or real(a, q))
+    tol = Fraction(1, 10**1000)
+    k = grid_bits(tol)
+    per_dim = {1: 5, 2: 12, 3: 64, 4: 80}  # roots 5, 3.46.., 4, 2.99..
+    assert mu_invariant(per_dim, 4, tol) == mu_by_two_roots(per_dim, 4, tol)
+    assert [q for a, q in calls if a >> k * q] == [4]  # a root at 2^-k has a >= 2^(kq)
+
+
 def test_lemma1116_consistency():
     assert lemma1116_consistency(2, {1: 4, 2: 4})
     assert not lemma1116_consistency(3, {1: 2})

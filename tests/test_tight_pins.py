@@ -5,7 +5,8 @@ have about 40-bit denominators.  Here every result has denominators of
 thousands of bits, where a wrong reduction of num / (c 2^k) would show: the
 SHA-256 of each command's stdout, and of the ``repr`` of library results, is
 pinned as it was printed before the dyadic constructor replaced
-``Fraction(num, c << k)``.
+``Fraction(num, c << k)``; the ht-products pins as printed once the slack
+became the roots of the products of the self-intersections' ends.
 """
 
 import hashlib
@@ -28,15 +29,15 @@ CLI_PINS = {
     "jets main --n 3 --sigma0 8 --a 1 --beta 0,1/27,1 --min 1=300,2=300 --Ln 64":
         "7d2817bef1bf7192bbd0546dd93acc5cd9eb3c684005c1eba1093808c42b4c9a",
     "ht products --selfints 2,3 --mixed 3":
-        "efa3bd706adaab21d6a5acab82aabb714c71bfca80c05505680c1385eff89007",
+        "08caf71f243efb7ed29f9b674fd869e2ba0dba25e057f55e2e5c42bbcf836f0c",
     "ht products --selfints 2,3,5 --mixed 2":
-        "98b38141625f7bbf0fd687390da8211d73cbf0f8aebfc949e2e2f7dcda7c3b09",
+        "413521f942f0f039dc2515c4c525b334d39d2d8ae2cf8b94ad5c3c0c0f06fd12",
     "ht products --selfints 4/9,2 --mixed 1":
-        "4dcd74f900f051c22243012e92502b1e4092f66f67a1b968a1f4eb658153762c",
+        "c817e290827a34d9f6f659e098bce0e619a85f310e848fde8fd31feac50613bd",
     "ht products --selfints 4/9,2,3 --mixed 2":
-        "216e44575f0e4b540a3f5468b5492472227dc52d7aea1b77722c1eb6e3932f9d",
+        "77ea12c17b35132807161d0cc0e34303051ad98397929bea73bed87f421e7195",
     "ht products --selfints 8/27,27,5 --mixed 3":
-        "6619f90af2dc4f7aa7c7f0f779a5b3c474c37a38c625943d79c7bdbcf2c5d115",
+        "643a9bf8738717b31f4c9d2fb1ce0f14a98f2df27f1eec4e42132676d71b617c",
     "ht products --selfints 0,7 --mixed 0":
         "6cdfb263d08650093af74d9d8387cb00d13d74582bd559afae0428e4c62a3e77",
     "jets mu --n 3 --per-dim 1=3,2=9,3=20":
@@ -75,8 +76,8 @@ LIBRARY_PINS = {
     "sigma_sequence(1/3, 7/2, 5)": "5d12e6f38be7608f16d93a8698d98c65a5f2f8bbbd5a8a5e0ba9ff549cef2206",
     "cn_constant(9)": "d2501b894db9c17c55810d512d165b2924f5a416431bb0bfefdf98f61063e2c9",
     "cn_constant(8)": "50865e74df900b9a351a3edc2d389e0ae91e2c93b70aacbb2a233a3a56062708",
-    "ht_products(brackets)": "6344978ac1f8a1c1346a9bdb306eb61d1570af3ffb70b6069b0641f02cca0200",
-    "ht_products(points, unknown)": "65d7a85f92170ee9f1a03cbffb491215e2c5fa9f7ad0eb377af49f3bcaab6c37",
+    "ht_products(brackets)": "66cbd4f0a8cda1272a431625bbac1b11e25c8b8bf93056a820e8518cc17fd378",
+    "ht_products(points, unknown)": "23a8589c7003e1e2607fe1ab7d17de7b828dc0f205a5d901d509d870f267fab9",
     "recursion_bound(8, 1, 1, [0, 1/4, 1/2], 2, 2)": "30bb7d613f261fa3d90c01d3b2f623fe16a59ead98d9014d8eec1fd897d7034d",
     "recursion_bound(5, 3, 1/2, [0, 1/3], 7, 40)": "67d219145889b8b30fcd861ed370e53cd558c875fad55dc00e5ebaea7159f963",
     "pow_bracket(3/7, -5/3)": "63664db8c002481651dbc333cb0e4ddd5adeedf8d7389c5105224f539b134ef1",
