@@ -59,10 +59,7 @@ def main() -> None:
     print(f"| profile | {' | '.join(THEOREMS)} | minimal |")
     print("|---|" + "---|" * (len(THEOREMS) + 1))
     for row in rows:
-        cells = []
-        for theorem in THEOREMS:
-            v = row["thresholds"][theorem]
-            cells.append(str(v if v.denominator == 1 else float(v)))
+        cells = [str(row["thresholds"][theorem]) for theorem in THEOREMS]  # exact: "3/2", not 1.5
         print(f"| {row['profile']} | {' | '.join(cells)} | {row['minimal']} |")
     print()
     print(json.dumps([{**r, "thresholds": value_to_json(r["thresholds"])} for r in rows], indent=2))

@@ -22,12 +22,11 @@ class JetSpec(Record):
 
     __slots__ = ("orders",)
 
-    def __init__(self, orders: tuple[int, ...]) -> None:  # direct: built on library hot paths
-        if not orders:
+    def _check(self) -> None:
+        if not self.orders:
             raise InputError("jets must list at least one jet order")
-        if any(s < 0 for s in orders):
+        if any(s < 0 for s in self.orders):
             raise InputError("jet orders must be nonnegative")
-        object.__setattr__(self, "orders", orders)
 
 
 def siu_jet_threshold(n: int, jets: JetSpec) -> int:
@@ -124,10 +123,6 @@ class CheckOutcome(Enum):
 class CheckResult(Record):
     __slots__ = ("outcome", "matched")  # matched: the (L.D, D^2) pairs that are exceptions
 
-    def __init__(self, outcome: CheckOutcome, matched: tuple = ()) -> None:  # direct, as JetSpec
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "matched", matched)
-
 
 REIDER_SPANNED_EXCEPTIONS = ((0, -1), (1, 0))
 REIDER_SEPARATION_EXCEPTIONS = ((0, -1), (0, -2), (1, 0), (1, -1), (2, 0))
@@ -146,11 +141,11 @@ def reider_check(
     else:
         raise InputError(f"unknown mode {mode!r}")
     if L2 < min_L2:
-        return CheckResult(CheckOutcome.INAPPLICABLE)
+        return CheckResult(CheckOutcome.INAPPLICABLE, ())
     matched = tuple(d for d in divisors if tuple(d) in exceptions)
     if matched:
         return CheckResult(CheckOutcome.EXCEPTION, matched)
-    return CheckResult(CheckOutcome.CRITERION_HOLDS)
+    return CheckResult(CheckOutcome.CRITERION_HOLDS, ())
 
 
 def reider_report(
@@ -169,7 +164,7 @@ def bes_check(L2: int, p: int, divisors: Sequence[tuple[int, int]] = ()) -> Chec
     if p < 1:
         raise InputError("p must be a positive integer")
     if L2 <= 4 * p:
-        return CheckResult(CheckOutcome.INAPPLICABLE)
+        return CheckResult(CheckOutcome.INAPPLICABLE, ())
     matched = tuple(
         (LD, D2)
         for LD, D2 in divisors
@@ -177,7 +172,7 @@ def bes_check(L2: int, p: int, divisors: Sequence[tuple[int, int]] = ()) -> Chec
     )
     if matched:
         return CheckResult(CheckOutcome.EXCEPTION, matched)
-    return CheckResult(CheckOutcome.CRITERION_HOLDS)
+    return CheckResult(CheckOutcome.CRITERION_HOLDS, ())
 
 
 def bes_report(L2: int, p: int, divisors: Sequence[tuple[int, int]] = ()) -> BoundReport:

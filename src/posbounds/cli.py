@@ -13,7 +13,8 @@ input errors (a malformed flag is an argparse usage error), and 1 on an
 internal error (a bug), reported as one line on stderr.  The code that
 raises decides: a family module raises ``InputError``, and any other
 exception is a bug.  POSBOUNDS_TOL overrides the default tolerance 10^-12;
-numbers may be any rational ("3/7", "0.25", "4").
+numbers may be any rational ("3/7", "0.25", "4"), and a value may start
+with "-" (``--LK -1/2`` reads as ``--LK=-1/2``).
 """
 
 from __future__ import annotations
@@ -203,8 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    value_flags = {flag for table, _ in COMMANDS.values() for flag in table}
+    words: list[str] = []
+    for word in sys.argv[1:] if argv is None else argv:  # argparse takes "-1/2" for a flag
+        if word[:1] == "-" and word[1:2].isdigit() and words and words[-1] in value_flags:
+            word = f"{words.pop()}={word}"
+        words.append(word)
     try:
-        args = vars(build_parser().parse_args(argv))
+        args = vars(build_parser().parse_args(words))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 after --help
         return EXIT_INPUT if exc.code else EXIT_OK

@@ -167,11 +167,9 @@ class Bracket(Record):
 
     __slots__ = ("lo", "hi")
 
-    def __init__(self, lo: Fraction, hi: Fraction) -> None:
-        if lo > hi:
-            raise ValueError(f"bracket endpoints out of order: {lo} > {hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+    def _check(self) -> None:
+        if self.lo > self.hi:
+            raise ValueError(f"bracket endpoints out of order: {self.lo} > {self.hi}")
 
     @staticmethod
     def point(x: QLike) -> "Bracket":

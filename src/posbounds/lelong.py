@@ -133,17 +133,16 @@ class CurveData(Record):
 
     __slots__ = ("curves",)
 
-    @staticmethod
-    def of(*curves: tuple[QLike, int]) -> "CurveData":
-        items = []
-        for deg, mult in curves:
+    def _check(self) -> None:
+        for deg, mult in self.curves:
             if mult < 1:
                 raise InputError("curve multiplicity must be >= 1")
-            deg = Fraction(deg)
             if deg < 0:
                 raise InputError("nef degree must be nonnegative")
-            items.append((deg, mult))
-        return CurveData(tuple(items))
+
+    @staticmethod
+    def of(*curves: tuple[QLike, int]) -> "CurveData":
+        return CurveData(tuple((Fraction(deg), mult) for deg, mult in curves))
 
 
 def seshadri_upper(curves: CurveData) -> Fraction:

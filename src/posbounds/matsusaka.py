@@ -60,19 +60,19 @@ class MatsusakaInputs(Record):
 
     __slots__ = ("n", "Ln", "LB", "LK", "lambda_policy")
 
+    def _check(self) -> None:
+        if self.n < 2:
+            raise InputError("need n >= 2")
+        if self.Ln < 1:
+            raise InputError("L^n must be >= 1")
+        if self.LB < 0:
+            raise InputError("L^(n-1).B must be nonnegative")
+
     @staticmethod
     def of(
         n: int, Ln: QLike, LB: QLike, LK: QLike, lambda_policy: Union[str, int] = "demailly"
     ) -> "MatsusakaInputs":
-        if n < 2:
-            raise InputError("need n >= 2")
-        Ln = Fraction(Ln)
-        if Ln < 1:
-            raise InputError("L^n must be >= 1")
-        LB, LK = Fraction(LB), Fraction(LK)
-        if LB < 0:
-            raise InputError("L^(n-1).B must be nonnegative")
-        return MatsusakaInputs(n, Ln, LB, LK, lambda_policy)
+        return MatsusakaInputs(n, Fraction(Ln), Fraction(LB), Fraction(LK), lambda_policy)
 
 
 def _main_exponents(n: int) -> tuple[int, int, int, int]:
@@ -93,8 +93,6 @@ def matsusaka_main(inputs: MatsusakaInputs) -> BoundReport:
     with e_H = 3^(n-2)(n/2 - 3/4) - 1/4 and e_L = 3^(n-2)(n/2 - 1/4) + 1/4,
     where H = lambda_n (K_X + (n+2)L)."""
     n = inputs.n
-    if inputs.Ln == 0:
-        raise InputError("L^n must be positive")
     lam = lambda_n(n, inputs.lambda_policy)
     LH = lam * (inputs.LK + (n + 2) * inputs.Ln)
     LBH = inputs.LB + LH

@@ -132,7 +132,7 @@ def _splits(dims: tuple[int, ...], total: int):
 
 
 class IntersectionProfile(Record):
-    """Declared intersection data consumed by the bound modules; mutable.
+    """Declared intersection data consumed by the bound modules.
 
     per_dim_min entries are caller declarations (the true minimum over all
     subvarieties is not computable from finite data); the fixture's strata
@@ -140,7 +140,6 @@ class IntersectionProfile(Record):
     """
 
     __slots__ = ("n", "Ln", "LK", "per_dim_min")  # ints, and {p: declared min}
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def _check(self) -> None:
         if self.n < 1:

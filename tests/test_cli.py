@@ -120,6 +120,19 @@ def test_matsusaka(capsys):
     assert doc["details"]["surface_comparison"]["factor4"] == 144
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["matsusaka", "--n", "2", "--Ln", "4", "--LK", "-1/2"], "--LK"),
+    (["poly", "--coeffs", "-1,0,1", "--window", "a", "--m0", "2", "--N", "5"], "--coeffs"),
+    (["bounds", "reider", "--L2", "12", "--mode", "separation", "--divisors", "-1:0"], "--divisors"),
+])
+def test_a_value_starting_with_minus_reads_as_in_the_equals_form(capsys, argv, flag):
+    i = argv.index(flag)
+    assert main(argv) == EXIT_OK
+    spaced = capsys.readouterr().out
+    assert main(argv[:i] + [f"{flag}={argv[i + 1]}"] + argv[i + 2:]) == EXIT_OK
+    assert spaced == capsys.readouterr().out != ""
+
+
 def test_morse(capsys):
     code, doc = run_json(capsys, "morse", "--n", "2", "--Fn", "2", "--FG", "3")
     assert code == EXIT_OK and doc["threshold"] == 4
@@ -396,7 +409,7 @@ def test_d1_answer_too_long_to_print_exits_1(capsys):
 
 # Checks on values the program computed itself: their failure is a bug (exit 1)
 COMPUTED_VALUE_CHECKS = {
-    ("core", "Bracket.__init__", "ValueError"),
+    ("core", "Bracket._check", "ValueError"),
     ("core", "Bracket.dyadic", "ValueError"),
     # a record called with the wrong fields, or a field assigned, is a caller bug
     ("core", "Record.__init__", "TypeError"),

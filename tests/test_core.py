@@ -1,16 +1,19 @@
 """Unit and property tests for rationals, brackets, and rational powers."""
 
 import copy
+import importlib
 import itertools
 import math
 import pickle
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from posbounds import core, jumping
+import posbounds
+from posbounds import adjoint, core, jumping, lelong, matsusaka, projective
 from posbounds.convexity import ht_products
 from posbounds.core import (
     Bracket,
@@ -202,10 +205,51 @@ def test_records_are_read_only_values():
     for mutate in (lambda: setattr(b, "lo", 0), lambda: delattr(b, "hi")):
         with pytest.raises(AttributeError):
             mutate()
+    profile = projective.IntersectionProfile(2, 12, -10, {1: 2, 2: 12})
+    for mutate in (lambda: setattr(profile, "Ln", 0), lambda: delattr(profile, "per_dim_min")):
+        with pytest.raises(AttributeError):
+            mutate()
+    assert profile == projective.IntersectionProfile(2, 12, -10, {1: 2, 2: 12})
     assert SkodaResult(SkodaClass.TRIVIAL, None) != SkodaResult(SkodaClass.TRIVIAL, 1)
     for fields in [(SkodaClass.TRIVIAL,), (SkodaClass.TRIVIAL, None, 1)]:
         with pytest.raises(TypeError):  # every field is given, by position
             SkodaResult(*fields)
+
+
+F = Fraction
+
+
+@pytest.mark.parametrize("direct, converted", [
+    (lambda: matsusaka.MatsusakaInputs(1, F(1), F(0), F(0), "demailly"),
+     lambda: matsusaka.MatsusakaInputs.of(1, 1, 0, 0)),
+    (lambda: matsusaka.MatsusakaInputs(2, F(1, 2), F(0), F(0), "demailly"),
+     lambda: matsusaka.MatsusakaInputs.of(2, F(1, 2), 0, 0)),
+    (lambda: lelong.CurveData(((F(3), 0),)), lambda: lelong.CurveData.of((3, 0))),
+    (lambda: lelong.CurveData(((F(-3), 1),)), lambda: lelong.CurveData.of((-3, 1))),
+    (lambda: adjoint.JetSpec(()), lambda: adjoint.siu_report(2, [])),
+], ids=["n-below-2", "Ln-below-1", "multiplicity-0", "negative-degree", "no-jet-orders"])
+def test_records_built_directly_check_their_fields(direct, converted):
+    # _check runs however a record is built, so .of and the reports only convert
+    with pytest.raises(InputError) as expected:
+        converted()
+    with pytest.raises(InputError) as got:
+        direct()
+    assert str(got.value) == str(expected.value)
+
+
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+
+def test_only_bound_report_writes_its_own_init():
+    for module in pkgutil.iter_modules(posbounds.__path__):
+        importlib.import_module(f"posbounds.{module.name}")
+    records = {cls for cls in subclasses(core.Record) if cls.__module__.startswith("posbounds.")}
+    names = {cls.__name__ for cls in records}
+    assert {"Bracket", "JetSpec", "CheckResult", "CurveData", "IntersectionProfile"} <= names
+    assert {cls.__name__ for cls in records if "__init__" in vars(cls)} == {"BoundReport"}
 
 
 def test_bound_report_stays_mutable_and_unhashable():
