@@ -34,7 +34,7 @@ def siu_jet_threshold(n: int, jets: JetSpec) -> int:
     m >= 2 + sum C(3n + 2 s_j - 1, n).  Very ampleness reads as JetSpec((1,))
     (1-jets at one point) or JetSpec((0, 0)) (two points)."""
     if n < 1:
-        raise InputError("dimension must be >= 1")
+        raise InputError(f"n must be >= 1, got {n}")
     return 2 + sum(math.comb(3 * n + 2 * s - 1, n) for s in jets.orders)
 
 
@@ -49,23 +49,14 @@ def siu_degree_conditions(n: int, jets: JetSpec) -> dict[int, Fraction]:
     """Per-dimension thresholds for the fixed-multiple criterion: jets are
     generated by 2K+(n+1)L+G provided L^d.Y strictly exceeds
     2^(d-1)/floor(n/d)^d * sum C(3n + 2 s_j - 1, n) for every d."""
-    if n < 1:
-        raise InputError("dimension must be >= 1")
-    return _degree_conditions(n, sum(math.comb(3 * n + 2 * s - 1, n) for s in jets.orders))
-
-
-def corollary85_threshold(n: int) -> int:
-    """m(K+(n+2)L)+G is very ample for m >= C(3n+1, n) - 2n."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    return math.comb(3 * n + 1, n) - 2 * n
+    return _degree_conditions(n, siu_jet_threshold(n, jets) - 2)
 
 
 def theorem87_conditions(n: int, jets: JetSpec) -> dict[int, Fraction]:
     """Per-dimension thresholds for jet generation by 2K+L:
     L^d.Y > 2^(d-1)/floor(n/d)^d * sum C((n+1)(4n+2s_j+1)-2, n)."""
     if n < 1:
-        raise InputError("dimension must be >= 1")
+        raise InputError(f"n must be >= 1, got {n}")
     return _degree_conditions(
         n, sum(math.comb((n + 1) * (4 * n + 2 * s + 1) - 2, n) for s in jets.orders))
 

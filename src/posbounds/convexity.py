@@ -174,6 +174,4 @@ def singular_morse_Aq(n: int, q: int, b: QLike, cup_uq_times: QLike) -> Fraction
     b = Fraction(b)
     if b < 0:
         raise InputError("jumping value must be nonnegative")
-    if b == 0 and q >= 1:
-        return Fraction(0)
     return b ** q * Fraction(cup_uq_times) / (math.factorial(q) * math.factorial(n - q))

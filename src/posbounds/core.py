@@ -285,10 +285,8 @@ def pow_bracket(x: QLike, e: QLike, tol: QLike) -> Bracket:
     tol = check_tol(tol)
     if x < 0:
         raise InputError("pow_bracket base must be nonnegative")
-    if x == 0:
-        if e < 0:
-            raise InputError("0 cannot be raised to a negative power")
-        return Bracket.point(1 if e == 0 else 0)
+    if x == 0 and e < 0:
+        raise InputError("0 cannot be raised to a negative power")
     if e.denominator == 1:
         return Bracket.point(x ** int(e))
     r = x ** e.numerator  # exact rational; sign of the numerator handles e < 0

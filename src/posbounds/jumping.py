@@ -39,6 +39,8 @@ class SigmaSequence(Record):
 def sigma0_for(jets: JetSpec, n: int, very_ample_special: bool = False) -> Fraction:
     """sigma0 = sum (n + s_j)^n; the single-point 1-jet case admits the
     sharper value 2 n^n when very_ample_special is requested."""
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
     if very_ample_special and jets.orders == (1,):
         return Fraction(2 * n ** n)
     return Fraction(sum((n + s) ** n for s in jets.orders))
@@ -225,6 +227,8 @@ def main_theorem_check(
 
 def lemma1111_check(t: Sequence[QLike], n: int) -> bool:
     """Exact check of sum (n-1+t_j)^n <= (n-1 + sum t_j)^n for t_j >= 1."""
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
     vals = [Fraction(x) for x in t]
     if any(x < 1 for x in vals):
         raise InputError("need t_j >= 1")
@@ -298,6 +302,8 @@ def cn_constant(n: int, tol: QLike = DEFAULT_TOL) -> Bracket:
 def lemma1115_threshold(n: int, s: int, special: bool = False) -> int:
     """mu(L') >= 3(n+s)^n suffices for s-jets of K+L'; for s = 1 the special
     path sharpens this to 6 n^n."""
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
     if s < 1:
         raise InputError("need s >= 1")
     if special:
@@ -310,16 +316,15 @@ def lemma1115_threshold(n: int, s: int, special: bool = False) -> int:
 def theorem1117_threshold(n: int, s: int, muL: QLike, special: bool = True) -> int:
     """Smallest m >= 2 with (m-1) mu(L) + s >= 6(n+s)^n; when s = 1 the
     right side improves to 12 n^n (taken by default)."""
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
     if s < 1:
         raise InputError("need s >= 1")
     mu = Fraction(muL)
     if mu <= 0:
         raise InputError("mu(L) must be positive")
     rhs = 12 * n ** n if (special and s == 1) else 6 * (n + s) ** n
-    need = Fraction(rhs - s)
-    if need <= 0:
-        return 2
-    return max(2, math.ceil(need / mu) + 1)
+    return max(2, math.ceil((rhs - s) / mu) + 1)
 
 
 def remark1120_threshold(n: int, s: int) -> int:

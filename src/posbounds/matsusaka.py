@@ -38,16 +38,23 @@ def cor132_window(n: int, LB: QLike, LK: QLike, Ln: QLike) -> int:
     return math.ceil(n * ((Fraction(LB) + Fraction(LK)) / Ln + n + 1))
 
 
+def corollary85_threshold(n: int) -> int:
+    """m(K+(n+2)L)+G is very ample for m >= C(3n+1, n) - 2n."""
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
+    return math.comb(3 * n + 1, n) - 2 * n
+
+
 def lambda_n(n: int, policy: Union[str, int]) -> int:
     """Constant lambda_n with lambda_n(K+(n+2)L) very ample: the binomial
-    policy C(3n+1, n) - 2n, the cubic policy n^3 - n^2 - n - 1 (n >= 2), or
-    an explicit positive integer."""
+    policy of Corollary 8.5 (corollary85_threshold, C(3n+1, n) - 2n), the
+    cubic policy n^3 - n^2 - n - 1 (n >= 2), or an explicit positive integer."""
     if isinstance(policy, int):
         if policy < 1:
             raise InputError("explicit lambda must be a positive integer")
         return policy
     if policy == "demailly":
-        return math.comb(3 * n + 1, n) - 2 * n
+        return corollary85_threshold(n)
     if policy == "angehrn-siu":
         if n < 2:
             raise InputError("the cubic policy needs n >= 2")

@@ -50,6 +50,8 @@ class MonomialIdeal(Record):
 
 def membership_criterion(alpha: Sequence[Fraction], beta: Sequence[int]) -> bool:
     """Strict integrability criterion sum (beta_j + 1)/alpha_j > 1."""
+    if any(a <= 0 for a in alpha):
+        raise InputError("weight exponents must be positive")
     return sum(Fraction(b + 1, 1) / a for b, a in zip(beta, alpha)) > 1
 
 

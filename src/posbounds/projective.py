@@ -8,7 +8,7 @@ ring is Z[H_1,...,H_r]/(H_i^{k_i+1}) and all numbers are computable exactly.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import InputError, Record
 
@@ -105,19 +105,16 @@ def strata_minima(space: ProductSpace, cls: DivisorClass) -> dict[int, int]:
         raise InputError("class does not live on the given space")
     dims = space.factor_dims
     minima: dict[int, int] = {}
-    for p in range(1, space.n + 1):
-        best: Optional[int] = None
+    for p in range(1, space.n + 1):  # p <= n, so every p has a split
+        totals = []
         for expo in _splits(dims, p):
             mult = math.factorial(p)
             val = 1
             for e, c in zip(expo, cls.coeffs):
                 mult //= math.factorial(e)
                 val *= c ** e
-            total = mult * val
-            if best is None or total < best:
-                best = total
-        if best is not None:
-            minima[p] = best
+            totals.append(mult * val)
+        minima[p] = min(totals)
     return minima
 
 
@@ -143,7 +140,7 @@ class IntersectionProfile(Record):
 
     def _check(self) -> None:
         if self.n < 1:
-            raise InputError("dimension must be >= 1")
+            raise InputError(f"n must be >= 1, got {self.n}")
 
 
 def profile_from_fixture(space: ProductSpace, L: DivisorClass) -> IntersectionProfile:
@@ -151,5 +148,5 @@ def profile_from_fixture(space: ProductSpace, L: DivisorClass) -> IntersectionPr
     n = space.n
     K = canonical_class(space)
     Ln = top_intersection([L] * n)
-    LK = top_intersection([L] * (n - 1) + [K]) if n >= 2 else sum(K.coeffs)
+    LK = top_intersection([L] * (n - 1) + [K])
     return IntersectionProfile(n, Ln, LK, strata_minima(space, L))

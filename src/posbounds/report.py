@@ -23,7 +23,7 @@ def value_to_json(v: Any) -> Any:
         if v.denominator == 1:
             return int(v)
         return {"num": v.numerator, "den": v.denominator}
-    if isinstance(v, bool) or isinstance(v, int) or isinstance(v, str) or v is None:
+    if isinstance(v, int) or isinstance(v, str) or v is None:
         return v
     if isinstance(v, Mapping):
         return {str(k): value_to_json(x) for k, x in v.items()}

@@ -7,7 +7,7 @@ a failing assertion reports the criterion as FAILED in the pytest output.
 import random
 from fractions import Fraction
 
-from posbounds.adjoint import JetSpec, corollary85_threshold, pluricanonical_bounds, siu_jet_threshold
+from posbounds.adjoint import JetSpec, pluricanonical_bounds, siu_jet_threshold
 from posbounds.convexity import Verdict, diag_form_check, morse_existence_threshold
 from posbounds.jumping import (
     cn_constant,
@@ -16,7 +16,7 @@ from posbounds.jumping import (
     theorem1117_threshold,
 )
 from posbounds.lelong import ParamCurve, lelong_numeric
-from posbounds.matsusaka import MatsusakaInputs, matsusaka_main, mbar_recursion
+from posbounds.matsusaka import MatsusakaInputs, corollary85_threshold, matsusaka_main, mbar_recursion
 from posbounds.multiplier import SkodaClass, membership_criterion, skoda_classify
 from posbounds.numpoly import NumericalPolynomial, window_a, window_b, window_c
 from posbounds.projective import DivisorClass, ProductSpace, h0, top_intersection

@@ -9,7 +9,6 @@ from posbounds.adjoint import (
     CheckOutcome,
     JetSpec,
     bes_check,
-    corollary85_threshold,
     lemma86_transfer,
     pluricanonical_bounds,
     reider_check,
@@ -18,6 +17,7 @@ from posbounds.adjoint import (
     surface_nadel_criterion,
     theorem87_conditions,
 )
+from posbounds.matsusaka import corollary85_threshold
 
 
 def test_jet_spec_validation():

@@ -21,7 +21,6 @@ PACKAGE = ROOT / "src" / "posbounds"
 CALLERS = ("bench/lib_ops.py", "tests/test_acceptance.py", "scripts/compare_thresholds.py")
 
 PINNED = {
-    "adjoint.corollary85_threshold": "tests/test_acceptance.py",
     "adjoint.lemma86_transfer": "paper: Lemma 8.6, mu F needs jets of order mu(n + s_j) + 1",
     "adjoint.siu_degree_conditions":
         "paper: Siu's criterion for 2K + (n+1)L + G, one bound on L^d.Y per dimension d",
