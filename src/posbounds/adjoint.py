@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import InputError, Record
+from .core import InputError, Record, check_n
 from .report import BoundReport
 
 
@@ -33,8 +33,7 @@ def siu_jet_threshold(n: int, jets: JetSpec) -> int:
     """m such that 2K+mL+G generates the requested jets:
     m >= 2 + sum C(3n + 2 s_j - 1, n).  Very ampleness reads as JetSpec((1,))
     (1-jets at one point) or JetSpec((0, 0)) (two points)."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    check_n(n)
     return 2 + sum(math.comb(3 * n + 2 * s - 1, n) for s in jets.orders)
 
 
@@ -55,8 +54,7 @@ def siu_degree_conditions(n: int, jets: JetSpec) -> dict[int, Fraction]:
 def theorem87_conditions(n: int, jets: JetSpec) -> dict[int, Fraction]:
     """Per-dimension thresholds for jet generation by 2K+L:
     L^d.Y > 2^(d-1)/floor(n/d)^d * sum C((n+1)(4n+2s_j+1)-2, n)."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    check_n(n)
     return _degree_conditions(
         n, sum(math.comb((n + 1) * (4 * n + 2 * s + 1) - 2, n) for s in jets.orders))
 
@@ -69,6 +67,7 @@ def _degree_conditions(n: int, total: int) -> dict[int, Fraction]:
 def lemma86_transfer(mu: int, n: int, s_j: int) -> int:
     """Jet order mu(n + s_j) + 1 required of mu*F so that K+F yields
     s_j-jets."""
+    check_n(n)
     if mu < 1:
         raise InputError("mu must be a positive integer")
     return mu * (n + s_j) + 1
@@ -80,8 +79,7 @@ def pluricanonical_bounds(
     """(m0, embedding degree): mK very ample for m >= C(3n+1,n)+4 in the
     general-type case, -mK very ample for m >= C(3n+1,n) in the Fano case;
     degree of the embedding is m0^n |K^n| when |K^n| is supplied."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    check_n(n)
     base = math.comb(3 * n + 1, n)
     if sign == "general_type":
         m0 = base + 4

@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .core import (
-    DEFAULT_TOL, Bracket, InputError, QLike, Record, check_tol, dyadic_fraction, elem_sym_rows,
-    grid_bits, root_ends,
+    DEFAULT_TOL, Bracket, InputError, QLike, Record, check_n, check_tol, dyadic_fraction,
+    elem_sym_rows, grid_bits, root_ends,
 )
 from .report import BoundReport
 
@@ -89,6 +89,7 @@ def ht_mixed_chain(Ln: QLike, LH: QLike, LnpHp: QLike, n: int, p: int) -> Inequa
     Decided exactly: for nonnegative data the inequality is equivalent to
     (L^(n-p).H^p) * (L^n)^(p-1) <= (L^(n-1).H)^p.
     """
+    check_n(n)
     if not (1 <= p <= n):
         raise InputError("need 1 <= p <= n")
     Ln, LH, LnpHp = Fraction(Ln), Fraction(LH), Fraction(LnpHp)
@@ -129,6 +130,7 @@ def morse_strong_rhs(n: int, values: Mapping[int, QLike], q: int) -> Fraction:
     """Right side of the asymptotic strong Morse inequality (coefficient of
     k^n/n!): sum over j <= q of (-1)^(q-j) C(n,j) F^(n-j).G^j, with
     values[j] = F^(n-j).G^j."""
+    check_n(n)
     if not (0 <= q <= n):
         raise InputError("need 0 <= q <= n")
     if missing := [j for j in range(q + 1) if j not in values]:
@@ -140,8 +142,7 @@ def morse_existence_threshold(Fn: QLike, FG: QLike, n: int) -> int:
     """Smallest integer m with m > n * F^(n-1).G / F^n (strict); some
     multiple of mF - G then has a section."""
     Fn, FG = Fraction(Fn), Fraction(FG)
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    check_n(n)
     if Fn <= 0:
         raise InputError("F^n must be positive (F big)")
     if FG < 0:
@@ -152,6 +153,7 @@ def morse_existence_threshold(Fn: QLike, FG: QLike, n: int) -> int:
 def trapani_lower(Fn: QLike, FG: QLike, n: int) -> Fraction:
     """Lower bound F^n - n F^(n-1).G for n!(h^0 - h^1)/k^n; positive means
     some multiple of F - G has sections."""
+    check_n(n)
     return Fraction(Fn) - n * Fraction(FG)
 
 
@@ -169,6 +171,7 @@ def singular_morse_Aq(n: int, q: int, b: QLike, cup_uq_times: QLike) -> Fraction
     The cup product u^q.(c1(L)+b u)^(n-q) is caller-supplied; b is the
     jumping value b_(n-q+1).
     """
+    check_n(n)
     if not (0 <= q <= n):
         raise InputError("need 0 <= q <= n")
     b = Fraction(b)

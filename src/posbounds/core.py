@@ -33,6 +33,12 @@ def check_tol(tol: QLike) -> Fraction:
     return tol
 
 
+def check_n(n: int, least: int = 1) -> None:
+    """The dimension rule of every statement: raises InputError unless n >= least."""
+    if n < least:
+        raise InputError(f"n must be >= {least}, got {n}")
+
+
 def grid_bits(tol: Fraction) -> int:
     """k = bitlen(ceil(1/tol)) for tol > 0, the coarsest grid with 2^-k <= tol.
     It grows as tol shrinks, and floor grids 2^-k nest."""
@@ -203,8 +209,6 @@ def nth_root_bracket(r: QLike, q: int, tol: QLike) -> Bracket:
     tol = check_tol(tol)
     if r < 0:
         raise InputError("nth root of negative rational")
-    if q < 1:
-        raise InputError("root index must be >= 1")
     return Bracket.dyadic(*root_ends(r, q, grid_bits(tol)))
 
 

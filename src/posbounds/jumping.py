@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import (
-    DEFAULT_TOL, Bracket, InputError, QLike, Record, bisect, check_tol, dyadic_fraction,
+    DEFAULT_TOL, Bracket, InputError, QLike, Record, bisect, check_n, check_tol, dyadic_fraction,
     elem_sym_rows, floor_powers, floor_root, grid_bits, horner, iroot, newton_floor, pow_bracket,
 )
 from .report import BoundReport
@@ -39,8 +39,7 @@ class SigmaSequence(Record):
 def sigma0_for(jets: JetSpec, n: int, very_ample_special: bool = False) -> Fraction:
     """sigma0 = sum (n + s_j)^n; the single-point 1-jet case admits the
     sharper value 2 n^n when very_ample_special is requested."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    check_n(n)
     if very_ample_special and jets.orders == (1,):
         return Fraction(2 * n ** n)
     return Fraction(sum((n + s) ** n for s in jets.orders))
@@ -70,8 +69,7 @@ def sigma_sequence(
     and each probe j shifts the t_p of k_max right by k_max - j: one more root.
     """
     sigma0, Ln, tol = Fraction(sigma0), Fraction(Ln), check_tol(tol)
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    check_n(n)
     a, b, s, d = Ln.numerator, Ln.denominator, sigma0.numerator, sigma0.denominator
     if not 0 < s * b < a * d:
         raise InputError("need 0 < sigma0 < L^n")
@@ -121,6 +119,7 @@ def recursion_bound(
     adds <= 2^(1-k) <= tol/2.  tol_s is proportional to tol, so sigma, the
     grid and the result nest as tol shrinks.
     """
+    check_n(n)
     sigma0, a, tol = Fraction(sigma0), Fraction(a), check_tol(tol)
     b = [Fraction(x) for x in b_prefix]
     if a < 0:
@@ -189,9 +188,10 @@ def main_theorem_check(
     Brackets are rounded up on the threshold side.  A missing minY entry
     makes the report unsatisfied (the inequality cannot be certified).
     """
+    check_n(n)
     sigma0, a, Ln, tol = Fraction(sigma0), Fraction(a), Fraction(Ln), check_tol(tol)
     betas = [Fraction(x) for x in beta]
-    if n < 1 or len(betas) != n or betas[0] != 0 or any(
+    if len(betas) != n or betas[0] != 0 or any(
         y <= x for x, y in zip(betas[1:], betas[2:])
     ) or (n > 1 and betas[1] <= 0) or betas[-1] > 1:
         raise InputError("beta must satisfy 0 = beta_1 < ... < beta_n <= 1")
@@ -227,8 +227,7 @@ def main_theorem_check(
 
 def lemma1111_check(t: Sequence[QLike], n: int) -> bool:
     """Exact check of sum (n-1+t_j)^n <= (n-1 + sum t_j)^n for t_j >= 1."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    check_n(n)
     vals = [Fraction(x) for x in t]
     if any(x < 1 for x in vals):
         raise InputError("need t_j >= 1")
@@ -246,8 +245,7 @@ def beta_schedule(n: int, tol: QLike = DEFAULT_TOL) -> list[Bracket]:
     Strict monotonicity and the increasing-ratio property are certified on
     the exact exponents (beta_p is a pure power of n), not on the brackets.
     """
-    if n < 2:
-        raise InputError("need n >= 2")
+    check_n(n, 2)
     tol = check_tol(tol)
     exps = [_beta_exponent(n, p) for p in range(2, n)]
     # beta strictly increasing <=> exponents strictly decreasing; the ratio
@@ -302,8 +300,7 @@ def cn_constant(n: int, tol: QLike = DEFAULT_TOL) -> Bracket:
 def lemma1115_threshold(n: int, s: int, special: bool = False) -> int:
     """mu(L') >= 3(n+s)^n suffices for s-jets of K+L'; for s = 1 the special
     path sharpens this to 6 n^n."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    check_n(n)
     if s < 1:
         raise InputError("need s >= 1")
     if special:
@@ -316,8 +313,7 @@ def lemma1115_threshold(n: int, s: int, special: bool = False) -> int:
 def theorem1117_threshold(n: int, s: int, muL: QLike, special: bool = True) -> int:
     """Smallest m >= 2 with (m-1) mu(L) + s >= 6(n+s)^n; when s = 1 the
     right side improves to 12 n^n (taken by default)."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    check_n(n)
     if s < 1:
         raise InputError("need s >= 1")
     mu = Fraction(muL)
@@ -329,8 +325,7 @@ def theorem1117_threshold(n: int, s: int, muL: QLike, special: bool = True) -> i
 
 def remark1120_threshold(n: int, s: int) -> int:
     """mu(L) >= 6(3n+3+2s)^n suffices for 2K+L to generate s-jets."""
-    if n < 2:
-        raise InputError("need n >= 2")
+    check_n(n, 2)
     return 6 * (3 * n + 3 + 2 * s) ** n
 
 
@@ -368,10 +363,7 @@ def mu_invariant(
     floor c on the grid 2^-g, g = min(k, 64), is the least, m, take that root:
     c > m gives v^(1/p) >= (m + 1) 2^-g > the least root, so it sets neither end.
     """
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    if not per_dim:
-        raise InputError("per_dim must declare the minima for p = 1..n")
+    check_n(n)
     missing = [p for p in range(1, n + 1) if p not in per_dim]
     if missing:
         raise InputError(f"missing per-dimension minima for p in {missing}")

@@ -14,7 +14,8 @@ from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
 from .core import (
-    DEFAULT_TOL, InputError, QLike, Record, check_tol, dyadic_fraction, floor_root, newton_floor,
+    DEFAULT_TOL, InputError, QLike, Record, check_n, check_tol, dyadic_fraction, floor_root,
+    newton_floor,
 )
 from .report import BoundReport
 
@@ -159,6 +160,7 @@ def seshadri_thresholds(eps_lower: QLike, n: int, s: int) -> tuple[bool, bool]:
     global constant > 2n.  Strict inequalities.  Seshadri constants are
     superadditive, so for a sum of nef bundles the sum of their lower bounds
     is a lower bound."""
+    check_n(n)
     eps = Fraction(eps_lower)
     if eps < 0:
         raise InputError("Seshadri lower bound must be nonnegative")

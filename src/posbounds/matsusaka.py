@@ -13,12 +13,13 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .core import Bracket, InputError, QLike, Record
+from .core import Bracket, InputError, QLike, Record, check_n
 from .report import BoundReport
 
 
 def prop131_window(n: int, LB: QLike, Ln: QLike) -> int:
     """Some m with a section of mL - B satisfies m <= floor(n LB / L^n) + 1 + n."""
+    check_n(n)
     Ln = Fraction(Ln)
     if Ln < 1:
         raise InputError("L^n must be >= 1")
@@ -32,6 +33,7 @@ def prop131_window(n: int, LB: QLike, Ln: QLike) -> int:
 def cor132_window(n: int, LB: QLike, LK: QLike, Ln: QLike) -> int:
     """Existence window for mL - B with B augmented by K_X + (n+1)L:
     m <= n((LB + LK)/L^n + n + 1), rounded up."""
+    check_n(n)
     Ln = Fraction(Ln)
     if Ln < 1:
         raise InputError("L^n must be >= 1")
@@ -40,8 +42,7 @@ def cor132_window(n: int, LB: QLike, LK: QLike, Ln: QLike) -> int:
 
 def corollary85_threshold(n: int) -> int:
     """m(K+(n+2)L)+G is very ample for m >= C(3n+1, n) - 2n."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    check_n(n)
     return math.comb(3 * n + 1, n) - 2 * n
 
 
@@ -49,6 +50,7 @@ def lambda_n(n: int, policy: Union[str, int]) -> int:
     """Constant lambda_n with lambda_n(K+(n+2)L) very ample: the binomial
     policy of Corollary 8.5 (corollary85_threshold, C(3n+1, n) - 2n), the
     cubic policy n^3 - n^2 - n - 1 (n >= 2), or an explicit positive integer."""
+    check_n(n, 2 if policy == "angehrn-siu" else 1)
     if isinstance(policy, int):
         if policy < 1:
             raise InputError("explicit lambda must be a positive integer")
@@ -56,8 +58,6 @@ def lambda_n(n: int, policy: Union[str, int]) -> int:
     if policy == "demailly":
         return corollary85_threshold(n)
     if policy == "angehrn-siu":
-        if n < 2:
-            raise InputError("the cubic policy needs n >= 2")
         return n ** 3 - n ** 2 - n - 1
     raise InputError(f"unknown lambda policy {policy!r}")
 
@@ -68,8 +68,7 @@ class MatsusakaInputs(Record):
     __slots__ = ("n", "Ln", "LB", "LK", "lambda_policy")
 
     def _check(self) -> None:
-        if self.n < 2:
-            raise InputError("need n >= 2")
+        check_n(self.n, 2)
         if self.Ln < 1:
             raise InputError("L^n must be >= 1")
         if self.LB < 0:
@@ -149,6 +148,7 @@ def mbar_recursion(
     Returns (recursive list for p = n..1, closed-form list, exact-agreement
     flag); all exponents are integers so both paths are exact rationals.
     """
+    check_n(n)
     M, LH, Ln = Fraction(M), Fraction(LH), Fraction(Ln)
     if min(M, LH, Ln) <= 0:
         raise InputError("M, LH, L^n must be positive")

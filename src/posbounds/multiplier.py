@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import InputError, QLike, Record
+from .core import InputError, QLike, Record, check_n
 from .report import BoundReport
 
 
@@ -112,6 +112,7 @@ def skoda_classify(nu: QLike, n: int) -> SkodaResult:
     nu < 1 forces the trivial ideal; nu >= n + s forces containment in the
     (s+1)-st power of the maximal ideal; in between nothing is decided.
     """
+    check_n(n)
     nu = Fraction(nu)
     if nu < 0:
         raise InputError("Lelong number must be nonnegative")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .core import InputError, Record
+from .core import InputError, Record, check_n
 
 
 class ProductSpace(Record):
@@ -139,8 +139,7 @@ class IntersectionProfile(Record):
     __slots__ = ("n", "Ln", "LK", "per_dim_min")  # ints, and {p: declared min}
 
     def _check(self) -> None:
-        if self.n < 1:
-            raise InputError(f"n must be >= 1, got {self.n}")
+        check_n(self.n)
 
 
 def profile_from_fixture(space: ProductSpace, L: DivisorClass) -> IntersectionProfile:

@@ -289,7 +289,7 @@ def test_empty_lists_exit_2_with_the_argument_named(capsys):
      "jets must list at least one jet order"),
     (["jets", "main", "--n", "2", "--sigma0", "4", "--a", "-1", "--beta", "0,1", "--min", "1=3",
       "--Ln", "5"], "a must be nonnegative"),
-    (["jets", "main", "--n", "0", "--sigma0", "1", "--a", "0", "--beta", "", "--min", "", "--Ln", "2"],
+    (["jets", "main", "--n", "2", "--sigma0", "1", "--a", "0", "--beta", "", "--min", "", "--Ln", "2"],
      "beta must satisfy 0 = beta_1 < ... < beta_n <= 1"),
     (["jets", "mu", "--n", "2", "--per-dim", "1=3,2=9,5=0"],
      "per-dimension minima for p in [5] outside 1..2"),
@@ -299,6 +299,10 @@ def test_empty_lists_exit_2_with_the_argument_named(capsys):
      "minY must be a positive integer"),
     (["jets", "main", "--n", "2", "--sigma0", "1", "--beta", "0,1", "--min", "1=-1", "--Ln", "2"],
      "minY must be a positive integer"),
+    (["jets", "main", "--n", "0", "--sigma0", "1", "--a", "0", "--beta", "", "--min", "", "--Ln", "2"],
+     "n must be >= 1, got 0"),
+    (["matsusaka", "--n", "1", "--Ln", "4", "--LK", "-1/2"], "n must be >= 2, got 1"),
+    (["jets", "mu", "--n", "2", "--per-dim", ""], "missing per-dimension minima for p in [1, 2]"),
 ])
 def test_degenerate_inputs_exit_2(capsys, argv, message):
     assert main(argv) == EXIT_INPUT

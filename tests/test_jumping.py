@@ -577,7 +577,7 @@ def test_mu_invariant_validates_its_arguments():
         mu_invariant({}, 0)
     with pytest.raises(InputError, match="n must be >= 1"):
         mu_invariant({1: 2}, 0)
-    with pytest.raises(InputError, match="per_dim"):
+    with pytest.raises(InputError, match=r"^missing per-dimension minima for p in \[1, 2\]$"):
         mu_invariant({}, 2)
     for p in (0, 3, 5):  # a key outside 1..n is refused, not skipped
         with pytest.raises(InputError, match=rf"minima for p in \[{p}\] outside 1\.\.2$"):

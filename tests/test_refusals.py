@@ -3,13 +3,16 @@ in ``src/`` has a call here that reaches it, with the start of its message.
 
 The structural tests fail when a raise site has no row, so a new refusal
 cannot land untested, and when a row reaches another site than the one it
-names.
+names.  The dimension rule n >= least has one raise statement, in
+``core.check_n``; the dimension table calls every function and record that
+takes n at n = least - 1 and n = -1, and an AST walk fails when one is missing.
 """
 
 import ast
 import builtins
 import importlib
 import os
+from functools import partial
 from fractions import Fraction as F
 from pathlib import Path
 from unittest import mock
@@ -26,6 +29,7 @@ from test_cli import raise_sites
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "posbounds"
 TOL = F(1, 10**12)
 P1, P2 = projective.ProductSpace((1,)), projective.ProductSpace((2,))
+JET = adjoint.JetSpec((1,))
 FIELDS = {"schema": 1, "theorem": "x", "inputs": {}, "threshold": None, "verdict": "v",
           "details": {}}
 
@@ -36,14 +40,8 @@ ROWS = [
      lambda: adjoint.JetSpec(())),
     ("adjoint", "JetSpec._check", "jet orders must be nonnegative",
      lambda: adjoint.JetSpec((-1,))),
-    ("adjoint", "siu_jet_threshold", "n must be >= 1, got 0",
-     lambda: adjoint.siu_jet_threshold(0, adjoint.JetSpec((1,)))),
-    ("adjoint", "theorem87_conditions", "n must be >= 1, got 0",
-     lambda: adjoint.theorem87_conditions(0, adjoint.JetSpec((1,)))),
     ("adjoint", "lemma86_transfer", "mu must be a positive integer",
      lambda: adjoint.lemma86_transfer(0, 2, 1)),
-    ("adjoint", "pluricanonical_bounds", "n must be >= 1, got 0",
-     lambda: adjoint.pluricanonical_bounds(0, "fano")),
     ("adjoint", "pluricanonical_bounds", "unknown case 'k3'",
      lambda: adjoint.pluricanonical_bounds(2, "k3")),
     ("adjoint", "pluricanonical_bounds", "|K^n| must be positive",
@@ -73,8 +71,6 @@ ROWS = [
      lambda: convexity.morse_strong_rhs(2, {}, 3)),
     ("convexity", "morse_strong_rhs", "mixed product F^1.G^1 not supplied",
      lambda: convexity.morse_strong_rhs(2, {0: 1}, 1)),
-    ("convexity", "morse_existence_threshold", "n must be >= 1, got 0",
-     lambda: convexity.morse_existence_threshold(1, 1, 0)),
     ("convexity", "morse_existence_threshold", "F^n must be positive (F big)",
      lambda: convexity.morse_existence_threshold(0, 1, 2)),
     ("convexity", "morse_existence_threshold", "F^(n-1).G must be nonnegative",
@@ -84,20 +80,15 @@ ROWS = [
     ("convexity", "singular_morse_Aq", "jumping value must be nonnegative",
      lambda: convexity.singular_morse_Aq(2, 1, -1, 1)),
     ("core", "check_tol", "tolerance must be positive", lambda: core.check_tol(0)),
+    ("core", "check_n", "n must be >= 1, got 0", lambda: core.check_n(0)),
     ("core", "iroot", "iroot of negative integer", lambda: core.iroot(-1, 2)),
     ("core", "iroot", "root index must be >= 1", lambda: core.iroot(4, 0)),
     ("core", "nth_root_bracket", "nth root of negative rational",
      lambda: core.nth_root_bracket(-1, 2, TOL)),
-    ("core", "nth_root_bracket", "root index must be >= 1",
-     lambda: core.nth_root_bracket(2, 0, TOL)),
     ("core", "pow_bracket", "pow_bracket base must be nonnegative",
      lambda: core.pow_bracket(-1, 2, TOL)),
     ("core", "pow_bracket", "0 cannot be raised to a negative power",
      lambda: core.pow_bracket(0, -1, TOL)),
-    ("jumping", "sigma0_for", "n must be >= 1, got 0",
-     lambda: jumping.sigma0_for(adjoint.JetSpec((1,)), 0)),
-    ("jumping", "sigma_sequence", "n must be >= 1, got 0",
-     lambda: jumping.sigma_sequence(1, 2, 0)),
     ("jumping", "sigma_sequence", "need 0 < sigma0 < L^n",
      lambda: jumping.sigma_sequence(2, 1, 2)),
     ("jumping", "sigma_sequence", "sigma needs",  # past the cap, as in test_cli
@@ -120,30 +111,17 @@ ROWS = [
      lambda: jumping.main_theorem_check(2, 1, 0, [0, 1], {2: 1}, 4)),
     ("jumping", "main_theorem_check", "minY must be a positive integer",
      lambda: jumping.main_theorem_check(2, 1, 0, [0, 1], {1: 0}, 4)),
-    ("jumping", "lemma1111_check", "n must be >= 1, got 0",
-     lambda: jumping.lemma1111_check([1], 0)),
     ("jumping", "lemma1111_check", "need t_j >= 1", lambda: jumping.lemma1111_check([0], 2)),
-    ("jumping", "beta_schedule", "need n >= 2", lambda: jumping.beta_schedule(1)),
-    ("jumping", "lemma1115_threshold", "n must be >= 1, got 0",
-     lambda: jumping.lemma1115_threshold(0, 1)),
     ("jumping", "lemma1115_threshold", "need s >= 1",
      lambda: jumping.lemma1115_threshold(2, 0)),
     ("jumping", "lemma1115_threshold", "the special threshold applies only to s = 1",
      lambda: jumping.lemma1115_threshold(2, 2, special=True)),
-    ("jumping", "theorem1117_threshold", "n must be >= 1, got 0",
-     lambda: jumping.theorem1117_threshold(0, 1, 1)),
     ("jumping", "theorem1117_threshold", "need s >= 1",
      lambda: jumping.theorem1117_threshold(2, 0, 1)),
     ("jumping", "theorem1117_threshold", "mu(L) must be positive",
      lambda: jumping.theorem1117_threshold(2, 1, 0)),
-    ("jumping", "remark1120_threshold", "need n >= 2",
-     lambda: jumping.remark1120_threshold(1, 1)),
     ("jumping", "corollary118_table", "jet order must be nonnegative",
      lambda: jumping.corollary118_table(-1)),
-    ("jumping", "mu_invariant", "n must be >= 1, got 0",
-     lambda: jumping.mu_invariant({1: 1}, 0)),
-    ("jumping", "mu_invariant", "per_dim must declare the minima for p = 1..n",
-     lambda: jumping.mu_invariant({}, 1)),
     ("jumping", "mu_invariant", "missing per-dimension minima for p in [2]",
      lambda: jumping.mu_invariant({1: 1}, 2)),
     ("jumping", "mu_invariant", "per-dimension minima for p in [3] outside 1..1",
@@ -182,15 +160,9 @@ ROWS = [
      lambda: matsusaka.prop131_window(2, -1, 1)),
     ("matsusaka", "cor132_window", "L^n must be >= 1",
      lambda: matsusaka.cor132_window(2, 0, 0, 0)),
-    ("matsusaka", "corollary85_threshold", "n must be >= 1, got 0",
-     lambda: matsusaka.corollary85_threshold(0)),
     ("matsusaka", "lambda_n", "explicit lambda must be a positive integer",
      lambda: matsusaka.lambda_n(2, 0)),
-    ("matsusaka", "lambda_n", "the cubic policy needs n >= 2",
-     lambda: matsusaka.lambda_n(1, "angehrn-siu")),
     ("matsusaka", "lambda_n", "unknown lambda policy 'x'", lambda: matsusaka.lambda_n(2, "x")),
-    ("matsusaka", "MatsusakaInputs._check", "need n >= 2",
-     lambda: matsusaka.MatsusakaInputs.of(1, 1, 0, 0)),
     ("matsusaka", "MatsusakaInputs._check", "L^n must be >= 1",
      lambda: matsusaka.MatsusakaInputs.of(2, 0, 0, 0)),
     ("matsusaka", "MatsusakaInputs._check", "L^(n-1).B must be nonnegative",
@@ -239,8 +211,6 @@ ROWS = [
      lambda: projective.top_intersection([projective.DivisorClass(P2, (1,))])),
     ("projective", "strata_minima", "class does not live on the given space",
      lambda: projective.strata_minima(P1, projective.DivisorClass(P2, (1,)))),
-    ("projective", "IntersectionProfile._check", "n must be >= 1, got 0",
-     lambda: projective.IntersectionProfile(0, 1, 1, {})),
     ("report", "value_from_json", "malformed rational",
      lambda: report.value_from_json({"num": 1, "den": 0})),
     ("report", "value_from_json", "malformed bracket",
@@ -254,6 +224,53 @@ ROWS = [
     ("report", "BoundReport.from_json", "report inputs and details must be JSON objects",
      lambda: report.BoundReport.from_json({**FIELDS, "details": 5})),
 ]
+
+# {(module, function or record): (least, call of n)}, each call valid for n >= least
+DIMENSION = {
+    ("adjoint", "siu_jet_threshold"): (1, lambda n: adjoint.siu_jet_threshold(n, JET)),
+    ("adjoint", "siu_report"): (1, lambda n: adjoint.siu_report(n, [1])),
+    ("adjoint", "siu_degree_conditions"): (1, lambda n: adjoint.siu_degree_conditions(n, JET)),
+    ("adjoint", "theorem87_conditions"): (1, lambda n: adjoint.theorem87_conditions(n, JET)),
+    ("adjoint", "lemma86_transfer"): (1, lambda n: adjoint.lemma86_transfer(1, n, 1)),
+    ("adjoint", "pluricanonical_bounds"): (1, lambda n: adjoint.pluricanonical_bounds(n, "fano")),
+    ("adjoint", "pluri_report"): (1, lambda n: adjoint.pluri_report(n, "fano")),
+    ("convexity", "ht_mixed_chain"): (1, lambda n: convexity.ht_mixed_chain(1, 1, 1, n, 1)),
+    ("convexity", "ht_chain_report"): (1, lambda n: convexity.ht_chain_report(1, 1, 1, n, 1)),
+    ("convexity", "morse_strong_rhs"): (1, lambda n: convexity.morse_strong_rhs(n, {0: 1}, 0)),
+    ("convexity", "morse_existence_threshold"):
+        (1, lambda n: convexity.morse_existence_threshold(1, 1, n)),
+    ("convexity", "trapani_lower"): (1, lambda n: convexity.trapani_lower(2, 1, n)),
+    ("convexity", "morse_report"): (1, lambda n: convexity.morse_report(n, 1, 1)),
+    ("convexity", "singular_morse_Aq"): (1, lambda n: convexity.singular_morse_Aq(n, 0, 1, 1)),
+    ("jumping", "sigma0_for"): (1, lambda n: jumping.sigma0_for(JET, n)),
+    ("jumping", "sigma_sequence"): (1, lambda n: jumping.sigma_sequence(1, 2, n)),
+    ("jumping", "recursion_bound"): (1, lambda n: jumping.recursion_bound(n, 1, 0, [0], 1, 4)),
+    ("jumping", "main_theorem_check"):
+        (1, lambda n: jumping.main_theorem_check(n, 1, 0, [0], {}, 4)),
+    ("jumping", "lemma1111_check"): (1, lambda n: jumping.lemma1111_check([1], n)),
+    ("jumping", "beta_schedule"): (2, jumping.beta_schedule),
+    ("jumping", "cn_constant"): (2, jumping.cn_constant),
+    ("jumping", "lemma1115_threshold"): (1, lambda n: jumping.lemma1115_threshold(n, 1)),
+    ("jumping", "theorem1117_threshold"): (1, lambda n: jumping.theorem1117_threshold(n, 1, 1)),
+    ("jumping", "remark1120_threshold"): (2, lambda n: jumping.remark1120_threshold(n, 1)),
+    ("jumping", "mu_invariant"): (1, lambda n: jumping.mu_invariant({1: 1}, n)),
+    ("jumping", "mu_report"): (1, lambda n: jumping.mu_report(n, {1: 1})),
+    ("lelong", "seshadri_thresholds"): (1, lambda n: lelong.seshadri_thresholds(1, n, 1)),
+    ("matsusaka", "prop131_window"): (1, lambda n: matsusaka.prop131_window(n, 1, 1)),
+    ("matsusaka", "cor132_window"): (1, lambda n: matsusaka.cor132_window(n, 1, 1, 1)),
+    ("matsusaka", "corollary85_threshold"): (1, matsusaka.corollary85_threshold),
+    ("matsusaka", "lambda_n"): (2, lambda n: matsusaka.lambda_n(n, "angehrn-siu")),
+    ("matsusaka", "MatsusakaInputs._check"):
+        (2, lambda n: matsusaka.MatsusakaInputs.of(n, 1, 0, 0)),
+    ("matsusaka", "matsusaka_report"): (2, lambda n: matsusaka.matsusaka_report(n, 1, 0)),
+    ("matsusaka", "mbar_recursion"): (1, lambda n: matsusaka.mbar_recursion(n, 1, 1, 1)),
+    ("multiplier", "skoda_classify"): (1, lambda n: multiplier.skoda_classify(2, n)),
+    ("projective", "IntersectionProfile._check"):
+        (1, lambda n: projective.IntersectionProfile(n, 1, 1, {})),
+}
+DIMENSION_ROWS = [(module, function, f"n must be >= {least}, got {n}", partial(call, n))
+                  for (module, function), (least, call) in DIMENSION.items()
+                  for n in (least - 1, -1)]
 
 
 def _raised_at(exc):
@@ -271,12 +288,29 @@ def _refuse(call):
     return info.value
 
 
-@pytest.mark.parametrize("module, function, prefix, call", ROWS,
-                         ids=[f"{m}.{f}: {p}" for m, f, p, _ in ROWS])
+@pytest.mark.parametrize("module, function, prefix, call", ROWS + DIMENSION_ROWS,
+                         ids=[f"{m}.{f}: {p}" for m, f, p, _ in ROWS + DIMENSION_ROWS])
 def test_refusal(module, function, prefix, call):
     exc = _refuse(call)
     assert str(exc).startswith(prefix)
-    assert _raised_at(exc)[:2] == (module, function.rpartition(".")[2])
+    dimension_rule = prefix.startswith("n must be >= ")  # raised only by core.check_n
+    site = ("core", "check_n") if dimension_rule else (module, function.rpartition(".")[2])
+    assert _raised_at(exc)[:2] == site
+
+
+def test_every_function_that_takes_n_is_in_the_dimension_table():
+    takes_n = set()
+    for module in ("adjoint", "convexity", "jumping", "lelong", "matsusaka", "multiplier",
+                   "projective"):
+        loaded = importlib.import_module(f"posbounds.{module}")
+        for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                if "n" in [arg.arg for arg in node.args.args + node.args.kwonlyargs]:
+                    takes_n.add((module, node.name))
+            elif isinstance(node, ast.ClassDef) and "n" in getattr(getattr(loaded, node.name),
+                                                                   "__slots__", ()):
+                takes_n.add((module, f"{node.name}._check"))
+    assert sorted(takes_n ^ DIMENSION.keys()) == []
 
 
 def _is_refusal(module, cls):
@@ -312,7 +346,7 @@ NEGATIVE_N = {
     "lemma1115(-1, 1, special)":  # returned -6.0
         lambda: jumping.lemma1115_threshold(-1, 1, special=True),
     "theorem1117(-2, 2, 1)": lambda: jumping.theorem1117_threshold(-2, 2, 1, special=False),
-    "sigma0_for(-1)": lambda: jumping.sigma0_for(adjoint.JetSpec((1,)), -1),
+    "sigma0_for(-1)": lambda: jumping.sigma0_for(JET, -1),
     "lemma1111([1, 2], -1)": lambda: jumping.lemma1111_check([1, 2], -1),
     "lambda_n(-1)": lambda: matsusaka.lambda_n(-1, "demailly"),  # math.comb's ValueError
 }
@@ -321,6 +355,43 @@ NEGATIVE_N = {
 @pytest.mark.parametrize("call", NEGATIVE_N.values(), ids=NEGATIVE_N)
 def test_paper_thresholds_refuse_n_below_1(call):
     assert str(_refuse(call)).startswith("n must be >= 1, got -")
+
+
+# each returned an answer (the value noted) before the dimension rule reached it
+ANSWERED_OUTSIDE_THE_RULE = {
+    "lemma86_transfer(1, -5, 1)": lambda: adjoint.lemma86_transfer(1, -5, 1),  # -3
+    "seshadri_thresholds(0, -1, 0)": lambda: lelong.seshadri_thresholds(0, -1, 0),  # both True
+    "skoda_classify(2, 0)": lambda: multiplier.skoda_classify(2, 0),  # inside m^3
+    "prop131_window(-3, 1, 1)": lambda: matsusaka.prop131_window(-3, 1, 1),  # -5
+    "cor132_window(-2, 1, 1, 1)": lambda: matsusaka.cor132_window(-2, 1, 1, 1),  # -2
+    "mbar_recursion(0, 1, 1, 1)": lambda: matsusaka.mbar_recursion(0, 1, 1, 1),  # disagreeing
+    "trapani_lower(2, 1, -1)": lambda: convexity.trapani_lower(2, 1, -1),  # 3
+    "morse_strong_rhs(0, {0: 1}, 0)": lambda: convexity.morse_strong_rhs(0, {0: 1}, 0),  # 1
+    "singular_morse_Aq(0, 0, 1, 1)": lambda: convexity.singular_morse_Aq(0, 0, 1, 1),  # 1
+    "lambda_n(0, 5)": lambda: matsusaka.lambda_n(0, 5),  # 5
+}
+
+
+@pytest.mark.parametrize("call", ANSWERED_OUTSIDE_THE_RULE.values(), ids=ANSWERED_OUTSIDE_THE_RULE)
+def test_calls_outside_the_dimension_rule_refuse(call):
+    exc = _refuse(call)
+    assert str(exc).startswith("n must be >= 1, got ")
+    assert _raised_at(exc)[:2] == ("core", "check_n")
+
+
+# refusals with no statement of their own: a later check on the same path makes them
+LATER_CHECKS = {
+    "nth_root_bracket(2, 0)": (lambda: core.nth_root_bracket(2, 0, TOL),
+                               ("core", "iroot"), "root index must be >= 1"),
+    "mu_invariant({}, 2)": (lambda: jumping.mu_invariant({}, 2), ("jumping", "mu_invariant"),
+                            "missing per-dimension minima for p in [1, 2]"),
+}
+
+
+@pytest.mark.parametrize("call, site, message", LATER_CHECKS.values(), ids=LATER_CHECKS)
+def test_a_later_check_refuses(call, site, message):
+    exc = _refuse(call)
+    assert str(exc) == message and _raised_at(exc)[:2] == site
 
 
 def test_membership_criterion_refuses_a_zero_weight():
