@@ -70,6 +70,8 @@ def lemma86_transfer(mu: int, n: int, s_j: int) -> int:
     check_n(n)
     if mu < 1:
         raise InputError("mu must be a positive integer")
+    if s_j < 0:
+        raise InputError("jet order must be nonnegative")
     return mu * (n + s_j) + 1
 
 

@@ -164,4 +164,6 @@ def seshadri_thresholds(eps_lower: QLike, n: int, s: int) -> tuple[bool, bool]:
     eps = Fraction(eps_lower)
     if eps < 0:
         raise InputError("Seshadri lower bound must be nonnegative")
+    if s < 0:
+        raise InputError("jet order must be nonnegative")
     return eps > n + s, eps > 2 * n

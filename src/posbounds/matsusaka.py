@@ -3,15 +3,18 @@
 Existence windows for sections of mL - B, the explicit main bound with its
 internal recursion, the two published policies for the auxiliary constant
 lambda_n, and the surface specialisations.  Every exponent in these bounds
-is an integer (see _main_exponents), so they are computed with exact integer
-powers of rationals and reported as point Brackets.
+is an integer (see _main_exponents), so they are exact rationals, reported as
+point Brackets.  The main bound and the closed-form auxiliary sequence are
+assembled over a coprime base of their small integer inputs (_power_product),
+so a threshold of tens of thousands of bits is reduced with no gcd of two big
+integers.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 from .core import Bracket, InputError, QLike, Record, check_n
 from .report import BoundReport
@@ -52,7 +55,7 @@ def lambda_n(n: int, policy: Union[str, int]) -> int:
     cubic policy n^3 - n^2 - n - 1 (n >= 2), or an explicit positive integer."""
     check_n(n, 2 if policy == "angehrn-siu" else 1)
     if isinstance(policy, int):
-        if policy < 1:
+        if isinstance(policy, bool) or policy < 1:
             raise InputError("explicit lambda must be a positive integer")
         return policy
     if policy == "demailly":
@@ -93,6 +96,52 @@ def _main_exponents(n: int) -> tuple[int, int, int, int]:
     return pre, ebh, eh, eln
 
 
+def _power_product(factors: Iterable[tuple[QLike, int]]) -> Fraction:
+    """The product of x^e over pairs (x, e), x a nonnegative int or Fraction
+    (positive where e < 0), in lowest terms with no gcd of two big integers.
+
+    Pairs with e = 0 are dropped, and 0^e = 0 for e > 0.  The numerators
+    (exponent e) and denominators (-e) are refined, as for a coprime base
+    (Bernstein, J. Algorithms 54, 2005), into the sides num (exponents > 0) and
+    den (< 0), each element of one coprime to each of the other: a pending
+    (y, e) and a (b, f) of the other side with g = gcd(y, b) > 1, y = g^i y' and
+    b = g^j b' (g dividing neither y' nor b'), give way to the pending (b', f),
+    (g, ie + jf) and (y', e), the same product; else y joins its side.  Pending
+    1s and zero exponents are dropped.  Each split divides the product of all
+    values by g^(i+j-1) > 1 and each other step shortens the pending list, so
+    the loop ends.  The sides' products then share no factor, so the slots of
+    the canonical Fraction are set directly."""
+    pending = []
+    for x, e in factors:
+        if e:
+            if not x:
+                return Fraction(0)
+            pending += (x.numerator, e), (x.denominator, -e)
+    num, den = {}, {}
+    while pending:
+        y, e = pending.pop()
+        if y == 1 or not e:
+            continue
+        side, other = (num, den) if e > 0 else (den, num)
+        for b, f in other.items():
+            g = math.gcd(y, b)
+            if g > 1:
+                del other[b]
+                k = 0
+                while not y % g:
+                    y, k = y // g, k + e
+                while not b % g:
+                    b, k = b // g, k + f
+                pending += (b, f), (g, k), (y, e)
+                break
+        else:
+            side[y] = side.get(y, 0) + e
+    result = object.__new__(Fraction)
+    result._numerator = math.prod(b ** e for b, e in num.items())
+    result._denominator = math.prod(b ** -e for b, e in den.items())
+    return result
+
+
 def matsusaka_main(inputs: MatsusakaInputs) -> BoundReport:
     """The explicit bound: mL - B is very ample whenever
     m >= (2n)^((3^(n-1)-1)/2) (LBH)^((3^(n-1)+1)/2) (LH)^(e_H) / (L^n)^(e_L)
@@ -105,7 +154,7 @@ def matsusaka_main(inputs: MatsusakaInputs) -> BoundReport:
     if LH < 0 or LBH < 0:
         raise InputError("L^(n-1).H and L^(n-1).(B+H) must be nonnegative")
     pre, ebh, eh, eln = _main_exponents(n)
-    bound = (2 * n) ** pre * LBH ** ebh * LH ** eh / inputs.Ln ** eln
+    bound = _power_product(((2 * n, pre), (LBH, ebh), (LH, eh), (inputs.Ln, -eln)))
     m_int = math.ceil(bound)
     return BoundReport(
         theorem="matsusaka-main",
@@ -156,14 +205,11 @@ def mbar_recursion(
     for p in range(n - 1, 0, -1):
         tail_sq = math.prod(rec) ** 2
         rec.append(M * LH ** p / Ln ** (p - 1) * tail_sq)
-    closed = []
-    for p in range(n, 0, -1):
-        if p == n:
-            closed.append(M / Ln)
-            continue
+    closed = [M / Ln]
+    for p in range(n - 1, 0, -1):
         eh = (3 ** (n - p - 1) * (2 * n - 3) + 1) // 2
         el = (3 ** (n - p - 1) * (2 * n - 1) + 1) // 2
-        closed.append(M ** (3 ** (n - p)) * LH ** eh / Ln ** el)
+        closed.append(_power_product(((M, 3 ** (n - p)), (LH, eh), (Ln, -el))))
     return rec, closed, rec == closed
 
 

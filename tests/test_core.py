@@ -518,6 +518,24 @@ def test_dyadic_results_take_no_gcd_of_two_big_integers(monkeypatch):
     assert margins["1"] > 0 > margins["2"] and margins["3"] is None
 
 
+def test_matsusaka_bound_takes_no_gcd_of_two_big_integers(monkeypatch):
+    # the n = 6 threshold has about 6,000 bits; chained Fraction operators would
+    # reduce it with CPython's quadratic gcd, the coprime base never forms one
+    gcd, big = math.gcd, []
+
+    def spy(*args):
+        if sum(x.bit_length() > 512 for x in args) >= 2:
+            big.append(args)
+        return gcd(*args)
+
+    inputs = matsusaka.MatsusakaInputs.of(6, Fraction(9, 2), Fraction(1, 3), Fraction(5, 7))
+    monkeypatch.setattr(math, "gcd", spy)
+    threshold = matsusaka.matsusaka_main(inputs).threshold
+    monkeypatch.undo()
+    assert big == []
+    assert threshold.lo.numerator.bit_length() > 5000
+
+
 def newton_cases():
     """(f, t, root): f(t) = (g(t), g'(t)) for an increasing convex integer g
     with g(0) <= 0, t above its root, and root the root when it is an integer."""

@@ -1,17 +1,24 @@
 """Tests for existence windows and the explicit very-ampleness bound."""
 
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from posbounds import matsusaka
 from posbounds.matsusaka import (
     MatsusakaInputs,
+    _main_exponents,
+    _power_product,
     cor132_window,
     fdb_surface_bound,
     lambda_n,
     m0_assembly,
     matsusaka_main,
+    matsusaka_report,
     mbar_recursion,
     prop131_window,
 )
@@ -43,6 +50,10 @@ def test_lambda_policies():
         lambda_n(2, "unknown")
     with pytest.raises(ValueError):
         lambda_n(2, 0)
+    # a bool is an int, but True is no explicit lambda (it was reported as "lambda": true)
+    for call in (lambda: lambda_n(3, True), lambda: matsusaka_report(3, 1, 2, 0, True)):
+        with pytest.raises(ValueError, match="^explicit lambda must be a positive integer$"):
+            call()
 
 
 def test_surface_reduction_exact():
@@ -63,6 +74,64 @@ def test_main_bound_n3_exponents():
     assert exps == {"pre": 4, "LBH": 5, "LH": 2, "Ln": 4}
     # (2n)^4 = 1296 prefactor with LH = LBH = 5 and Ln = 1.
     assert report.threshold.lo == 1296 * Fraction(5) ** 5 * Fraction(5) ** 2
+
+
+# bases sharing the factors 2, 3, 5, 7 and 1081559 (in lambda_8 = C(25, 8) - 16)
+SMOOTH = st.lists(st.sampled_from([2, 3, 5, 7, 9, 10, 12, 1081559]), max_size=4).map(math.prod)
+POSITIVE = st.builds(Fraction, SMOOTH | st.integers(1, 10**12), SMOOTH | st.integers(1, 10**6))
+PAIRS = (st.tuples(POSITIVE | st.integers(1, 50), st.integers(-40, 40))
+         | st.tuples(st.sampled_from([0, Fraction(0)]), st.integers(0, 40)))
+
+
+def main_factors(n, Ln, LB, LK):
+    """matsusaka_main's (base, exponent) pairs under the demailly policy."""
+    LH = lambda_n(n, "demailly") * (LK + (n + 2) * Ln)
+    pre, ebh, eh, eln = _main_exponents(n)
+    return [(2 * n, pre), (LB + LH, ebh), (LH, eh), (Ln, -eln)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(PAIRS, max_size=6))
+@example([(Fraction(0), 0), (1, 5), (Fraction(1), -3)])
+@example([(Fraction(6, 35), 3), (Fraction(10, 21), -2), (Fraction(14, 15), 5), (Fraction(0), 1)])
+@example(main_factors(7, Fraction(7), Fraction(2), Fraction(3)))
+@example(main_factors(8, Fraction(9), Fraction(5), Fraction(10)))
+@example(main_factors(8, Fraction(9, 2), Fraction(1, 3), Fraction(5, 7)))
+@example(main_factors(8, Fraction(1), Fraction(0), Fraction(-10)))  # LH = LBH = 0
+def test_power_product_is_the_fraction_product(pairs):
+    expected = math.prod((Fraction(x) ** e for x, e in pairs), start=Fraction(1))
+    got = _power_product(pairs)
+    assert type(got) is Fraction and got == expected and hash(got) == hash(expected)
+    assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+
+def fraction_formula(factors):
+    """The main bound as chained Fraction operators, one gcd per operand pair."""
+    (two_n, pre), (LBH, ebh), (LH, eh), (Ln, minus_eln) = factors
+    return two_n ** pre * LBH ** ebh * LH ** eh / Ln ** -minus_eln
+
+
+def test_main_bound_matches_the_fraction_formula(monkeypatch):
+    rng = random.Random(31)
+    cases = [(n, Ln, LB, -(n + 2) * Ln, policy)  # LH = 0; LBH = 0 too where LB = 0
+             for n in range(2, 7) for Ln, LB in ((1, 0), (Fraction(9, 2), Fraction(1, 3)))
+             for policy in ("demailly", 3)]
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        Ln = Fraction(rng.randint(1, 60), rng.randint(1, 4)) + 1
+        LB = Fraction(rng.randint(0, 40), rng.randint(1, 9))
+        LK = Fraction(rng.randint(-(n + 2) * 10, 40), rng.randint(1, 11))
+        LK = max(LK, -(n + 2) * Ln)
+        cases.append((n, Ln, LB, LK, rng.choice(["demailly", "angehrn-siu", rng.randint(1, 50)])))
+    for n, Ln, LB, LK, policy in cases:
+        inputs = MatsusakaInputs.of(n, Ln, LB, LK, policy)
+        got = matsusaka_main(inputs)
+        with monkeypatch.context() as patch:
+            patch.setattr(matsusaka, "_power_product", fraction_formula)
+            expected = matsusaka_main(inputs)
+        assert got.threshold == expected.threshold and got.details == expected.details
+        assert (json.dumps(got.to_json(), sort_keys=True)
+                == json.dumps(expected.to_json(), sort_keys=True))
 
 
 def test_main_bound_homogeneous_in_LBH():
@@ -114,6 +183,9 @@ def test_mbar_recursion_examples():
 
 
 def test_mbar_recursion_random_agreement():
+    for n in range(1, 7):  # inputs sharing the factors 2, 3, 5 and 7
+        _, _, ok = mbar_recursion(n, Fraction(6, 35), Fraction(10, 21), Fraction(14, 15))
+        assert ok
     rng = random.Random(99)
     for _ in range(50):
         n = rng.randint(2, 8)

@@ -42,6 +42,8 @@ ROWS = [
      lambda: adjoint.JetSpec((-1,))),
     ("adjoint", "lemma86_transfer", "mu must be a positive integer",
      lambda: adjoint.lemma86_transfer(0, 2, 1)),
+    ("adjoint", "lemma86_transfer", "jet order must be nonnegative",
+     lambda: adjoint.lemma86_transfer(1, 2, -5)),
     ("adjoint", "pluricanonical_bounds", "unknown case 'k3'",
      lambda: adjoint.pluricanonical_bounds(2, "k3")),
     ("adjoint", "pluricanonical_bounds", "|K^n| must be positive",
@@ -154,6 +156,8 @@ ROWS = [
      lambda: lelong.seshadri_upper(lelong.CurveData(()))),
     ("lelong", "seshadri_thresholds", "Seshadri lower bound must be nonnegative",
      lambda: lelong.seshadri_thresholds(-1, 2, 1)),
+    ("lelong", "seshadri_thresholds", "jet order must be nonnegative",
+     lambda: lelong.seshadri_thresholds(1, 2, -5)),
     ("matsusaka", "prop131_window", "L^n must be >= 1",
      lambda: matsusaka.prop131_window(2, 0, 0)),
     ("matsusaka", "prop131_window", "L^(n-1).B must be nonnegative for nef B",
