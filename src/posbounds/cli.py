@@ -8,9 +8,10 @@ argparse accepts the command line, calls the function with the parsed flags
 (plus ``tol`` where it takes one) and prints the report as one JSON line
 (``jets table --format table`` prints a Markdown table).
 
-Exit codes: 0 when a verdict was computed (including "unsatisfied"), 2 on
-input errors (a malformed flag is an argparse usage error), and 1 on an
-internal error (a bug), reported as one line on stderr.  The code that
+Exit codes: 0 when a verdict was computed (including "unsatisfied", and
+when the reader closed stdout before reading it), 2 on input errors (a
+malformed flag is an argparse usage error), and 1 on an internal error (a
+bug), reported as one line on stderr.  The code that
 raises decides: a family module raises ``InputError``, and any other
 exception is a bug.  POSBOUNDS_TOL overrides the default tolerance 10^-12;
 numbers may be any rational ("3/7", "0.25", "4"), and a value may start
@@ -227,9 +228,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         report = report_of(**args, tol=tol) if takes_tol else report_of(**args)
         print(render_surface_table(report.details) if as_table
               else json.dumps(report.to_json(), sort_keys=True))
+        sys.stdout.flush()
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # the answer was computed and the reader stopped reading; stdout goes to
+        # devnull so that the flush at exit does not fail again (Python docs, SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except Exception as exc:  # a bug: one line, no traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

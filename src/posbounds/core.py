@@ -179,8 +179,9 @@ class Bracket(Record):
 
     @staticmethod
     def point(x: QLike) -> "Bracket":
+        """[x, x]: lo is hi, so no Fraction is compared with itself."""
         x = Fraction(x)
-        return Bracket(x, x)
+        return Bracket._ordered(x, x)
 
     @staticmethod
     def dyadic(lo: int, hi: int, k: int, c: int = 1) -> "Bracket":
@@ -188,9 +189,14 @@ class Bracket(Record):
         the order is checked on the integers, so no Fraction is compared."""
         if lo > hi:
             raise ValueError(f"bracket endpoints out of order: {lo} > {hi} (over 2^{k})")
+        return Bracket._ordered(dyadic_fraction(lo, k, c), dyadic_fraction(hi, k, c))
+
+    @staticmethod
+    def _ordered(lo: Fraction, hi: Fraction) -> "Bracket":
+        # for callers that know lo <= hi: the record without _check
         b = object.__new__(Bracket)
-        object.__setattr__(b, "lo", dyadic_fraction(lo, k, c))
-        object.__setattr__(b, "hi", dyadic_fraction(hi, k, c))
+        object.__setattr__(b, "lo", lo)
+        object.__setattr__(b, "hi", hi)
         return b
 
     @property

@@ -110,7 +110,7 @@ def _power_product(factors: Iterable[tuple[QLike, int]]) -> Fraction:
     1s and zero exponents are dropped.  Each split divides the product of all
     values by g^(i+j-1) > 1 and each other step shortens the pending list, so
     the loop ends.  The sides' products then share no factor, so the slots of
-    the canonical Fraction are set directly."""
+    the canonical Fraction are set directly, each side raised in one pass."""
     pending = []
     for x, e in factors:
         if e:
@@ -137,8 +137,27 @@ def _power_product(factors: Iterable[tuple[QLike, int]]) -> Fraction:
         else:
             side[y] = side.get(y, 0) + e
     result = object.__new__(Fraction)
-    result._numerator = math.prod(b ** e for b, e in num.items())
-    result._denominator = math.prod(b ** -e for b, e in den.items())
+    result._numerator = _simultaneous_power(num)
+    result._denominator = _simultaneous_power({b: -e for b, e in den.items()})
+    return result
+
+
+def _simultaneous_power(side: dict[int, int]) -> int:
+    """The product of b^e over side's items (e > 0), by one left-to-right pass
+    over the exponent bits (Shamir/Straus; Knuth, TAOCP vol. 2, sec. 4.6.3):
+    square the running product, then multiply in each base whose bit is set.
+    The only big product is the running product's square: multiplying the
+    separate big powers together cost more than raising them.  With one base,
+    or exponents below 2^7, each b ** e is taken as it is, which is faster
+    there."""
+    if len(side) < 2 or (top := max(side.values())) < 128:
+        return math.prod(b ** e for b, e in side.items())
+    result = 1
+    for i in range(top.bit_length() - 1, -1, -1):
+        result *= result
+        for b, e in side.items():
+            if e >> i & 1:
+                result *= b
     return result
 
 

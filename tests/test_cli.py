@@ -178,13 +178,17 @@ def test_cli_imports_only_the_family_it_runs(argv, families):
     assert out[1] == "False"
 
 
-def fresh_python(code, *argv):
-    """stdout of code run in a new interpreter that imports posbounds from src."""
+def src_env() -> dict[str, str]:
+    """The environment with posbounds importable from src."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def fresh_python(code, *argv):
+    """stdout of code run in a new interpreter that imports posbounds from src."""
     return subprocess.run([sys.executable, "-c", code, *argv],
-                          env=env, capture_output=True, text=True, check=True).stdout
+                          env=src_env(), capture_output=True, text=True, check=True).stdout
 
 
 LOADED_BY_EVERY_FAMILY = """
@@ -409,6 +413,21 @@ def test_d1_answer_too_long_to_print_exits_1(capsys):
     # D1: the bound has more digits than CPython converts to str by default
     line = internal_error_line(capsys, ["matsusaka", "--n", "7", "--Ln", "1", "--LK", "2"])
     assert line.startswith("internal error: ValueError: Exceeds the limit (4300 digits)")
+
+
+def test_d9_a_closed_stdout_exits_0_with_nothing_on_stderr():
+    # D9: the reader closed the pipe before posbounds wrote the answer.  The read
+    # end is closed before the spawn, so every write, and the flush at exit, fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "posbounds.cli", "jets", "main", "--n", "3", "--sigma0", "8",
+             "--a", "1", "--beta", "0,1/27,1", "--min", "1=76,2=6", "--Ln", "64"],
+            stdout=write_end, stderr=subprocess.PIPE, env=src_env(), timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"")
 
 
 # Checks on values the program computed itself: their failure is a bug (exit 1)

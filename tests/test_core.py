@@ -536,6 +536,31 @@ def test_matsusaka_bound_takes_no_gcd_of_two_big_integers(monkeypatch):
     assert threshold.lo.numerator.bit_length() > 5000
 
 
+def test_matsusaka_bound_compares_no_big_fraction(monkeypatch):
+    # the threshold is a point bracket, lo is hi: an order check would cross-multiply
+    # the ~6,000-bit numerator with the denominator of the same value
+    big = []
+
+    def spy(name):
+        compare = getattr(Fraction, name)
+
+        def spied(a, b):
+            if any(isinstance(x, (int, Fraction))
+                   and max(x.numerator.bit_length(), x.denominator.bit_length()) > 512
+                   for x in (a, b)):
+                big.append(name)
+            return compare(a, b)
+        return spied
+
+    inputs = matsusaka.MatsusakaInputs.of(6, Fraction(9, 2), Fraction(1, 3), Fraction(5, 7))
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name, spy(name))
+    threshold = matsusaka.matsusaka_main(inputs).threshold
+    monkeypatch.undo()
+    assert big == []
+    assert threshold.lo is threshold.hi and threshold.lo.numerator.bit_length() > 5000
+
+
 def newton_cases():
     """(f, t, root): f(t) = (g(t), g'(t)) for an increasing convex integer g
     with g(0) <= 0, t above its root, and root the root when it is an integer."""

@@ -68,10 +68,15 @@ def test_anisotropic_generators():
 @example([Fraction(2)] * 3)  # trivial ideal
 @example([Fraction(4)] * 3)  # |beta| >= 2: six generators
 @example([Fraction(7, 2), Fraction(1, 6), Fraction(3), Fraction(5, 3)])
+@example([Fraction(20)] * 2)  # the bench boxes
+@example([Fraction(40)] * 2)
+@example([Fraction(8)] * 3)
+@example([Fraction(12)] * 3)
+@example([Fraction(6)] * 4)
 @given(
-    st.integers(min_value=1, max_value=4).flatmap(
+    st.integers(min_value=1, max_value=5).flatmap(
         lambda p: st.lists(
-            st.fractions(min_value=Fraction(1, 6), max_value=[12, 9, 5, 3][p - 1], max_denominator=6),
+            st.fractions(min_value=Fraction(1, 6), max_value=[12, 9, 5, 3, 3][p - 1], max_denominator=6),
             min_size=p,
             max_size=p,
         )
@@ -80,6 +85,20 @@ def test_anisotropic_generators():
 def test_generators_match_the_box_filter(alpha):
     ideal = monomial_multiplier_ideal(MonomialWeightData(tuple(alpha)))
     assert ideal.generators == box_filter_generators(alpha)
+
+
+def test_many_coordinates_need_no_recursion():
+    # the walk keeps its own stack: 3,000 coordinates pass Python's recursion limit
+    ideal = monomial_multiplier_ideal(MonomialWeightData.of(*[Fraction(1, 2)] * 3000))
+    assert ideal.generators == frozenset({(0,) * 3000})
+
+
+def test_eight_twelves_give_the_monomials_of_degree_five():
+    # sum_j (b_j + 1)/12 > 1 iff sum b_j >= 5: C(12, 7) = 792 monomials of degree 5,
+    # where the box of prefixes holds 13^7 = 62,748,517 points
+    generators = monomial_multiplier_ideal(MonomialWeightData.of(*[12] * 8)).generators
+    assert len(generators) == math.comb(12, 7) == 792
+    assert {sum(g) for g in generators} == {5}
 
 
 small_alpha = st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=8)
