@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import InputError, Record, check_n
+from .core import InputError, Record, check_jet_order, check_n
 from .report import BoundReport
 
 
@@ -25,8 +25,7 @@ class JetSpec(Record):
     def _check(self) -> None:
         if not self.orders:
             raise InputError("jets must list at least one jet order")
-        if any(s < 0 for s in self.orders):
-            raise InputError("jet orders must be nonnegative")
+        check_jet_order(min(self.orders))
 
 
 def siu_jet_threshold(n: int, jets: JetSpec) -> int:
@@ -70,8 +69,7 @@ def lemma86_transfer(mu: int, n: int, s_j: int) -> int:
     check_n(n)
     if mu < 1:
         raise InputError("mu must be a positive integer")
-    if s_j < 0:
-        raise InputError("jet order must be nonnegative")
+    check_jet_order(s_j)
     return mu * (n + s_j) + 1
 
 
@@ -152,8 +150,7 @@ def bes_check(L2: int, p: int, divisors: Sequence[tuple[int, int]] = ()) -> Chec
     """Beltrametti-Sommese p-jet criterion: applicable when L^2 > 4p; a
     divisor is exceptional when L.D - p <= D^2 < L.D / 2 (upper bound strict,
     compared exactly at the rational midpoint)."""
-    if p < 1:
-        raise InputError("p must be a positive integer")
+    check_jet_order(p, 1)
     if L2 <= 4 * p:
         return CheckResult(CheckOutcome.INAPPLICABLE, ())
     matched = tuple(

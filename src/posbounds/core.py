@@ -39,6 +39,12 @@ def check_n(n: int, least: int = 1) -> None:
         raise InputError(f"n must be >= {least}, got {n}")
 
 
+def check_jet_order(s: int, least: int = 0) -> None:
+    """The jet-order rule of every s-jet statement: raises InputError unless s >= least."""
+    if s < least:
+        raise InputError(f"jet order must be >= {least}, got {s}")
+
+
 def grid_bits(tol: Fraction) -> int:
     """k = bitlen(ceil(1/tol)) for tol > 0, the coarsest grid with 2^-k <= tol.
     It grows as tol shrinks, and floor grids 2^-k nest."""

@@ -14,8 +14,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import (
-    DEFAULT_TOL, Bracket, InputError, QLike, Record, bisect, check_n, check_tol, dyadic_fraction,
-    elem_sym_rows, floor_powers, floor_root, grid_bits, horner, iroot, newton_floor, pow_bracket,
+    DEFAULT_TOL, Bracket, InputError, QLike, Record, bisect, check_jet_order, check_n, check_tol,
+    dyadic_fraction, elem_sym_rows, floor_powers, floor_root, grid_bits, horner, iroot,
+    newton_floor, pow_bracket,
 )
 from .report import BoundReport
 
@@ -192,8 +193,8 @@ def main_theorem_check(
     sigma0, a, Ln, tol = Fraction(sigma0), Fraction(a), Fraction(Ln), check_tol(tol)
     betas = [Fraction(x) for x in beta]
     if len(betas) != n or betas[0] != 0 or any(
-        y <= x for x, y in zip(betas[1:], betas[2:])
-    ) or (n > 1 and betas[1] <= 0) or betas[-1] > 1:
+        y <= x for x, y in zip(betas, betas[1:])
+    ) or betas[-1] > 1:
         raise InputError("beta must satisfy 0 = beta_1 < ... < beta_n <= 1")
     if a < 0:
         raise InputError("a must be nonnegative")
@@ -301,8 +302,7 @@ def lemma1115_threshold(n: int, s: int, special: bool = False) -> int:
     """mu(L') >= 3(n+s)^n suffices for s-jets of K+L'; for s = 1 the special
     path sharpens this to 6 n^n."""
     check_n(n)
-    if s < 1:
-        raise InputError("need s >= 1")
+    check_jet_order(s, 1)
     if special:
         if s != 1:
             raise InputError("the special threshold applies only to s = 1")
@@ -314,8 +314,7 @@ def theorem1117_threshold(n: int, s: int, muL: QLike, special: bool = True) -> i
     """Smallest m >= 2 with (m-1) mu(L) + s >= 6(n+s)^n; when s = 1 the
     right side improves to 12 n^n (taken by default)."""
     check_n(n)
-    if s < 1:
-        raise InputError("need s >= 1")
+    check_jet_order(s, 1)
     mu = Fraction(muL)
     if mu <= 0:
         raise InputError("mu(L) must be positive")
@@ -326,6 +325,7 @@ def theorem1117_threshold(n: int, s: int, muL: QLike, special: bool = True) -> i
 def remark1120_threshold(n: int, s: int) -> int:
     """mu(L) >= 6(3n+3+2s)^n suffices for 2K+L to generate s-jets."""
     check_n(n, 2)
+    check_jet_order(s)
     return 6 * (3 * n + 3 + 2 * s) ** n
 
 
@@ -339,8 +339,7 @@ def corollary118_table(s: int | None = None) -> dict:
         "constants": {"spanned_m": 3, "very_ample_m": 5},
     }
     if s is not None:
-        if s < 0:
-            raise InputError("jet order must be nonnegative")
+        check_jet_order(s)
         table["jets"] = ((2 + s) ** 2, 2 + 3 * s + s * s)
     return table
 
@@ -390,6 +389,5 @@ def mu_report(n: int, per_dim: Mapping[int, int], tol: QLike = DEFAULT_TOL) -> B
 def lemma1116_consistency(s: int, per_dim: Mapping[int, int]) -> bool:
     """A bundle generating s-jets everywhere must satisfy F^p.Y >= s^p for
     every p-dimensional subvariety; checks the declared minima."""
-    if s < 0:
-        raise InputError("jet order must be nonnegative")
+    check_jet_order(s)
     return all(v >= s ** p for p, v in per_dim.items())

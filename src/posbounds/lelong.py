@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
 from .core import (
-    DEFAULT_TOL, InputError, QLike, Record, check_n, check_tol, dyadic_fraction, floor_root,
-    newton_floor,
+    DEFAULT_TOL, InputError, QLike, Record, check_jet_order, check_n, check_tol, dyadic_fraction,
+    floor_root, newton_floor,
 )
 from .report import BoundReport
 
@@ -164,6 +164,5 @@ def seshadri_thresholds(eps_lower: QLike, n: int, s: int) -> tuple[bool, bool]:
     eps = Fraction(eps_lower)
     if eps < 0:
         raise InputError("Seshadri lower bound must be nonnegative")
-    if s < 0:
-        raise InputError("jet order must be nonnegative")
+    check_jet_order(s)
     return eps > n + s, eps > 2 * n

@@ -20,12 +20,17 @@ from .core import Bracket, InputError, QLike, Record, check_n
 from .report import BoundReport
 
 
+def _volume(Ln: QLike) -> Fraction:
+    """The volume L^n of an ample L as a Fraction; raises InputError unless L^n >= 1."""
+    if (Ln := Fraction(Ln)) < 1:
+        raise InputError("L^n must be >= 1")
+    return Ln
+
+
 def prop131_window(n: int, LB: QLike, Ln: QLike) -> int:
     """Some m with a section of mL - B satisfies m <= floor(n LB / L^n) + 1 + n."""
     check_n(n)
-    Ln = Fraction(Ln)
-    if Ln < 1:
-        raise InputError("L^n must be >= 1")
+    Ln = _volume(Ln)
     LB = Fraction(LB)
     if LB < 0:
         raise InputError("L^(n-1).B must be nonnegative for nef B")
@@ -37,10 +42,7 @@ def cor132_window(n: int, LB: QLike, LK: QLike, Ln: QLike) -> int:
     """Existence window for mL - B with B augmented by K_X + (n+1)L:
     m <= n((LB + LK)/L^n + n + 1), rounded up."""
     check_n(n)
-    Ln = Fraction(Ln)
-    if Ln < 1:
-        raise InputError("L^n must be >= 1")
-    return math.ceil(n * ((Fraction(LB) + Fraction(LK)) / Ln + n + 1))
+    return math.ceil(n * ((Fraction(LB) + Fraction(LK)) / _volume(Ln) + n + 1))
 
 
 def corollary85_threshold(n: int) -> int:
@@ -72,8 +74,7 @@ class MatsusakaInputs(Record):
 
     def _check(self) -> None:
         check_n(self.n, 2)
-        if self.Ln < 1:
-            raise InputError("L^n must be >= 1")
+        _volume(self.Ln)
         if self.LB < 0:
             raise InputError("L^(n-1).B must be nonnegative")
 
@@ -244,9 +245,7 @@ def fdb_surface_bound(L2: QLike, LKp4L: QLike) -> tuple[Fraction, Fraction]:
     """Surface thresholds for mL very ample: the sharper bound
     ((L.(K+4L) + 1)^2 / L^2 + 3) / 2 (strict), paired with the factor-4
     bound 4 (L.(K+4L))^2 / L^2 from the general formula."""
-    L2 = Fraction(L2)
-    if L2 < 1:
-        raise InputError("L^2 must be >= 1")
+    L2 = _volume(L2)
     LKp4L = Fraction(LKp4L)
     fdb = ((LKp4L + 1) ** 2 / L2 + 3) / 2
     factor4 = 4 * LKp4L ** 2 / L2

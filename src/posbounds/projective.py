@@ -42,9 +42,7 @@ class DivisorClass(Record):
         return DivisorClass(self.space, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        if other.space != self.space:
-            raise InputError("divisor classes live on different spaces")
-        return DivisorClass(self.space, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + (-1) * other
 
     def __rmul__(self, k: int) -> "DivisorClass":
         return DivisorClass(self.space, tuple(k * c for c in self.coeffs))

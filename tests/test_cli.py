@@ -307,6 +307,9 @@ def test_empty_lists_exit_2_with_the_argument_named(capsys):
      "n must be >= 1, got 0"),
     (["matsusaka", "--n", "1", "--Ln", "4", "--LK", "-1/2"], "n must be >= 2, got 1"),
     (["jets", "mu", "--n", "2", "--per-dim", ""], "missing per-dimension minima for p in [1, 2]"),
+    (["bounds", "siu", "--n", "2", "--jets", "-1"], "jet order must be >= 0, got -1"),
+    (["jets", "table", "--s", "-1"], "jet order must be >= 0, got -1"),
+    (["bounds", "bes", "--L2", "10", "--p", "0"], "jet order must be >= 1, got 0"),
 ])
 def test_degenerate_inputs_exit_2(capsys, argv, message):
     assert main(argv) == EXIT_INPUT

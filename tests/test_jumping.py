@@ -411,6 +411,11 @@ def test_main_theorem_beta_validation():
         main_theorem_check(2, 4, 0, [Fraction(1, 2), 1], {1: 3}, 5)
     with pytest.raises(ValueError):
         main_theorem_check(3, 4, 0, [0, 1, Fraction(1, 2)], {1: 3}, 5)
+    # beta_2 = 0 at n = 2 and at n = 3, and a repeated beta
+    for beta in ([0, 0], [0, 0, 1], [0, Fraction(1, 2), Fraction(1, 2), 1]):
+        with pytest.raises(InputError) as info:
+            main_theorem_check(len(beta), 1, 0, beta, {}, 4)
+        assert str(info.value) == "beta must satisfy 0 = beta_1 < ... < beta_n <= 1"
 
 
 def test_lemma1111_examples():

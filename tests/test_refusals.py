@@ -6,6 +6,8 @@ cannot land untested, and when a row reaches another site than the one it
 names.  The dimension rule n >= least has one raise statement, in
 ``core.check_n``; the dimension table calls every function and record that
 takes n at n = least - 1 and n = -1, and an AST walk fails when one is missing.
+The jet-order rule s >= least is ``core.check_jet_order``, and its table does
+the same for every function and record that takes a jet order.
 """
 
 import ast
@@ -38,18 +40,13 @@ FIELDS = {"schema": 1, "theorem": "x", "inputs": {}, "threshold": None, "verdict
 ROWS = [
     ("adjoint", "JetSpec._check", "jets must list at least one jet order",
      lambda: adjoint.JetSpec(())),
-    ("adjoint", "JetSpec._check", "jet orders must be nonnegative",
-     lambda: adjoint.JetSpec((-1,))),
     ("adjoint", "lemma86_transfer", "mu must be a positive integer",
      lambda: adjoint.lemma86_transfer(0, 2, 1)),
-    ("adjoint", "lemma86_transfer", "jet order must be nonnegative",
-     lambda: adjoint.lemma86_transfer(1, 2, -5)),
     ("adjoint", "pluricanonical_bounds", "unknown case 'k3'",
      lambda: adjoint.pluricanonical_bounds(2, "k3")),
     ("adjoint", "pluricanonical_bounds", "|K^n| must be positive",
      lambda: adjoint.pluricanonical_bounds(2, "fano", 0)),
     ("adjoint", "reider_check", "unknown mode 'x'", lambda: adjoint.reider_check(10, "x")),
-    ("adjoint", "bes_check", "p must be a positive integer", lambda: adjoint.bes_check(10, 0)),
     ("cli", "parse_q", "not a rational number: 'x'", lambda: cli.parse_q("x")),
     ("cli", "parse_int_map", "key 1 is given more than once",
      lambda: cli.parse_int_map("1=2,1=3")),
@@ -83,6 +80,8 @@ ROWS = [
      lambda: convexity.singular_morse_Aq(2, 1, -1, 1)),
     ("core", "check_tol", "tolerance must be positive", lambda: core.check_tol(0)),
     ("core", "check_n", "n must be >= 1, got 0", lambda: core.check_n(0)),
+    ("core", "check_jet_order", "jet order must be >= 0, got -1",
+     lambda: core.check_jet_order(-1)),
     ("core", "iroot", "iroot of negative integer", lambda: core.iroot(-1, 2)),
     ("core", "iroot", "root index must be >= 1", lambda: core.iroot(4, 0)),
     ("core", "nth_root_bracket", "nth root of negative rational",
@@ -114,24 +113,16 @@ ROWS = [
     ("jumping", "main_theorem_check", "minY must be a positive integer",
      lambda: jumping.main_theorem_check(2, 1, 0, [0, 1], {1: 0}, 4)),
     ("jumping", "lemma1111_check", "need t_j >= 1", lambda: jumping.lemma1111_check([0], 2)),
-    ("jumping", "lemma1115_threshold", "need s >= 1",
-     lambda: jumping.lemma1115_threshold(2, 0)),
     ("jumping", "lemma1115_threshold", "the special threshold applies only to s = 1",
      lambda: jumping.lemma1115_threshold(2, 2, special=True)),
-    ("jumping", "theorem1117_threshold", "need s >= 1",
-     lambda: jumping.theorem1117_threshold(2, 0, 1)),
     ("jumping", "theorem1117_threshold", "mu(L) must be positive",
      lambda: jumping.theorem1117_threshold(2, 1, 0)),
-    ("jumping", "corollary118_table", "jet order must be nonnegative",
-     lambda: jumping.corollary118_table(-1)),
     ("jumping", "mu_invariant", "missing per-dimension minima for p in [2]",
      lambda: jumping.mu_invariant({1: 1}, 2)),
     ("jumping", "mu_invariant", "per-dimension minima for p in [3] outside 1..1",
      lambda: jumping.mu_invariant({1: 1, 3: 1}, 1)),
     ("jumping", "mu_invariant", "per-dimension minima must be positive integers",
      lambda: jumping.mu_invariant({1: 0}, 1)),
-    ("jumping", "lemma1116_consistency", "jet order must be nonnegative",
-     lambda: jumping.lemma1116_consistency(-1, {})),
     ("lelong", "ord_at_origin", "zero polynomial has no vanishing order",
      lambda: lelong.ord_at_origin({(1, 0): 0})),
     ("lelong", "Component._check", "component coefficient must be positive",
@@ -156,19 +147,11 @@ ROWS = [
      lambda: lelong.seshadri_upper(lelong.CurveData(()))),
     ("lelong", "seshadri_thresholds", "Seshadri lower bound must be nonnegative",
      lambda: lelong.seshadri_thresholds(-1, 2, 1)),
-    ("lelong", "seshadri_thresholds", "jet order must be nonnegative",
-     lambda: lelong.seshadri_thresholds(1, 2, -5)),
-    ("matsusaka", "prop131_window", "L^n must be >= 1",
-     lambda: matsusaka.prop131_window(2, 0, 0)),
     ("matsusaka", "prop131_window", "L^(n-1).B must be nonnegative for nef B",
      lambda: matsusaka.prop131_window(2, -1, 1)),
-    ("matsusaka", "cor132_window", "L^n must be >= 1",
-     lambda: matsusaka.cor132_window(2, 0, 0, 0)),
     ("matsusaka", "lambda_n", "explicit lambda must be a positive integer",
      lambda: matsusaka.lambda_n(2, 0)),
     ("matsusaka", "lambda_n", "unknown lambda policy 'x'", lambda: matsusaka.lambda_n(2, "x")),
-    ("matsusaka", "MatsusakaInputs._check", "L^n must be >= 1",
-     lambda: matsusaka.MatsusakaInputs.of(2, 0, 0, 0)),
     ("matsusaka", "MatsusakaInputs._check", "L^(n-1).B must be nonnegative",
      lambda: matsusaka.MatsusakaInputs.of(2, 1, -1, 0)),
     ("matsusaka", "matsusaka_main", "L^(n-1).H and L^(n-1).(B+H) must be nonnegative",
@@ -177,8 +160,7 @@ ROWS = [
      lambda: matsusaka.mbar_recursion(2, 0, 1, 1)),
     ("matsusaka", "m0_assembly", "need at least one mbar value",
      lambda: matsusaka.m0_assembly([], 1)),
-    ("matsusaka", "fdb_surface_bound", "L^2 must be >= 1",
-     lambda: matsusaka.fdb_surface_bound(0, 1)),
+    ("matsusaka", "_volume", "L^n must be >= 1", lambda: matsusaka.prop131_window(2, 0, 0)),
     ("multiplier", "MonomialWeightData._check", "weight exponents must be positive",
      lambda: multiplier.MonomialWeightData.of(0)),
     ("multiplier", "membership_criterion", "weight exponents must be positive",
@@ -204,8 +186,6 @@ ROWS = [
      lambda: projective.DivisorClass(P1, (1, 2))),
     ("projective", "DivisorClass.__add__", "divisor classes live on different spaces",
      lambda: projective.DivisorClass(P1, (1,)) + projective.DivisorClass(P2, (1,))),
-    ("projective", "DivisorClass.__sub__", "divisor classes live on different spaces",
-     lambda: projective.DivisorClass(P1, (1,)) - projective.DivisorClass(P2, (1,))),
     ("projective", "top_intersection", "need at least one class",
      lambda: projective.top_intersection([])),
     ("projective", "top_intersection", "all classes must live on the same space",
@@ -272,9 +252,35 @@ DIMENSION = {
     ("projective", "IntersectionProfile._check"):
         (1, lambda n: projective.IntersectionProfile(n, 1, 1, {})),
 }
-DIMENSION_ROWS = [(module, function, f"n must be >= {least}, got {n}", partial(call, n))
-                  for (module, function), (least, call) in DIMENSION.items()
-                  for n in (least - 1, -1)]
+# {(module, function or record): (least, call of s)}, each call valid for s >= least;
+# bes_check's p is the Beltrametti-Sommese jet order
+JET_ORDER = {
+    ("adjoint", "JetSpec._check"): (0, lambda s: adjoint.JetSpec((1, s))),
+    ("adjoint", "siu_report"): (0, lambda s: adjoint.siu_report(2, [s])),
+    ("adjoint", "lemma86_transfer"): (0, lambda s: adjoint.lemma86_transfer(1, 2, s)),
+    ("adjoint", "bes_check"): (1, lambda p: adjoint.bes_check(10, p)),
+    ("adjoint", "bes_report"): (1, lambda p: adjoint.bes_report(10, p)),
+    ("adjoint", "surface_report"): (0, lambda s: adjoint.surface_report([s], 10, 10)),
+    ("jumping", "lemma1115_threshold"): (1, lambda s: jumping.lemma1115_threshold(2, s)),
+    ("jumping", "theorem1117_threshold"): (1, lambda s: jumping.theorem1117_threshold(2, s, 1)),
+    ("jumping", "remark1120_threshold"): (0, lambda s: jumping.remark1120_threshold(2, s)),
+    ("jumping", "corollary118_table"): (0, jumping.corollary118_table),
+    ("jumping", "surface_table_report"): (0, jumping.surface_table_report),
+    ("jumping", "lemma1116_consistency"): (0, lambda s: jumping.lemma1116_consistency(s, {})),
+    ("lelong", "seshadri_thresholds"): (0, lambda s: lelong.seshadri_thresholds(1, 2, s)),
+}
+# the rule's raise statement, by the noun its message starts with
+RULES = {"n": ("core", "check_n"), "jet order": ("core", "check_jet_order")}
+
+
+def _rule_rows(noun, table):
+    """Each entry of a rule's table called at least - 1 and at -1, with the whole message."""
+    return [(module, function, f"{noun} must be >= {least}, got {x}", partial(call, x))
+            for (module, function), (least, call) in table.items()
+            for x in dict.fromkeys((least - 1, -1))]
+
+
+ALL_ROWS = ROWS + _rule_rows("n", DIMENSION) + _rule_rows("jet order", JET_ORDER)
 
 
 def _raised_at(exc):
@@ -292,29 +298,41 @@ def _refuse(call):
     return info.value
 
 
-@pytest.mark.parametrize("module, function, prefix, call", ROWS + DIMENSION_ROWS,
-                         ids=[f"{m}.{f}: {p}" for m, f, p, _ in ROWS + DIMENSION_ROWS])
+@pytest.mark.parametrize("module, function, prefix, call", ALL_ROWS,
+                         ids=[f"{m}.{f}: {p}" for m, f, p, _ in ALL_ROWS])
 def test_refusal(module, function, prefix, call):
     exc = _refuse(call)
-    assert str(exc).startswith(prefix)
-    dimension_rule = prefix.startswith("n must be >= ")  # raised only by core.check_n
-    site = ("core", "check_n") if dimension_rule else (module, function.rpartition(".")[2])
-    assert _raised_at(exc)[:2] == site
+    rule = RULES.get(prefix.partition(" must be >= ")[0])  # a rule's row names its whole message
+    assert str(exc) == prefix if rule else str(exc).startswith(prefix)
+    assert _raised_at(exc)[:2] == (rule or (module, function.rpartition(".")[2]))
 
 
-def test_every_function_that_takes_n_is_in_the_dimension_table():
-    takes_n = set()
-    for module in ("adjoint", "convexity", "jumping", "lelong", "matsusaka", "multiplier",
-                   "projective"):
+def _takers(modules, names):
+    """(module, function) of each public function with a parameter in names, and
+    (module, record._check) of each record with a field in names."""
+    found = set()
+    for module in modules:
         loaded = importlib.import_module(f"posbounds.{module}")
         for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                if "n" in [arg.arg for arg in node.args.args + node.args.kwonlyargs]:
-                    takes_n.add((module, node.name))
-            elif isinstance(node, ast.ClassDef) and "n" in getattr(getattr(loaded, node.name),
-                                                                   "__slots__", ()):
-                takes_n.add((module, f"{node.name}._check"))
+                if names & {arg.arg for arg in node.args.args + node.args.kwonlyargs}:
+                    found.add((module, node.name))
+            elif isinstance(node, ast.ClassDef) and names & set(
+                    getattr(getattr(loaded, node.name), "__slots__", ())):
+                found.add((module, f"{node.name}._check"))
+    return found
+
+
+def test_every_function_that_takes_n_is_in_the_dimension_table():
+    takes_n = _takers(("adjoint", "convexity", "jumping", "lelong", "matsusaka", "multiplier",
+                       "projective"), {"n"})
     assert sorted(takes_n ^ DIMENSION.keys()) == []
+
+
+def test_every_function_that_takes_s_is_in_the_jet_order_table():
+    # JetSpec's orders, bes_check's p and the jets lists of the reports are entries too
+    takes_s = _takers(("adjoint", "jumping", "lelong"), {"s", "s_j"})
+    assert sorted(takes_s - JET_ORDER.keys()) == []
 
 
 def _is_refusal(module, cls):
@@ -383,12 +401,36 @@ def test_calls_outside_the_dimension_rule_refuse(call):
     assert _raised_at(exc)[:2] == ("core", "check_n")
 
 
+# each returned an answer (the value noted) before the jet-order rule reached it
+ANSWERED_OUTSIDE_THE_JET_ORDER_RULE = {
+    "remark1120_threshold(3, -7)": (lambda: jumping.remark1120_threshold(3, -7), -7),  # -48
+    "remark1120_threshold(2, -5)": (lambda: jumping.remark1120_threshold(2, -5), -5),  # 6
+}
+
+
+@pytest.mark.parametrize("call, s", ANSWERED_OUTSIDE_THE_JET_ORDER_RULE.values(),
+                         ids=ANSWERED_OUTSIDE_THE_JET_ORDER_RULE)
+def test_calls_outside_the_jet_order_rule_refuse(call, s):
+    exc = _refuse(call)
+    assert str(exc) == f"jet order must be >= 0, got {s}"
+    assert _raised_at(exc)[:2] == ("core", "check_jet_order")
+
+
 # refusals with no statement of their own: a later check on the same path makes them
 LATER_CHECKS = {
     "nth_root_bracket(2, 0)": (lambda: core.nth_root_bracket(2, 0, TOL),
                                ("core", "iroot"), "root index must be >= 1"),
     "mu_invariant({}, 2)": (lambda: jumping.mu_invariant({}, 2), ("jumping", "mu_invariant"),
                             "missing per-dimension minima for p in [1, 2]"),
+    "DivisorClass(P1, (1,)) - DivisorClass(P2, (1,))":
+        (lambda: projective.DivisorClass(P1, (1,)) - projective.DivisorClass(P2, (1,)),
+         ("projective", "__add__"), "divisor classes live on different spaces"),
+    "cor132_window(2, 0, 0, 0)": (lambda: matsusaka.cor132_window(2, 0, 0, 0),
+                                  ("matsusaka", "_volume"), "L^n must be >= 1"),
+    "MatsusakaInputs.of(2, 0, 0, 0)": (lambda: matsusaka.MatsusakaInputs.of(2, 0, 0, 0),
+                                       ("matsusaka", "_volume"), "L^n must be >= 1"),
+    "fdb_surface_bound(0, 1)": (lambda: matsusaka.fdb_surface_bound(0, 1),
+                                ("matsusaka", "_volume"), "L^n must be >= 1"),
 }
 
 
