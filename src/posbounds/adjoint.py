@@ -25,7 +25,8 @@ class JetSpec(Record):
     def _check(self) -> None:
         if not self.orders:
             raise InputError("jets must list at least one jet order")
-        check_jet_order(min(self.orders))
+        for s in self.orders:
+            check_jet_order(s)
 
 
 def siu_jet_threshold(n: int, jets: JetSpec) -> int:

@@ -19,6 +19,7 @@ QLike = Union[int, Fraction]
 
 DEFAULT_TOL = Fraction(1, 10**12)
 _GUARD_BITS = 32  # floor_powers' bits past the output grid; more makes straddles rarer
+_EXACT_POWER_BITS = 2048  # x**q is faster than a floored chain below this size (CHANGES.md)
 
 
 class InputError(ValueError):
@@ -34,15 +35,19 @@ def check_tol(tol: QLike) -> Fraction:
 
 
 def check_n(n: int, least: int = 1) -> None:
-    """The dimension rule of every statement: raises InputError unless n >= least."""
-    if n < least:
-        raise InputError(f"n must be >= {least}, got {n}")
+    """The dimension rule of every statement: raises InputError unless n is an
+    int, and no bool, with n >= least."""
+    if type(n) is not int or n < least:
+        kind = "" if type(n) is int else "an integer "
+        raise InputError(f"n must be {kind}>= {least}, got {n!r}")
 
 
 def check_jet_order(s: int, least: int = 0) -> None:
-    """The jet-order rule of every s-jet statement: raises InputError unless s >= least."""
-    if s < least:
-        raise InputError(f"jet order must be >= {least}, got {s}")
+    """The jet-order rule of every s-jet statement: raises InputError unless s is
+    an int, and no bool, with s >= least."""
+    if type(s) is not int or s < least:
+        kind = "" if type(s) is int else "an integer "
+        raise InputError(f"jet order must be {kind}>= {least}, got {s!r}")
 
 
 def grid_bits(tol: Fraction) -> int:
@@ -67,17 +72,22 @@ def iroot(a: int, q: int) -> tuple[int, bool]:
     Roots of a >> (n - m), n = bitlen(a), are taken for m growing to n.  The
     base is exact: for q <= 16 the loop ends at the first x with x^q <= a, from
     the bit-length seed above the root; a larger q bisects, as that seed would
-    take about q steps.  Each level takes one Newton step from (x + 1) << k, k
-    about half the root's bits less log2(2q), dividing by a half-size power with
-    both operands cut to the quotient's bits plus 32, which can only raise the
-    quotient, by one at most.  An integer Newton step from any y > 0 is at least
-    the floor root by AM-GM, so only the top x is certified, on lo 2^e <= x^q <=
-    hi 2^e (``_power_ends``; Brent & Zimmermann, Modern Computer Arithmetic,
-    2010, sec. 1.5 and ch. 4), with x**q only when a >> e is in [lo, hi].  If
-    x^q > a, then x > a^(1/q), and g(t) = t^q - a has g(x) > (lo - (a >> e) -
-    1) 2^e and g'(x) <= q hi 2^e / x, so the step is in [1, ceil(g / g')]: x
-    stays at or above the floor (see ``newton_floor``) and falls every round,
-    so the loop ends at the floor root, most often at once.
+    take about q steps.  Each level takes one Newton step from S = (x + 1) 2^k,
+    k about half the root's bits less log2(2q), which is above the level's
+    root.  Its divisor is d 2^t <= (x + 1)^(q-1), d floored to m//q + 32 bits
+    (``_floor_power``), and its dividend is rounded up, so the quotient can
+    only rise: x stays at or above the floor root, since an integer Newton
+    step from any y > 0 is at least the floor root by AM-GM.  The quotient is
+    below S, a few times 2^(m/q) at most, and d is low by a relative (q - 1)
+    2^(-m//q - 31) at most, so the quotient rises by under one for q < 2^28,
+    and x by one at most.
+    Only the top x is certified, on lo 2^e <= x^q <= hi 2^e (``_power_ends``;
+    Brent & Zimmermann, Modern Computer Arithmetic, 2010, sec. 1.5 and ch. 4),
+    with x**q only when a >> e is in [lo, hi].  If x^q > a, then x > a^(1/q),
+    and g(t) = t^q - a has g(x) > (lo - (a >> e) - 1) 2^e and g'(x) <= q hi
+    2^e / x, so the step is in [1, ceil(g / g')]: x stays at or above the
+    floor (see ``newton_floor``) and falls every round, so the loop ends at the
+    floor root, most often at once.
     """
     if a < 0:
         raise InputError("iroot of negative integer")
@@ -106,9 +116,8 @@ def iroot(a: int, q: int) -> tuple[int, bool]:
     for k in reversed(shifts):
         m += q * k
         s = x + 1
-        d = s ** (q - 1)
-        t = max(0, d.bit_length() - m // q - 32)
-        x = ((q - 1) * (s << k) + ((a >> n - m + k * (q - 1) + t) + 1) // (d >> t)) // q
+        d, t = _floor_power(s, q - 1, m // q + 32)
+        x = ((q - 1) * (s << k) + ((a >> n - m + k * (q - 1) + t) + 1) // d) // q
     while True:
         lo, hi, e = _power_ends(x, q)
         if e and lo <= a >> e <= hi:
@@ -120,21 +129,40 @@ def iroot(a: int, q: int) -> tuple[int, bool]:
 
 
 def _power_ends(x: int, q: int) -> tuple[int, int, int]:
-    """(lo, hi, e) with lo 2^e <= x^q <= hi 2^e, x >= 1, q >= 2: left-to-right
-    square-and-multiply, lo floored and hi ceiled to bitlen(x) + 64 bits after
-    each step, as in ``floor_powers``.  The exact (x**q, x**q, 0) for q < 5, or
-    when q (bitlen(x) + 64) < 4096, where it is as fast or faster (CHANGES.md)."""
-    keep = x.bit_length() + 64
-    if q < 5 or q * keep < 4096:
+    """(lo, hi, e) with lo 2^e <= x^q <= hi 2^e, x >= 1, 2 <= q < 2^32: lo 2^e the
+    floored power of ``_floor_power`` kept to bitlen(x) + 64 bits and hi = lo +
+    2q, or the exact (x**q, x**q, 0) where ``_floor_power`` would take x**q."""
+    if q < 4 or q * x.bit_length() < _EXACT_POWER_BITS:
         return (p := x**q), p, 0
-    lo, hi, e = x, x, 0
+    lo, e = _floor_power(x, q, x.bit_length() + 64)
+    return lo, lo + 2 * q, e
+
+
+def _floor_power(x: int, q: int, keep: int) -> tuple[int, int]:
+    """(lo, e) with lo 2^e <= x^q and lo < 2^keep, for x >= 1 and q >= 2, and x^q <
+    (lo + 2q) 2^e when q (q - 1) <= 2^(keep - 1); e = 0 only if lo = x^q.
+    Left-to-right square-and-multiply, floored to keep bits after each round.
+
+    Let eps = 1 - lo 2^e / x^j for the prefix j of q.  A square takes eps to
+    1 - (1 - eps)^2 <= 2 eps, a product by x keeps it, and the floor of L,
+    bitlen(L) = keep + s, to L >> s multiplies 1 - eps by at least 1 - 2^s / L
+    >= 1 - u, u = 2^(1-keep), so it adds at most u.  Over the bitlen(q) - 1
+    rounds eps <= (2^(bitlen(q)-1) - 1) u <= (q - 1) u, and x^q / 2^e - lo =
+    lo eps / (1 - eps) < 2^keep (q - 1) u / (1 - (q - 1) u) = 2 (q - 1) / (1 -
+    (q - 1) u), which is at most 2q when q (q - 1) u <= 1.  It takes x**q, then
+    floored, when the power is short or the chain would floor only after its
+    last product, x^(q >> 1) having at most keep bits: that is as much work."""
+    if q * (b := x.bit_length()) < _EXACT_POWER_BITS or (q >> 1) * b <= keep:
+        p = x**q
+        return p >> (e := max(0, p.bit_length() - keep)), e
+    lo, e = x, 0
     for bit in bin(q)[3:]:
-        lo, hi, e = lo * lo, hi * hi, 2 * e
+        lo, e = lo * lo, 2 * e
         if bit == "1":
-            lo, hi = lo * x, hi * x
-        if (s := hi.bit_length() - keep) > 0:
-            lo, hi, e = lo >> s, -(-hi >> s), e + s
-    return lo, hi, e
+            lo *= x
+        if (s := lo.bit_length() - keep) > 0:
+            lo, e = lo >> s, e + s
+    return lo, e
 
 
 class Record:
@@ -312,17 +340,22 @@ def pow_bracket(x: QLike, e: QLike, tol: QLike) -> Bracket:
 def floor_powers(num: int, den: int, n: int, k: int) -> list[int]:
     """floor(2^k r^(p/n)) for r = num/den (num >= 0, den, n >= 1), p = 1..n-1.
 
-    With R = floor(2^K r^(1/n)), K = k + guard, the truncated powers lo <=
-    2^K r^(p/n) <= hi of R and R + 1 put the floor in [lo, hi] >> guard, where
-    c <= 2^k r^(j/m) iff c^m den^j <= num^j 2^(km), j/m = p/n reduced, decides."""
-    guard = max(0, num.bit_length() - den.bit_length()) + _GUARD_BITS
+    With R = floor(2^K rho), rho = r^(1/n), K = k + guard, the floored chain
+    lo_0 = 2^K, lo_p = floor(lo_(p-1) R / 2^K) has 0 <= T_p - lo_p < c_p for
+    T_p = 2^K rho^p: as R > 2^K rho - 1, c_p = rho c_(p-1) + rho^(p-1) + 1,
+    c_0 = 0, so c_p = sum_(j<p) rho^j + p rho^(p-1) <= 2p max(1, rho)^(p-1) <=
+    2p 2^w, w = max(0, bitlen(num) - bitlen(den) + 1), as r < 2^w when r >= 1.
+    That puts the floor in [lo_p, lo_p + 2p 2^w] >> guard, where c <= 2^k
+    r^(j/m) iff c^m den^j <= num^j 2^(km), j/m = p/n reduced, decides."""
+    spread = num.bit_length() - den.bit_length()
+    guard = max(0, spread) + _GUARD_BITS
     big = k + guard
     root = floor_root(num, den, n, big)
-    out, lo, hi = [], 1 << big, 1 << big
+    out, lo, w = [], 1 << big, max(0, spread + 1)
     for p in range(1, n):
-        lo, hi = lo * root >> big, -(-hi * (root + 1) >> big)
-        if (t := lo >> guard) != hi >> guard:  # a straddle: decide among its candidates
+        lo = lo * root >> big
+        if (t := lo >> guard) != (top := lo + (2 * p << w) >> guard):  # a straddle
             m, j = n // (g := math.gcd(p, n)), p // g
-            t = bisect(lambda c: c**m * den**j <= num**j << k * m, t, (hi >> guard) + 1)
+            t = bisect(lambda c: c**m * den**j <= num**j << k * m, t, top + 1)
         out.append(t)
     return out

@@ -57,7 +57,7 @@ def lambda_n(n: int, policy: Union[str, int]) -> int:
     cubic policy n^3 - n^2 - n - 1 (n >= 2), or an explicit positive integer."""
     check_n(n, 2 if policy == "angehrn-siu" else 1)
     if isinstance(policy, int):
-        if isinstance(policy, bool) or policy < 1:
+        if type(policy) is not int or policy < 1:  # the integer rule of check_n: no bool
             raise InputError("explicit lambda must be a positive integer")
         return policy
     if policy == "demailly":

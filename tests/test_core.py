@@ -8,6 +8,7 @@ import pickle
 import pkgutil
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -119,6 +120,19 @@ def test_iroot_matches_plain_newton_around_the_truncation_cutover(q):
     # with their neighbours, which put a inside the bracket or just outside it
     rng = random.Random(q)
     cut = -(-4096 // q) - 64
+    for bits in range(cut - 2, cut + 3):
+        r = rng.getrandbits(bits) | 1 << bits - 1
+        for a in (rng.getrandbits(q * bits) | 1 << q * bits - 1, r**q - 1, r**q, r**q + 1):
+            assert iroot(a, q) == iroot_by_plain_newton(a, q), (bits, a - r**q)
+
+
+@pytest.mark.parametrize("q", range(3, 21))
+def test_iroot_matches_plain_newton_around_the_exact_power_cutover(q):
+    # _power_ends and each level's divisor take x**q below _EXACT_POWER_BITS bits
+    # of power and the floored chain above it: roots two bits either side of that,
+    # random and perfect powers with their neighbours
+    rng = random.Random(q)
+    cut = core._EXACT_POWER_BITS // q
     for bits in range(cut - 2, cut + 3):
         r = rng.getrandbits(bits) | 1 << bits - 1
         for a in (rng.getrandbits(q * bits) | 1 << q * bits - 1, r**q - 1, r**q, r**q + 1):
@@ -492,6 +506,83 @@ def test_floor_powers_takes_one_root_per_call(monkeypatch):
     monkeypatch.setattr(jumping, "floor_powers", counted("floor_powers", floor_powers))
     sigma_sequence(1, 2**200, 256)
     assert counts["floor_root"] == counts["floor_powers"] > 1
+
+
+@st.composite
+def chain_bases(draw):
+    """x >= 1 at 2^b - 1, 2^b and 2^b + 1, or at random, up to 4,000 bits."""
+    b = draw(st.integers(1, 4000))
+    kind = draw(st.sampled_from([-1, 0, 1, "random"]))
+    return draw(st.integers(1, (1 << b) - 1)) if kind == "random" else max(1, (1 << b) + kind)
+
+
+@settings(deadline=None, max_examples=300)
+@given(chain_bases(), st.integers(2, 64), st.integers(13, 4100), st.booleans())
+@example((1 << 3322) - 1, 64, 13, True)
+@example(1 << 3322, 5, 3386, True)
+def test_the_floored_chain_encloses_the_power(x, q, keep, chain_only):
+    # lo 2^e <= x^q < (lo + 2q) 2^e for every keep with q (q - 1) <= 2^(keep - 1)
+    # (all of them here), on the chain alone or with its exact-power cutover, and
+    # _power_ends' bracket at keep = bitlen(x) + 64 is at most 2q wide
+    with mock.patch.object(core, "_EXACT_POWER_BITS", 0 if chain_only else core._EXACT_POWER_BITS):
+        lo, e = core._floor_power(x, q, keep)
+        ends = core._power_ends(x, q)
+    power = x**q
+    assert lo << e <= power < lo + 2 * q << e and lo < 1 << keep
+    assert e or lo == power
+    lo, hi, e = ends
+    assert lo << e <= power <= hi << e and hi - lo <= 2 * q
+    assert e or lo == power
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(2, 12), st.integers(0, 1400), st.booleans(),
+       st.fractions(min_value=Fraction(1, 10**12), max_value=1 - Fraction(1, 10**12),
+                    max_denominator=10**12),
+       st.integers(2, 10**30))
+def test_floor_powers_chain_encloses_each_scaled_power(n, k, below_one, fraction, big):
+    """With no guard bits at all every power straddles, so the spy on bisect sees
+    the chain's ends [lo_p, hi_p] of each T_p = 2^k r^(p/n) in turn: lo_p <=
+    T_p < hi_p, and hi_p - lo_p <= 2p 2^w, w = max(0, bitlen(num) - bitlen(den) + 1)."""
+    r = fraction if below_one else fraction * big + 1  # r < 1, or r > 1
+    num, den = r.numerator, r.denominator
+    spread = num.bit_length() - den.bit_length()
+    ends = []
+
+    def spy(ok, lo, hi):
+        ends.append((lo, hi - 1))
+        return bisect(ok, lo, hi)
+
+    with mock.patch.object(core, "_GUARD_BITS", -max(0, spread)), \
+            mock.patch.object(core, "bisect", spy):
+        floors = floor_powers(num, den, n, k)
+    assert floors == floors_one_root_at_a_time(num, den, n, k)
+    assert len(ends) == n - 1
+    for p, (lo, hi) in enumerate(ends, 1):
+        # lo <= 2^k r^(p/n) < hi, cleared of denominators
+        assert lo**n * den**p <= num**p << k * n < hi**n * den**p
+        assert hi - lo <= 2 * p << max(0, spread + 1)
+
+
+def test_floor_powers_guard_bits_leave_no_straddle(monkeypatch):
+    # a clock-free work pin: with _GUARD_BITS past the grid, the chain's ends of
+    # sigma-shaped powers, r = 1 - sigma0/L^n, fall in one grid cell, so no
+    # floor is decided among candidates (_GUARD_BITS = 0 makes every power one)
+    straddles = []
+
+    def spy(ok, lo, hi):
+        if ok.__qualname__.startswith("floor_powers."):  # not iroot's base case for n > 16
+            straddles.append((lo, hi))
+        return bisect(ok, lo, hi)
+
+    monkeypatch.setattr(core, "bisect", spy)
+    rng = random.Random(36)
+    for _ in range(200):
+        sigma0 = Fraction(rng.randrange(1, 100), rng.randrange(1, 4))
+        r = 1 - sigma0 / (sigma0 + Fraction(rng.randrange(1, 10**6), rng.randrange(1, 100)))
+        n, k = rng.randint(2, 32), rng.randint(40, 3400)
+        floor_powers(r.numerator, r.denominator, n, k)
+    assert straddles == []
 
 
 def test_dyadic_results_take_no_gcd_of_two_big_integers(monkeypatch):

@@ -3,11 +3,12 @@ in ``src/`` has a call here that reaches it, with the start of its message.
 
 The structural tests fail when a raise site has no row, so a new refusal
 cannot land untested, and when a row reaches another site than the one it
-names.  The dimension rule n >= least has one raise statement, in
+names.  The dimension rule, n an int >= least, has one raise statement, in
 ``core.check_n``; the dimension table calls every function and record that
-takes n at n = least - 1 and n = -1, and an AST walk fails when one is missing.
-The jet-order rule s >= least is ``core.check_jet_order``, and its table does
-the same for every function and record that takes a jet order.
+takes n at n = least - 1, n = -1 and three values that are no int (a float, a
+bool and a Fraction), and an AST walk fails when one is missing.  The
+jet-order rule, s an int >= least, is ``core.check_jet_order``, and its table
+does the same for every function and record that takes a jet order.
 """
 
 import ast
@@ -273,11 +274,17 @@ JET_ORDER = {
 RULES = {"n": ("core", "check_n"), "jet order": ("core", "check_jet_order")}
 
 
+# values of other types than int that the integer rules refuse, whatever their size
+NON_INTEGERS = (1.5, True, F(3, 2))
+
+
 def _rule_rows(noun, table):
-    """Each entry of a rule's table called at least - 1 and at -1, with the whole message."""
-    return [(module, function, f"{noun} must be >= {least}, got {x}", partial(call, x))
+    """Each entry of a rule's table called at least - 1, at -1 and at each of
+    NON_INTEGERS, with the whole message."""
+    return [(module, function, f"{noun} must be {kind}>= {least}, got {x!r}", partial(call, x))
             for (module, function), (least, call) in table.items()
-            for x in dict.fromkeys((least - 1, -1))]
+            for x in (*dict.fromkeys((least - 1, -1)), *NON_INTEGERS)
+            for kind in ["" if type(x) is int else "an integer "]]
 
 
 ALL_ROWS = ROWS + _rule_rows("n", DIMENSION) + _rule_rows("jet order", JET_ORDER)
@@ -302,7 +309,7 @@ def _refuse(call):
                          ids=[f"{m}.{f}: {p}" for m, f, p, _ in ALL_ROWS])
 def test_refusal(module, function, prefix, call):
     exc = _refuse(call)
-    rule = RULES.get(prefix.partition(" must be >= ")[0])  # a rule's row names its whole message
+    rule = RULES.get(prefix.partition(" must be ")[0])  # a rule's row names its whole message
     assert str(exc) == prefix if rule else str(exc).startswith(prefix)
     assert _raised_at(exc)[:2] == (rule or (module, function.rpartition(".")[2]))
 
