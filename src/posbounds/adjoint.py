@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import InputError, Record, check_jet_order, check_n
+from .core import InputError, Record, check_int
 from .report import BoundReport
 
 
@@ -26,14 +26,14 @@ class JetSpec(Record):
         if not self.orders:
             raise InputError("jets must list at least one jet order")
         for s in self.orders:
-            check_jet_order(s)
+            check_int("jet order", s, 0)
 
 
 def siu_jet_threshold(n: int, jets: JetSpec) -> int:
     """m such that 2K+mL+G generates the requested jets:
     m >= 2 + sum C(3n + 2 s_j - 1, n).  Very ampleness reads as JetSpec((1,))
     (1-jets at one point) or JetSpec((0, 0)) (two points)."""
-    check_n(n)
+    check_int("n", n, 1)
     return 2 + sum(math.comb(3 * n + 2 * s - 1, n) for s in jets.orders)
 
 
@@ -54,7 +54,7 @@ def siu_degree_conditions(n: int, jets: JetSpec) -> dict[int, Fraction]:
 def theorem87_conditions(n: int, jets: JetSpec) -> dict[int, Fraction]:
     """Per-dimension thresholds for jet generation by 2K+L:
     L^d.Y > 2^(d-1)/floor(n/d)^d * sum C((n+1)(4n+2s_j+1)-2, n)."""
-    check_n(n)
+    check_int("n", n, 1)
     return _degree_conditions(
         n, sum(math.comb((n + 1) * (4 * n + 2 * s + 1) - 2, n) for s in jets.orders))
 
@@ -67,10 +67,9 @@ def _degree_conditions(n: int, total: int) -> dict[int, Fraction]:
 def lemma86_transfer(mu: int, n: int, s_j: int) -> int:
     """Jet order mu(n + s_j) + 1 required of mu*F so that K+F yields
     s_j-jets."""
-    check_n(n)
-    if mu < 1:
-        raise InputError("mu must be a positive integer")
-    check_jet_order(s_j)
+    check_int("n", n, 1)
+    check_int("mu", mu, 1)
+    check_int("jet order", s_j, 0)
     return mu * (n + s_j) + 1
 
 
@@ -80,7 +79,7 @@ def pluricanonical_bounds(
     """(m0, embedding degree): mK very ample for m >= C(3n+1,n)+4 in the
     general-type case, -mK very ample for m >= C(3n+1,n) in the Fano case;
     degree of the embedding is m0^n |K^n| when |K^n| is supplied."""
-    check_n(n)
+    check_int("n", n, 1)
     base = math.comb(3 * n + 1, n)
     if sign == "general_type":
         m0 = base + 4
@@ -90,8 +89,7 @@ def pluricanonical_bounds(
         raise InputError(f"unknown case {sign!r}")
     degree = None
     if Kn_abs is not None:
-        if Kn_abs <= 0:
-            raise InputError("|K^n| must be positive")
+        check_int("|K^n|", Kn_abs, 1)
         degree = m0 ** n * Kn_abs
     return m0, degree
 
@@ -151,7 +149,7 @@ def bes_check(L2: int, p: int, divisors: Sequence[tuple[int, int]] = ()) -> Chec
     """Beltrametti-Sommese p-jet criterion: applicable when L^2 > 4p; a
     divisor is exceptional when L.D - p <= D^2 < L.D / 2 (upper bound strict,
     compared exactly at the rational midpoint)."""
-    check_jet_order(p, 1)
+    check_int("jet order", p, 1)
     if L2 <= 4 * p:
         return CheckResult(CheckOutcome.INAPPLICABLE, ())
     matched = tuple(

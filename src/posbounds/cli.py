@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .core import DEFAULT_TOL, InputError
+from .core import DEFAULT_TOL, InputError, check_at_least
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -85,8 +85,7 @@ def default_tol() -> Fraction:
     if raw is None:
         return DEFAULT_TOL
     tol = parse_q(raw)
-    if tol <= 0:
-        raise InputError("POSBOUNDS_TOL must be positive")
+    check_at_least("POSBOUNDS_TOL", tol, 0, strict=True)
     return tol
 
 

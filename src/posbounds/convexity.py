@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .core import (
-    DEFAULT_TOL, Bracket, InputError, QLike, Record, check_n, check_tol, dyadic_fraction,
-    elem_sym_rows, grid_bits, root_ends,
+    DEFAULT_TOL, Bracket, InputError, QLike, Record, check_at_least, check_int, check_tol,
+    dyadic_fraction, elem_sym_rows, grid_bits, root_ends, shown,
 )
 from .report import BoundReport
 
@@ -45,8 +45,8 @@ def ht_products(
         raise InputError("selfints must list at least one self-intersection")
     mixed, tol = Fraction(mixed), check_tol(tol)
     brackets = [b if isinstance(b, Bracket) else Bracket.point(b) for b in selfints]
-    if any(b.lo < 0 for b in brackets):
-        raise InputError("self-intersections of nef classes must be nonnegative")
+    for b in brackets:
+        check_at_least("nef self-intersection", b.lo, 0)
 
     # a product of n-th roots is the increasing n-th root of the product: the slack's ends are
     # m/d less t / (c 2^e), the upper end of top^(1/n) and the lower end of bottom^(1/n), each
@@ -89,12 +89,12 @@ def ht_mixed_chain(Ln: QLike, LH: QLike, LnpHp: QLike, n: int, p: int) -> Inequa
     Decided exactly: for nonnegative data the inequality is equivalent to
     (L^(n-p).H^p) * (L^n)^(p-1) <= (L^(n-1).H)^p.
     """
-    check_n(n)
-    if not (1 <= p <= n):
-        raise InputError("need 1 <= p <= n")
+    check_int("n", n, 1)
+    check_int("p", p, 1, n)
     Ln, LH, LnpHp = Fraction(Ln), Fraction(LH), Fraction(LnpHp)
-    if min(Ln, LH, LnpHp) < 0:
-        raise InputError("intersection numbers must be nonnegative")
+    check_at_least("L^n", Ln, 0)
+    check_at_least("L^(n-1).H", LH, 0)
+    check_at_least("L^(n-p).H^p", LnpHp, 0)
     return _at_least(LH ** p, LnpHp * Ln ** (p - 1))
 
 
@@ -110,11 +110,10 @@ def diag_form_check(lambdas: Sequence[QLike], p: int) -> InequalityResult:
     vals = [Fraction(v) for v in lambdas]
     if not vals:
         raise InputError("lambdas must list at least one eigenvalue")
-    if any(v <= 0 for v in vals):
-        raise InputError("eigenvalues must be positive")
+    for v in vals:
+        check_at_least("eigenvalue", v, 0, strict=True)
     n = len(vals)
-    if not (0 <= p <= n):
-        raise InputError("need 0 <= p <= n")
+    check_int("p", p, 0, n)
     lhs = math.factorial(p) * math.factorial(n - p) * elem_sym_rows(vals)[-1][p]
     prod = math.prod(vals)
     # lhs >= n! prod^(p/n)  <=>  lhs^n >= (n!)^n prod^p  (both sides positive)
@@ -130,11 +129,11 @@ def morse_strong_rhs(n: int, values: Mapping[int, QLike], q: int) -> Fraction:
     """Right side of the asymptotic strong Morse inequality (coefficient of
     k^n/n!): sum over j <= q of (-1)^(q-j) C(n,j) F^(n-j).G^j, with
     values[j] = F^(n-j).G^j."""
-    check_n(n)
-    if not (0 <= q <= n):
-        raise InputError("need 0 <= q <= n")
-    if missing := [j for j in range(q + 1) if j not in values]:
-        raise InputError(f"mixed product F^{n - missing[0]}.G^{missing[0]} not supplied")
+    check_int("n", n, 1)
+    check_int("q", q, 0, n)
+    missing = next((j for j in range(q + 1) if j not in values), None)
+    if missing is not None:
+        raise InputError(f"mixed product F^{shown(n - missing)}.G^{shown(missing)} not supplied")
     return sum((-1) ** (q - j) * math.comb(n, j) * Fraction(values[j]) for j in range(q + 1))
 
 
@@ -142,18 +141,16 @@ def morse_existence_threshold(Fn: QLike, FG: QLike, n: int) -> int:
     """Smallest integer m with m > n * F^(n-1).G / F^n (strict); some
     multiple of mF - G then has a section."""
     Fn, FG = Fraction(Fn), Fraction(FG)
-    check_n(n)
-    if Fn <= 0:
-        raise InputError("F^n must be positive (F big)")
-    if FG < 0:
-        raise InputError("F^(n-1).G must be nonnegative")
+    check_int("n", n, 1)
+    check_at_least("F^n", Fn, 0, strict=True)
+    check_at_least("F^(n-1).G", FG, 0)
     return math.floor(n * FG / Fn) + 1
 
 
 def trapani_lower(Fn: QLike, FG: QLike, n: int) -> Fraction:
     """Lower bound F^n - n F^(n-1).G for n!(h^0 - h^1)/k^n; positive means
     some multiple of F - G has sections."""
-    check_n(n)
+    check_int("n", n, 1)
     return Fraction(Fn) - n * Fraction(FG)
 
 
@@ -171,10 +168,8 @@ def singular_morse_Aq(n: int, q: int, b: QLike, cup_uq_times: QLike) -> Fraction
     The cup product u^q.(c1(L)+b u)^(n-q) is caller-supplied; b is the
     jumping value b_(n-q+1).
     """
-    check_n(n)
-    if not (0 <= q <= n):
-        raise InputError("need 0 <= q <= n")
+    check_int("n", n, 1)
+    check_int("q", q, 0, n)
     b = Fraction(b)
-    if b < 0:
-        raise InputError("jumping value must be nonnegative")
+    check_at_least("jumping value", b, 0)
     return b ** q * Fraction(cup_uq_times) / (math.factorial(q) * math.factorial(n - q))

@@ -29,25 +29,37 @@ class InputError(ValueError):
 def check_tol(tol: QLike) -> Fraction:
     """The tolerance as a Fraction; raises InputError unless it is positive."""
     tol = Fraction(tol)
-    if tol.numerator <= 0:
-        raise InputError("tolerance must be positive")
+    check_at_least("tolerance", tol, 0, strict=True)
     return tol
 
 
-def check_n(n: int, least: int = 1) -> None:
-    """The dimension rule of every statement: raises InputError unless n is an
-    int, and no bool, with n >= least."""
-    if type(n) is not int or n < least:
-        kind = "" if type(n) is int else "an integer "
-        raise InputError(f"n must be {kind}>= {least}, got {n!r}")
+def check_int(name: str, x: int, least: int | None = None, most: int | None = None) -> None:
+    """The integer rule of every statement: raises InputError unless x is an int, and
+    no bool, with least <= x where least is given and x <= most where most is (most
+    only with least), as in "n must be >= 1, got 0" and "p must be in 1..2, got 3"."""
+    if type(x) is int and (least is None or x >= least) and (most is None or x <= most):
+        return
+    kind = "" if type(x) is int else " an integer"
+    bound = ("" if least is None else f" >= {shown(least)}" if most is None
+             else f" in {shown(least)}..{shown(most)}")
+    raise InputError(f"{name} must be{kind}{bound}, got {shown(x)}")
 
 
-def check_jet_order(s: int, least: int = 0) -> None:
-    """The jet-order rule of every s-jet statement: raises InputError unless s is
-    an int, and no bool, with s >= least."""
-    if type(s) is not int or s < least:
-        kind = "" if type(s) is int else "an integer "
-        raise InputError(f"jet order must be {kind}>= {least}, got {s!r}")
+def check_at_least(name: str, x: QLike, least: QLike, strict: bool = False) -> None:
+    """The sign rule of every rational input: raises InputError unless x >= least, or
+    x > least when strict, as in "a must be >= 0"; the message shows no value."""
+    if x <= least if strict else x < least:
+        raise InputError(f"{name} must be {'>' if strict else '>='} {least}")
+
+
+def shown(x: Any) -> str:
+    """repr(x) for a message, but "<int of b bits>" for an int or Fraction whose
+    numerator or denominator has b > 64 bits: the decimal form of such a value
+    can pass the interpreter's limit on int-to-str digits."""
+    if isinstance(x, (int, Fraction)) and (
+            bits := max(abs(x.numerator), x.denominator).bit_length()) > 64:
+        return f"<{type(x).__name__} of {bits} bits>"
+    return repr(x)
 
 
 def grid_bits(tol: Fraction) -> int:
@@ -247,8 +259,7 @@ def nth_root_bracket(r: QLike, q: int, tol: QLike) -> Bracket:
     k = grid_bits(tol), so at most tol wide and a point on perfect powers."""
     r = Fraction(r)
     tol = check_tol(tol)
-    if r < 0:
-        raise InputError("nth root of negative rational")
+    check_at_least("nth root base", r, 0)
     return Bracket.dyadic(*root_ends(r, q, grid_bits(tol)))
 
 
@@ -327,8 +338,7 @@ def pow_bracket(x: QLike, e: QLike, tol: QLike) -> Bracket:
     x = Fraction(x)
     e = Fraction(e)
     tol = check_tol(tol)
-    if x < 0:
-        raise InputError("pow_bracket base must be nonnegative")
+    check_at_least("pow_bracket base", x, 0)
     if x == 0 and e < 0:
         raise InputError("0 cannot be raised to a negative power")
     if e.denominator == 1:

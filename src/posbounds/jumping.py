@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import (
-    DEFAULT_TOL, Bracket, InputError, QLike, Record, bisect, check_jet_order, check_n, check_tol,
+    DEFAULT_TOL, Bracket, InputError, QLike, Record, bisect, check_at_least, check_int, check_tol,
     dyadic_fraction, elem_sym_rows, floor_powers, floor_root, grid_bits, horner, iroot,
     newton_floor, pow_bracket,
 )
@@ -40,7 +40,7 @@ class SigmaSequence(Record):
 def sigma0_for(jets: JetSpec, n: int, very_ample_special: bool = False) -> Fraction:
     """sigma0 = sum (n + s_j)^n; the single-point 1-jet case admits the
     sharper value 2 n^n when very_ample_special is requested."""
-    check_n(n)
+    check_int("n", n, 1)
     if very_ample_special and jets.orders == (1,):
         return Fraction(2 * n ** n)
     return Fraction(sum((n + s) ** n for s in jets.orders))
@@ -70,7 +70,7 @@ def sigma_sequence(
     and each probe j shifts the t_p of k_max right by k_max - j: one more root.
     """
     sigma0, Ln, tol = Fraction(sigma0), Fraction(Ln), check_tol(tol)
-    check_n(n)
+    check_int("n", n, 1)
     a, b, s, d = Ln.numerator, Ln.denominator, sigma0.numerator, sigma0.denominator
     if not 0 < s * b < a * d:
         raise InputError("need 0 < sigma0 < L^n")
@@ -120,13 +120,11 @@ def recursion_bound(
     adds <= 2^(1-k) <= tol/2.  tol_s is proportional to tol, so sigma, the
     grid and the result nest as tol shrinks.
     """
-    check_n(n)
+    check_int("n", n, 1)
     sigma0, a, tol = Fraction(sigma0), Fraction(a), check_tol(tol)
     b = [Fraction(x) for x in b_prefix]
-    if a < 0:
-        raise InputError("a must be nonnegative")
-    if minY < 1:
-        raise InputError("minY must be a positive integer")
+    check_at_least("a", a, 0)
+    check_int("minY", minY, 1)
     if not b or b[0] != 0 or any(y < x for x, y in zip(b, b[1:])):
         raise InputError("b_prefix must be nondecreasing and start at 0")
     p = len(b)
@@ -189,20 +187,17 @@ def main_theorem_check(
     Brackets are rounded up on the threshold side.  A missing minY entry
     makes the report unsatisfied (the inequality cannot be certified).
     """
-    check_n(n)
+    check_int("n", n, 1)
     sigma0, a, Ln, tol = Fraction(sigma0), Fraction(a), Fraction(Ln), check_tol(tol)
     betas = [Fraction(x) for x in beta]
     if len(betas) != n or betas[0] != 0 or any(
         y <= x for x, y in zip(betas, betas[1:])
     ) or betas[-1] > 1:
         raise InputError("beta must satisfy 0 = beta_1 < ... < beta_n <= 1")
-    if a < 0:
-        raise InputError("a must be nonnegative")
-    extra = sorted(p for p in minY if not 1 <= p < n)
-    if extra:
-        raise InputError(f"minY for p in {extra} outside 1..{n - 1}")
-    if any(v < 1 for v in minY.values()):
-        raise InputError("minY must be a positive integer")
+    check_at_least("a", a, 0)
+    for p, v in minY.items():
+        check_int("minY key", p, 1, n - 1)
+        check_int("minY", v, 1)
     details: dict = {"nef_twist": False}  # a schema-1 field: L is taken without a nef twist
     if sigma0 >= Ln:
         details["reason"] = "L^n does not exceed sigma0"
@@ -228,10 +223,10 @@ def main_theorem_check(
 
 def lemma1111_check(t: Sequence[QLike], n: int) -> bool:
     """Exact check of sum (n-1+t_j)^n <= (n-1 + sum t_j)^n for t_j >= 1."""
-    check_n(n)
+    check_int("n", n, 1)
     vals = [Fraction(x) for x in t]
-    if any(x < 1 for x in vals):
-        raise InputError("need t_j >= 1")
+    for x in vals:
+        check_at_least("t_j", x, 1)
     return sum((n - 1 + x) ** n for x in vals) <= (n - 1 + sum(vals)) ** n
 
 
@@ -246,7 +241,7 @@ def beta_schedule(n: int, tol: QLike = DEFAULT_TOL) -> list[Bracket]:
     Strict monotonicity and the increasing-ratio property are certified on
     the exact exponents (beta_p is a pure power of n), not on the brackets.
     """
-    check_n(n, 2)
+    check_int("n", n, 2)
     tol = check_tol(tol)
     exps = [_beta_exponent(n, p) for p in range(2, n)]
     # beta strictly increasing <=> exponents strictly decreasing; the ratio
@@ -279,6 +274,7 @@ def cn_constant(n: int, tol: QLike = DEFAULT_TOL) -> Bracket:
     to the width, and beta_p <= 1/5 gives sup f' < 3.2 (n+1), so the width is
     below 3.2 hi n^2 / 2^k < hi tol / 5 <= tol while hi <= 5 (C_n < 3), as asserted.
     """
+    check_int("n", n, 2)
     if n < 5:
         return Bracket.point(math.prod((1 + (2 * n + 1) * b.lo) / (1 - b.lo)
                                        for b in beta_schedule(n, tol)[1:-1]))
@@ -301,8 +297,8 @@ def cn_constant(n: int, tol: QLike = DEFAULT_TOL) -> Bracket:
 def lemma1115_threshold(n: int, s: int, special: bool = False) -> int:
     """mu(L') >= 3(n+s)^n suffices for s-jets of K+L'; for s = 1 the special
     path sharpens this to 6 n^n."""
-    check_n(n)
-    check_jet_order(s, 1)
+    check_int("n", n, 1)
+    check_int("jet order", s, 1)
     if special:
         if s != 1:
             raise InputError("the special threshold applies only to s = 1")
@@ -313,19 +309,18 @@ def lemma1115_threshold(n: int, s: int, special: bool = False) -> int:
 def theorem1117_threshold(n: int, s: int, muL: QLike, special: bool = True) -> int:
     """Smallest m >= 2 with (m-1) mu(L) + s >= 6(n+s)^n; when s = 1 the
     right side improves to 12 n^n (taken by default)."""
-    check_n(n)
-    check_jet_order(s, 1)
+    check_int("n", n, 1)
+    check_int("jet order", s, 1)
     mu = Fraction(muL)
-    if mu <= 0:
-        raise InputError("mu(L) must be positive")
+    check_at_least("mu(L)", mu, 0, strict=True)
     rhs = 12 * n ** n if (special and s == 1) else 6 * (n + s) ** n
     return max(2, math.ceil((rhs - s) / mu) + 1)
 
 
 def remark1120_threshold(n: int, s: int) -> int:
     """mu(L) >= 6(3n+3+2s)^n suffices for 2K+L to generate s-jets."""
-    check_n(n, 2)
-    check_jet_order(s)
+    check_int("n", n, 2)
+    check_int("jet order", s, 0)
     return 6 * (3 * n + 3 + 2 * s) ** n
 
 
@@ -339,7 +334,7 @@ def corollary118_table(s: int | None = None) -> dict:
         "constants": {"spanned_m": 3, "very_ample_m": 5},
     }
     if s is not None:
-        check_jet_order(s)
+        check_int("jet order", s, 0)
         table["jets"] = ((2 + s) ** 2, 2 + 3 * s + s * s)
     return table
 
@@ -362,15 +357,13 @@ def mu_invariant(
     floor c on the grid 2^-g, g = min(k, 64), is the least, m, take that root:
     c > m gives v^(1/p) >= (m + 1) 2^-g > the least root, so it sets neither end.
     """
-    check_n(n)
+    check_int("n", n, 1)
+    for p, v in per_dim.items():
+        check_int("per-dim key", p, 1, n)
+        check_int("per-dim minimum", v, 1)
     missing = [p for p in range(1, n + 1) if p not in per_dim]
     if missing:
         raise InputError(f"missing per-dimension minima for p in {missing}")
-    extra = sorted(p for p in per_dim if not 1 <= p <= n)
-    if extra:
-        raise InputError(f"per-dimension minima for p in {extra} outside 1..{n}")
-    if any(per_dim[p] < 1 for p in range(1, n + 1)):
-        raise InputError("per-dimension minima must be positive integers")
     k = grid_bits(check_tol(tol))
     g = min(k, 64)
     coarse = {p: iroot(per_dim[p] << g * p, p) for p in range(1, n + 1)}
@@ -389,5 +382,5 @@ def mu_report(n: int, per_dim: Mapping[int, int], tol: QLike = DEFAULT_TOL) -> B
 def lemma1116_consistency(s: int, per_dim: Mapping[int, int]) -> bool:
     """A bundle generating s-jets everywhere must satisfy F^p.Y >= s^p for
     every p-dimensional subvariety; checks the declared minima."""
-    check_jet_order(s)
+    check_int("jet order", s, 0)
     return all(v >= s ** p for p, v in per_dim.items())

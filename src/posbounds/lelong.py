@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
 from .core import (
-    DEFAULT_TOL, InputError, QLike, Record, check_jet_order, check_n, check_tol, dyadic_fraction,
+    DEFAULT_TOL, InputError, QLike, Record, check_at_least, check_int, check_tol, dyadic_fraction,
     floor_root, newton_floor,
 )
 from .report import BoundReport
@@ -33,10 +33,9 @@ class Component(Record):
     __slots__ = ("coeff", "id", "point_multiplicities")  # a Fraction, a key, {point: mult}
 
     def _check(self) -> None:
-        if self.coeff <= 0:
-            raise InputError("component coefficient must be positive")
-        if any(m < 0 for m in self.point_multiplicities.values()):
-            raise InputError("multiplicities must be nonnegative")
+        check_at_least("component coefficient", self.coeff, 0, strict=True)
+        for m in self.point_multiplicities.values():
+            check_int("multiplicity", m, 0)
 
 
 class DivisorCurrent(Record):
@@ -60,8 +59,7 @@ def lelong_at(T: DivisorCurrent, point: Hashable) -> Fraction:
 def upperlevel_set(T: DivisorCurrent, c: QLike) -> set[Hashable]:
     """Component ids whose generic Lelong number (the coefficient) is >= c."""
     c = Fraction(c)
-    if c <= 0:
-        raise InputError("level must be positive")
+    check_at_least("level", c, 0, strict=True)
     return {comp.id for comp in T.components if comp.coeff >= c}
 
 
@@ -71,8 +69,8 @@ class ParamCurve(Record):
     __slots__ = ("u", "v")
 
     def _check(self) -> None:
-        if not (1 <= self.u <= self.v):
-            raise InputError("need 1 <= u <= v")
+        check_int("u", self.u, 1)
+        check_int("v", self.v, self.u)
         if math.gcd(self.u, self.v) != 1:
             raise InputError("exponents must be coprime")
 
@@ -136,10 +134,8 @@ class CurveData(Record):
 
     def _check(self) -> None:
         for deg, mult in self.curves:
-            if mult < 1:
-                raise InputError("curve multiplicity must be >= 1")
-            if deg < 0:
-                raise InputError("nef degree must be nonnegative")
+            check_int("curve multiplicity", mult, 1)
+            check_at_least("nef degree", deg, 0)
 
     @staticmethod
     def of(*curves: tuple[QLike, int]) -> "CurveData":
@@ -160,9 +156,8 @@ def seshadri_thresholds(eps_lower: QLike, n: int, s: int) -> tuple[bool, bool]:
     global constant > 2n.  Strict inequalities.  Seshadri constants are
     superadditive, so for a sum of nef bundles the sum of their lower bounds
     is a lower bound."""
-    check_n(n)
+    check_int("n", n, 1)
     eps = Fraction(eps_lower)
-    if eps < 0:
-        raise InputError("Seshadri lower bound must be nonnegative")
-    check_jet_order(s)
+    check_at_least("Seshadri lower bound", eps, 0)
+    check_int("jet order", s, 0)
     return eps > n + s, eps > 2 * n

@@ -16,24 +16,23 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .core import Bracket, InputError, QLike, Record, check_n
+from .core import Bracket, InputError, QLike, Record, check_at_least, check_int
 from .report import BoundReport
 
 
 def _volume(Ln: QLike) -> Fraction:
     """The volume L^n of an ample L as a Fraction; raises InputError unless L^n >= 1."""
-    if (Ln := Fraction(Ln)) < 1:
-        raise InputError("L^n must be >= 1")
+    Ln = Fraction(Ln)
+    check_at_least("L^n", Ln, 1)
     return Ln
 
 
 def prop131_window(n: int, LB: QLike, Ln: QLike) -> int:
     """Some m with a section of mL - B satisfies m <= floor(n LB / L^n) + 1 + n."""
-    check_n(n)
+    check_int("n", n, 1)
     Ln = _volume(Ln)
     LB = Fraction(LB)
-    if LB < 0:
-        raise InputError("L^(n-1).B must be nonnegative for nef B")
+    check_at_least("L^(n-1).B", LB, 0)
     m0 = math.floor(n * LB / Ln) + 1
     return m0 + n
 
@@ -41,13 +40,13 @@ def prop131_window(n: int, LB: QLike, Ln: QLike) -> int:
 def cor132_window(n: int, LB: QLike, LK: QLike, Ln: QLike) -> int:
     """Existence window for mL - B with B augmented by K_X + (n+1)L:
     m <= n((LB + LK)/L^n + n + 1), rounded up."""
-    check_n(n)
+    check_int("n", n, 1)
     return math.ceil(n * ((Fraction(LB) + Fraction(LK)) / _volume(Ln) + n + 1))
 
 
 def corollary85_threshold(n: int) -> int:
     """m(K+(n+2)L)+G is very ample for m >= C(3n+1, n) - 2n."""
-    check_n(n)
+    check_int("n", n, 1)
     return math.comb(3 * n + 1, n) - 2 * n
 
 
@@ -55,16 +54,15 @@ def lambda_n(n: int, policy: Union[str, int]) -> int:
     """Constant lambda_n with lambda_n(K+(n+2)L) very ample: the binomial
     policy of Corollary 8.5 (corollary85_threshold, C(3n+1, n) - 2n), the
     cubic policy n^3 - n^2 - n - 1 (n >= 2), or an explicit positive integer."""
-    check_n(n, 2 if policy == "angehrn-siu" else 1)
-    if isinstance(policy, int):
-        if type(policy) is not int or policy < 1:  # the integer rule of check_n: no bool
-            raise InputError("explicit lambda must be a positive integer")
-        return policy
+    check_int("n", n, 2 if policy == "angehrn-siu" else 1)
     if policy == "demailly":
         return corollary85_threshold(n)
     if policy == "angehrn-siu":
         return n ** 3 - n ** 2 - n - 1
-    raise InputError(f"unknown lambda policy {policy!r}")
+    if isinstance(policy, str):
+        raise InputError(f"unknown lambda policy {policy!r}")
+    check_int("explicit lambda", policy, 1)
+    return policy
 
 
 class MatsusakaInputs(Record):
@@ -73,10 +71,9 @@ class MatsusakaInputs(Record):
     __slots__ = ("n", "Ln", "LB", "LK", "lambda_policy")
 
     def _check(self) -> None:
-        check_n(self.n, 2)
+        check_int("n", self.n, 2)
         _volume(self.Ln)
-        if self.LB < 0:
-            raise InputError("L^(n-1).B must be nonnegative")
+        check_at_least("L^(n-1).B", self.LB, 0)
 
     @staticmethod
     def of(
@@ -170,9 +167,8 @@ def matsusaka_main(inputs: MatsusakaInputs) -> BoundReport:
     n = inputs.n
     lam = lambda_n(n, inputs.lambda_policy)
     LH = lam * (inputs.LK + (n + 2) * inputs.Ln)
-    LBH = inputs.LB + LH
-    if LH < 0 or LBH < 0:
-        raise InputError("L^(n-1).H and L^(n-1).(B+H) must be nonnegative")
+    check_at_least("L^(n-1).H", LH, 0)
+    LBH = inputs.LB + LH  # >= 0, as L^(n-1).B >= 0 (MatsusakaInputs)
     pre, ebh, eh, eln = _main_exponents(n)
     bound = _power_product(((2 * n, pre), (LBH, ebh), (LH, eh), (inputs.Ln, -eln)))
     m_int = math.ceil(bound)
@@ -217,10 +213,11 @@ def mbar_recursion(
     Returns (recursive list for p = n..1, closed-form list, exact-agreement
     flag); all exponents are integers so both paths are exact rationals.
     """
-    check_n(n)
+    check_int("n", n, 1)
     M, LH, Ln = Fraction(M), Fraction(LH), Fraction(Ln)
-    if min(M, LH, Ln) <= 0:
-        raise InputError("M, LH, L^n must be positive")
+    check_at_least("M", M, 0, strict=True)
+    check_at_least("LH", LH, 0, strict=True)
+    check_at_least("L^n", Ln, 0, strict=True)
     rec = [M / Ln]  # index 0 holds mbar_n
     for p in range(n - 1, 0, -1):
         tail_sq = math.prod(rec) ** 2

@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import InputError, QLike, Record, check_n
+from .core import InputError, QLike, Record, check_at_least, check_int
 from .report import BoundReport
 
 
@@ -25,8 +25,10 @@ class MonomialWeightData(Record):
     __slots__ = ("alpha",)  # a tuple of positive Fractions
 
     def _check(self) -> None:
-        if not self.alpha or any(a <= 0 for a in self.alpha):
-            raise InputError("weight exponents must be positive")
+        if not self.alpha:
+            raise InputError("alpha must list at least one weight exponent")
+        for a in self.alpha:
+            check_at_least("weight exponent", a, 0, strict=True)
 
     @staticmethod
     def of(*alpha: QLike) -> "MonomialWeightData":
@@ -52,8 +54,8 @@ class MonomialIdeal(Record):
 
 def membership_criterion(alpha: Sequence[Fraction], beta: Sequence[int]) -> bool:
     """Strict integrability criterion sum (beta_j + 1)/alpha_j > 1."""
-    if any(a <= 0 for a in alpha):
-        raise InputError("weight exponents must be positive")
+    for a in alpha:
+        check_at_least("weight exponent", a, 0, strict=True)
     return sum(Fraction(b + 1, 1) / a for b, a in zip(beta, alpha)) > 1
 
 
@@ -115,8 +117,8 @@ def mult_ideal_report(alpha: Sequence[QLike]) -> BoundReport:
 def snc_round_down(coeffs: Sequence[QLike]) -> tuple[int, ...]:
     """Round-down of a normal-crossing Q-divisor sum a_j D_j: the multiplier
     ideal is the sheaf of functions divisible by prod g_j^{floor(a_j)}."""
-    if any(a < 0 for a in coeffs):
-        raise InputError("divisor coefficients must be nonnegative")
+    for a in coeffs:
+        check_at_least("divisor coefficient", a, 0)
     return tuple(math.floor(a) for a in coeffs)
 
 
@@ -136,10 +138,9 @@ def skoda_classify(nu: QLike, n: int) -> SkodaResult:
     nu < 1 forces the trivial ideal; nu >= n + s forces containment in the
     (s+1)-st power of the maximal ideal; in between nothing is decided.
     """
-    check_n(n)
+    check_int("n", n, 1)
     nu = Fraction(nu)
-    if nu < 0:
-        raise InputError("Lelong number must be nonnegative")
+    check_at_least("Lelong number", nu, 0)
     if nu < 1:
         return SkodaResult(SkodaClass.TRIVIAL, None)
     if nu >= n:

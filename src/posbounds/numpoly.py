@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .core import InputError, Record, bisect, horner
+from .core import InputError, Record, bisect, check_int, horner, shown
 from .report import BoundReport
 
 
@@ -47,15 +47,15 @@ def _binom_poly(m: int, j: int) -> int:
 
 def window_a(P: NumericalPolynomial, m0: int, N: int) -> int:
     """Smallest m in [m0, m0 + N*d] with P(m) >= N."""
-    if N < 0:
-        raise InputError("N must be nonnegative")
+    check_int("m0", m0)
+    check_int("N", N, 0)
     return _first_reaching(P, N, m0, m0 + N * P.degree)
 
 
 def window_b(P: NumericalPolynomial, m0: int, k: int) -> int:
     """Smallest m in [m0, m0 + k*d] with P(m) >= a_d * k^d / 2^(d-1)."""
-    if k < 1:
-        raise InputError("k must be >= 1")
+    check_int("m0", m0)
+    check_int("k", k, 1)
     d = P.degree
     bound = -(-2 * P.leading * k ** d // 2 ** d)  # ceil, an int even at d = 0
     return _first_reaching(P, bound, m0, m0 + k * d)
@@ -64,8 +64,8 @@ def window_b(P: NumericalPolynomial, m0: int, k: int) -> int:
 def window_c(P: NumericalPolynomial, m0: int, N: int) -> int:
     """Smallest m in [m0, m0 + N] with P(m) >= N; requires N >= 2 d^2."""
     d = P.degree
-    if N < 2 * d * d:
-        raise InputError(f"need N >= 2d^2 = {2 * d * d}, got {N}")
+    check_int("m0", m0)
+    check_int("N", N, 2 * d * d)  # the window needs N >= 2d^2
     return _first_reaching(P, N, m0, m0 + N)
 
 
@@ -103,7 +103,7 @@ def _first_reaching(P: NumericalPolynomial, target: int, lo: int, hi: int) -> in
             return a
         if b - a > 1 and horner(q, b - 1) >= 0:
             return bisect(lambda x: horner(q, x) < 0, a, b - 1) + 1
-    raise InputError(f"no m in [{lo}, {hi}] with P(m) >= {target}")
+    raise InputError(f"no m in [{shown(lo)}, {shown(hi)}] with P(m) >= {shown(target)}")
 
 
 def _monotone_cuts(q: list[int], lo: int, hi: int) -> list[int]:

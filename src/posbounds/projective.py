@@ -10,15 +10,17 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .core import InputError, Record, check_n
+from .core import InputError, Record, check_int
 
 
 class ProductSpace(Record):
     __slots__ = ("factor_dims",)  # a tuple of positive ints
 
     def _check(self) -> None:
-        if not self.factor_dims or any(k < 1 for k in self.factor_dims):
-            raise InputError("factor dimensions must be positive integers")
+        if not self.factor_dims:
+            raise InputError("factor_dims must list at least one dimension")
+        for k in self.factor_dims:
+            check_int("factor dimension", k, 1)
 
     @property
     def n(self) -> int:
@@ -137,7 +139,7 @@ class IntersectionProfile(Record):
     __slots__ = ("n", "Ln", "LK", "per_dim_min")  # ints, and {p: declared min}
 
     def _check(self) -> None:
-        check_n(self.n)
+        check_int("n", self.n, 1)
 
 
 def profile_from_fixture(space: ProductSpace, L: DivisorClass) -> IntersectionProfile:

@@ -292,17 +292,17 @@ def test_empty_lists_exit_2_with_the_argument_named(capsys):
     (["bounds", "surface", "--jets", "", "--L2", "1", "--minLC", "1"],
      "jets must list at least one jet order"),
     (["jets", "main", "--n", "2", "--sigma0", "4", "--a", "-1", "--beta", "0,1", "--min", "1=3",
-      "--Ln", "5"], "a must be nonnegative"),
+      "--Ln", "5"], "a must be >= 0"),
     (["jets", "main", "--n", "2", "--sigma0", "1", "--a", "0", "--beta", "", "--min", "", "--Ln", "2"],
      "beta must satisfy 0 = beta_1 < ... < beta_n <= 1"),
     (["jets", "mu", "--n", "2", "--per-dim", "1=3,2=9,5=0"],
-     "per-dimension minima for p in [5] outside 1..2"),
+     "per-dim key must be in 1..2, got 5"),
     (["jets", "main", "--n", "3", "--sigma0", "8", "--a", "1", "--beta", "0,1/27,1",
-      "--min", "1=76,2=6,7=1", "--Ln", "64"], "minY for p in [7] outside 1..2"),
+      "--min", "1=76,2=6,7=1", "--Ln", "64"], "minY key must be in 1..2, got 7"),
     (["jets", "main", "--n", "2", "--sigma0", "1", "--beta", "0,1", "--min", "1=0", "--Ln", "2"],
-     "minY must be a positive integer"),
+     "minY must be >= 1, got 0"),
     (["jets", "main", "--n", "2", "--sigma0", "1", "--beta", "0,1", "--min", "1=-1", "--Ln", "2"],
-     "minY must be a positive integer"),
+     "minY must be >= 1, got -1"),
     (["jets", "main", "--n", "0", "--sigma0", "1", "--a", "0", "--beta", "", "--min", "", "--Ln", "2"],
      "n must be >= 1, got 0"),
     (["matsusaka", "--n", "1", "--Ln", "4", "--LK", "-1/2"], "n must be >= 2, got 1"),

@@ -271,7 +271,7 @@ def test_recursion_bound_validation():
         with pytest.raises(InputError, match="need 0 < sigma0 < L"):
             recursion_bound(2, sigma0, 0, [Fraction(0)], 1, 5)
     for tol in (0, -1):
-        with pytest.raises(InputError, match="tolerance must be positive"):
+        with pytest.raises(InputError, match="^tolerance must be > 0$"):
             recursion_bound(2, 4, 0, [Fraction(0)], 3, 5, tol=tol)
 
 
@@ -393,7 +393,7 @@ def test_main_theorem_rejects_minY_outside_1_to_n_minus_1():
     beta = [0, Fraction(1, 27), 1]
     for p in (0, 3, 7):
         for Ln in (64, 8):  # also when L^n does not exceed sigma0
-            with pytest.raises(InputError, match=rf"minY for p in \[{p}\] outside 1\.\.2$"):
+            with pytest.raises(InputError, match=rf"^minY key must be in 1\.\.2, got {p}$"):
                 main_theorem_check(3, 8, 1, beta, {1: 76, 2: 6, p: 1}, Ln)
 
 
@@ -402,7 +402,7 @@ def test_main_theorem_rejects_nonpositive_minY():
     beta = [0, Fraction(1, 27), 1]
     for v in (0, -1):
         for Ln in (64, 8):  # also when L^n does not exceed sigma0
-            with pytest.raises(InputError, match="^minY must be a positive integer$"):
+            with pytest.raises(InputError, match=rf"^minY must be >= 1, got {v}$"):
                 main_theorem_check(3, 8, 1, beta, {1: 76, 2: v}, Ln)
 
 
@@ -585,7 +585,7 @@ def test_mu_invariant_validates_its_arguments():
     with pytest.raises(InputError, match=r"^missing per-dimension minima for p in \[1, 2\]$"):
         mu_invariant({}, 2)
     for p in (0, 3, 5):  # a key outside 1..n is refused, not skipped
-        with pytest.raises(InputError, match=rf"minima for p in \[{p}\] outside 1\.\.2$"):
+        with pytest.raises(InputError, match=rf"^per-dim key must be in 1\.\.2, got {p}$"):
             mu_invariant({1: 3, 2: 9, p: 0}, 2)
 
 

@@ -52,7 +52,7 @@ def test_lambda_policies():
         lambda_n(2, 0)
     # a bool is an int, but True is no explicit lambda (it was reported as "lambda": true)
     for call in (lambda: lambda_n(3, True), lambda: matsusaka_report(3, 1, 2, 0, True)):
-        with pytest.raises(ValueError, match="^explicit lambda must be a positive integer$"):
+        with pytest.raises(ValueError, match="^explicit lambda must be an integer >= 1, got True$"):
             call()
 
 

@@ -124,7 +124,7 @@ def test_ideal_permutation_equivariant(a1, a2):
 
 def test_snc_round_down():
     assert snc_round_down((Fraction(7, 3), Fraction(1, 2), 3)) == (2, 0, 3)
-    with pytest.raises(InputError, match="^divisor coefficients must be nonnegative$"):
+    with pytest.raises(InputError, match="^divisor coefficient must be >= 0$"):
         snc_round_down((1, -1))
 
 

@@ -1,26 +1,37 @@
-"""One row per refusal: every raise of ``InputError`` (or the CLI's ``_FlagError``)
-in ``src/`` has a call here that reaches it, with the start of its message.
+"""One table per refusal rule, and one row per other refusal: every raise of
+``InputError`` (or the CLI's ``_FlagError``) in ``src/`` is reached here.
 
-The structural tests fail when a raise site has no row, so a new refusal
-cannot land untested, and when a row reaches another site than the one it
-names.  The dimension rule, n an int >= least, has one raise statement, in
-``core.check_n``; the dimension table calls every function and record that
-takes n at n = least - 1, n = -1 and three values that are no int (a float, a
-bool and a Fraction), and an AST walk fails when one is missing.  The
-jet-order rule, s an int >= least, is ``core.check_jet_order``, and its table
-does the same for every function and record that takes a jet order.
+Two rules in ``core`` refuse single numbers.  The integer rule,
+``core.check_int``, refuses a value that is no int (a bool included) or lies
+outside least..most.  Its table, ``INTEGER``, calls every function and record
+that takes an integer parameter at least - 1, -1 and -10**5000, at most + 1 and
+10**5000 where it has a most, and at three values that are no int (a float, a
+bool and a Fraction), each with its whole message; AST walks fail when a
+function that takes a dimension n, a jet order s, or an integer p, q, minY, N,
+k, m0, mu, Kn, u or v has no entry.  The sign rule, ``core.check_at_least``,
+refuses a rational below least, or at least when strict; its table,
+``AT_LEAST``, calls each checked value at least - 1 and least - 1/2, and at
+least when strict.  A hypothesis test draws each integer argument of the
+integer table from ints, bools, floats, Fractions, strings, None and
++-10**5000: every call refuses or returns what the equal int returns.
+
+Every other raise statement has one row in ``ROWS``, with the start of its
+message.  The structural tests fail when a raise site has no row, and when a
+row reaches another site than the one it names.
 """
 
 import ast
 import builtins
 import importlib
+import math
 import os
-from functools import partial
 from fractions import Fraction as F
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posbounds import (
     adjoint, cli, convexity, core, jumping, lelong, matsusaka, multiplier, numpoly, projective,
@@ -30,75 +41,43 @@ from posbounds.core import InputError
 from test_cli import raise_sites
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "posbounds"
+FAMILIES = ("adjoint", "convexity", "jumping", "lelong", "matsusaka", "multiplier", "numpoly",
+            "projective")
 TOL = F(1, 10**12)
 P1, P2 = projective.ProductSpace((1,)), projective.ProductSpace((2,))
 JET = adjoint.JetSpec((1,))
+CONSTANT, LINEAR = numpoly.NumericalPolynomial((1,)), numpoly.NumericalPolynomial((0, 1))
 FIELDS = {"schema": 1, "theorem": "x", "inputs": {}, "threshold": None, "verdict": "v",
           "details": {}}
+LONG = 10**5000  # past the interpreter's limit of 4,300 digits for int-to-str
 
 
-# (module, function, message prefix, call)
+# (module, function, message prefix, call): each raise statement but the rules' calls
 ROWS = [
     ("adjoint", "JetSpec._check", "jets must list at least one jet order",
      lambda: adjoint.JetSpec(())),
-    ("adjoint", "lemma86_transfer", "mu must be a positive integer",
-     lambda: adjoint.lemma86_transfer(0, 2, 1)),
     ("adjoint", "pluricanonical_bounds", "unknown case 'k3'",
      lambda: adjoint.pluricanonical_bounds(2, "k3")),
-    ("adjoint", "pluricanonical_bounds", "|K^n| must be positive",
-     lambda: adjoint.pluricanonical_bounds(2, "fano", 0)),
     ("adjoint", "reider_check", "unknown mode 'x'", lambda: adjoint.reider_check(10, "x")),
     ("cli", "parse_q", "not a rational number: 'x'", lambda: cli.parse_q("x")),
     ("cli", "parse_int_map", "key 1 is given more than once",
      lambda: cli.parse_int_map("1=2,1=3")),
-    ("cli", "default_tol", "POSBOUNDS_TOL must be positive",
-     mock.patch.dict(os.environ, {"POSBOUNDS_TOL": "0"})(cli.default_tol)),
     ("convexity", "ht_products", "selfints must list at least one self-intersection",
      lambda: convexity.ht_products([], 1)),
-    ("convexity", "ht_products", "self-intersections of nef classes must be nonnegative",
-     lambda: convexity.ht_products([-1], 1)),
-    ("convexity", "ht_mixed_chain", "need 1 <= p <= n",
-     lambda: convexity.ht_mixed_chain(1, 1, 1, 2, 3)),
-    ("convexity", "ht_mixed_chain", "intersection numbers must be nonnegative",
-     lambda: convexity.ht_mixed_chain(-1, 1, 1, 2, 1)),
     ("convexity", "diag_form_check", "lambdas must list at least one eigenvalue",
      lambda: convexity.diag_form_check([], 0)),
-    ("convexity", "diag_form_check", "eigenvalues must be positive",
-     lambda: convexity.diag_form_check([0], 0)),
-    ("convexity", "diag_form_check", "need 0 <= p <= n",
-     lambda: convexity.diag_form_check([1], 2)),
-    ("convexity", "morse_strong_rhs", "need 0 <= q <= n",
-     lambda: convexity.morse_strong_rhs(2, {}, 3)),
     ("convexity", "morse_strong_rhs", "mixed product F^1.G^1 not supplied",
      lambda: convexity.morse_strong_rhs(2, {0: 1}, 1)),
-    ("convexity", "morse_existence_threshold", "F^n must be positive (F big)",
-     lambda: convexity.morse_existence_threshold(0, 1, 2)),
-    ("convexity", "morse_existence_threshold", "F^(n-1).G must be nonnegative",
-     lambda: convexity.morse_existence_threshold(1, -1, 2)),
-    ("convexity", "singular_morse_Aq", "need 0 <= q <= n",
-     lambda: convexity.singular_morse_Aq(2, 3, 1, 1)),
-    ("convexity", "singular_morse_Aq", "jumping value must be nonnegative",
-     lambda: convexity.singular_morse_Aq(2, 1, -1, 1)),
-    ("core", "check_tol", "tolerance must be positive", lambda: core.check_tol(0)),
-    ("core", "check_n", "n must be >= 1, got 0", lambda: core.check_n(0)),
-    ("core", "check_jet_order", "jet order must be >= 0, got -1",
-     lambda: core.check_jet_order(-1)),
+    ("core", "check_int", "n must be >= 1, got 0", lambda: core.check_int("n", 0, 1)),
+    ("core", "check_at_least", "a must be >= 0", lambda: core.check_at_least("a", -1, 0)),
     ("core", "iroot", "iroot of negative integer", lambda: core.iroot(-1, 2)),
     ("core", "iroot", "root index must be >= 1", lambda: core.iroot(4, 0)),
-    ("core", "nth_root_bracket", "nth root of negative rational",
-     lambda: core.nth_root_bracket(-1, 2, TOL)),
-    ("core", "pow_bracket", "pow_bracket base must be nonnegative",
-     lambda: core.pow_bracket(-1, 2, TOL)),
     ("core", "pow_bracket", "0 cannot be raised to a negative power",
      lambda: core.pow_bracket(0, -1, TOL)),
     ("jumping", "sigma_sequence", "need 0 < sigma0 < L^n",
      lambda: jumping.sigma_sequence(2, 1, 2)),
     ("jumping", "sigma_sequence", "sigma needs",  # past the cap, as in test_cli
      lambda: jumping.sigma_sequence(1, 1 << jumping._SIGMA_CAP + 35, 2)),
-    ("jumping", "recursion_bound", "a must be nonnegative",
-     lambda: jumping.recursion_bound(2, 1, -1, [0], 1, 4)),
-    ("jumping", "recursion_bound", "minY must be a positive integer",
-     lambda: jumping.recursion_bound(2, 1, 0, [0], 0, 4)),
     ("jumping", "recursion_bound", "b_prefix must be nondecreasing and start at 0",
      lambda: jumping.recursion_bound(2, 1, 0, [1], 1, 4)),
     ("jumping", "recursion_bound", "b_prefix needs sigma_2, beyond the sigma sequence for n = 2",
@@ -107,32 +86,12 @@ ROWS = [
      lambda: jumping.recursion_bound(2, 0, 0, [0], 1, 4)),
     ("jumping", "main_theorem_check", "beta must satisfy 0 = beta_1 < ... < beta_n <= 1",
      lambda: jumping.main_theorem_check(2, 1, 0, [0], {}, 4)),
-    ("jumping", "main_theorem_check", "a must be nonnegative",
-     lambda: jumping.main_theorem_check(2, 1, -1, [0, 1], {}, 4)),
-    ("jumping", "main_theorem_check", "minY for p in [2] outside 1..1",
-     lambda: jumping.main_theorem_check(2, 1, 0, [0, 1], {2: 1}, 4)),
-    ("jumping", "main_theorem_check", "minY must be a positive integer",
-     lambda: jumping.main_theorem_check(2, 1, 0, [0, 1], {1: 0}, 4)),
-    ("jumping", "lemma1111_check", "need t_j >= 1", lambda: jumping.lemma1111_check([0], 2)),
     ("jumping", "lemma1115_threshold", "the special threshold applies only to s = 1",
      lambda: jumping.lemma1115_threshold(2, 2, special=True)),
-    ("jumping", "theorem1117_threshold", "mu(L) must be positive",
-     lambda: jumping.theorem1117_threshold(2, 1, 0)),
     ("jumping", "mu_invariant", "missing per-dimension minima for p in [2]",
      lambda: jumping.mu_invariant({1: 1}, 2)),
-    ("jumping", "mu_invariant", "per-dimension minima for p in [3] outside 1..1",
-     lambda: jumping.mu_invariant({1: 1, 3: 1}, 1)),
-    ("jumping", "mu_invariant", "per-dimension minima must be positive integers",
-     lambda: jumping.mu_invariant({1: 0}, 1)),
     ("lelong", "ord_at_origin", "zero polynomial has no vanishing order",
      lambda: lelong.ord_at_origin({(1, 0): 0})),
-    ("lelong", "Component._check", "component coefficient must be positive",
-     lambda: lelong.Component(F(0), "D", {})),
-    ("lelong", "Component._check", "multiplicities must be nonnegative",
-     lambda: lelong.Component(F(1), "D", {"x": -1})),
-    ("lelong", "upperlevel_set", "level must be positive",
-     lambda: lelong.upperlevel_set(lelong.DivisorCurrent(()), 0)),
-    ("lelong", "ParamCurve._check", "need 1 <= u <= v", lambda: lelong.ParamCurve(2, 1)),
     ("lelong", "ParamCurve._check", "exponents must be coprime", lambda: lelong.ParamCurve(2, 4)),
     ("lelong", "lelong_numeric", "need at least one radius",
      lambda: lelong.lelong_numeric(lelong.ParamCurve(1, 2), [])),
@@ -140,48 +99,19 @@ ROWS = [
      lambda: lelong.lelong_numeric(lelong.ParamCurve(1, 2), [2])),
     ("lelong", "lelong_numeric", "radii must be strictly decreasing",
      lambda: lelong.lelong_numeric(lelong.ParamCurve(1, 2), [F(1, 2), F(1, 2)])),
-    ("lelong", "CurveData._check", "curve multiplicity must be >= 1",
-     lambda: lelong.CurveData(((F(1), 0),))),
-    ("lelong", "CurveData._check", "nef degree must be nonnegative",
-     lambda: lelong.CurveData(((F(-1), 1),))),
     ("lelong", "seshadri_upper", "need at least one curve",
      lambda: lelong.seshadri_upper(lelong.CurveData(()))),
-    ("lelong", "seshadri_thresholds", "Seshadri lower bound must be nonnegative",
-     lambda: lelong.seshadri_thresholds(-1, 2, 1)),
-    ("matsusaka", "prop131_window", "L^(n-1).B must be nonnegative for nef B",
-     lambda: matsusaka.prop131_window(2, -1, 1)),
-    ("matsusaka", "lambda_n", "explicit lambda must be a positive integer",
-     lambda: matsusaka.lambda_n(2, 0)),
     ("matsusaka", "lambda_n", "unknown lambda policy 'x'", lambda: matsusaka.lambda_n(2, "x")),
-    ("matsusaka", "MatsusakaInputs._check", "L^(n-1).B must be nonnegative",
-     lambda: matsusaka.MatsusakaInputs.of(2, 1, -1, 0)),
-    ("matsusaka", "matsusaka_main", "L^(n-1).H and L^(n-1).(B+H) must be nonnegative",
-     lambda: matsusaka.matsusaka_main(matsusaka.MatsusakaInputs.of(2, 1, 0, -5))),
-    ("matsusaka", "mbar_recursion", "M, LH, L^n must be positive",
-     lambda: matsusaka.mbar_recursion(2, 0, 1, 1)),
     ("matsusaka", "m0_assembly", "need at least one mbar value",
      lambda: matsusaka.m0_assembly([], 1)),
-    ("matsusaka", "_volume", "L^n must be >= 1", lambda: matsusaka.prop131_window(2, 0, 0)),
-    ("multiplier", "MonomialWeightData._check", "weight exponents must be positive",
-     lambda: multiplier.MonomialWeightData.of(0)),
-    ("multiplier", "membership_criterion", "weight exponents must be positive",
-     lambda: multiplier.membership_criterion([F(0)], [0])),
-    ("multiplier", "snc_round_down", "divisor coefficients must be nonnegative",
-     lambda: multiplier.snc_round_down([-1])),
-    ("multiplier", "skoda_classify", "Lelong number must be nonnegative",
-     lambda: multiplier.skoda_classify(-1, 2)),
+    ("multiplier", "MonomialWeightData._check", "alpha must list at least one weight exponent",
+     lambda: multiplier.MonomialWeightData.of()),
     ("numpoly", "NumericalPolynomial._check", "leading binomial-basis coefficient must be nonzero",
      lambda: numpoly.NumericalPolynomial(())),
-    ("numpoly", "window_a", "N must be nonnegative",
-     lambda: numpoly.window_a(numpoly.NumericalPolynomial((1,)), 0, -1)),
-    ("numpoly", "window_b", "k must be >= 1",
-     lambda: numpoly.window_b(numpoly.NumericalPolynomial((1,)), 0, 0)),
-    ("numpoly", "window_c", "need N >= 2d^2 = 2, got 1",
-     lambda: numpoly.window_c(numpoly.NumericalPolynomial((0, 1)), 0, 1)),
     ("numpoly", "poly_report", "window a needs --N", lambda: numpoly.poly_report([1], "a", 0)),
     ("numpoly", "_first_reaching", "no m in [0, 0] with P(m) >= 6",
      lambda: numpoly.window_b(numpoly.NumericalPolynomial((3,)), 0, 2)),
-    ("projective", "ProductSpace._check", "factor dimensions must be positive integers",
+    ("projective", "ProductSpace._check", "factor_dims must list at least one dimension",
      lambda: projective.ProductSpace(())),
     ("projective", "DivisorClass._check", "coefficient count must match the number of factors",
      lambda: projective.DivisorClass(P1, (1, 2))),
@@ -270,24 +200,171 @@ JET_ORDER = {
     ("jumping", "lemma1116_consistency"): (0, lambda s: jumping.lemma1116_consistency(s, {})),
     ("lelong", "seshadri_thresholds"): (0, lambda s: lelong.seshadri_thresholds(1, 2, s)),
 }
-# the rule's raise statement, by the noun its message starts with
-RULES = {"n": ("core", "check_n"), "jet order": ("core", "check_jet_order")}
+# {(module, function or record, noun): (least, most, call of x)}: the integers other than
+# n and s, each call valid for least <= x <= most (None: no bound)
+OTHER_INTEGERS = {
+    ("adjoint", "lemma86_transfer", "mu"): (1, None, lambda mu: adjoint.lemma86_transfer(mu, 2, 1)),
+    ("adjoint", "pluricanonical_bounds", "|K^n|"):
+        (1, None, lambda k: adjoint.pluricanonical_bounds(2, "fano", k)),
+    ("adjoint", "pluri_report", "|K^n|"): (1, None, lambda k: adjoint.pluri_report(2, "fano", k)),
+    ("convexity", "ht_mixed_chain", "p"): (1, 2, lambda p: convexity.ht_mixed_chain(1, 1, 1, 2, p)),
+    ("convexity", "ht_chain_report", "p"):
+        (1, 2, lambda p: convexity.ht_chain_report(1, 1, 1, 2, p)),
+    ("convexity", "diag_form_check", "p"): (0, 1, lambda p: convexity.diag_form_check([1], p)),
+    ("convexity", "ht_diag_report", "p"): (0, 1, lambda p: convexity.ht_diag_report([1], p)),
+    ("convexity", "morse_strong_rhs", "q"):
+        (0, 2, lambda q: convexity.morse_strong_rhs(2, dict.fromkeys(range(3), 1), q)),
+    ("convexity", "singular_morse_Aq", "q"):
+        (0, 2, lambda q: convexity.singular_morse_Aq(2, q, 1, 1)),
+    ("jumping", "recursion_bound", "minY"):
+        (1, None, lambda v: jumping.recursion_bound(2, 1, 0, [0], v, 4)),
+    ("jumping", "main_theorem_check", "minY key"):
+        (1, 1, lambda p: jumping.main_theorem_check(2, 1, 0, [0, 1], {p: 1}, 4)),
+    ("jumping", "main_theorem_check", "minY"):
+        (1, None, lambda v: jumping.main_theorem_check(2, 1, 0, [0, 1], {1: v}, 4)),
+    ("jumping", "mu_invariant", "per-dim key"): (1, 1, lambda p: jumping.mu_invariant({p: 1}, 1)),
+    ("jumping", "mu_invariant", "per-dim minimum"):
+        (1, None, lambda v: jumping.mu_invariant({1: v}, 1)),
+    ("lelong", "Component._check", "multiplicity"):
+        (0, None, lambda m: lelong.Component(F(1), "D", {"x": m})),
+    ("lelong", "ParamCurve._check", "u"): (1, None, lambda u: lelong.ParamCurve(u, 3)),
+    ("lelong", "ParamCurve._check", "v"): (2, None, lambda v: lelong.ParamCurve(2, v)),
+    ("lelong", "lelong_report", "u"): (1, None, lambda u: lelong.lelong_report(u, 3, [F(1, 2)])),
+    ("lelong", "lelong_report", "v"): (2, None, lambda v: lelong.lelong_report(2, v, [F(1, 2)])),
+    ("lelong", "CurveData._check", "curve multiplicity"):
+        (1, None, lambda m: lelong.CurveData(((F(1), m),))),
+    ("matsusaka", "lambda_n", "explicit lambda"): (1, None, lambda x: matsusaka.lambda_n(2, x)),
+    ("matsusaka", "matsusaka_report", "explicit lambda"):
+        (1, None, lambda x: matsusaka.matsusaka_report(2, 1, 0, 0, x)),
+    ("numpoly", "window_a", "m0"): (None, None, lambda m0: numpoly.window_a(CONSTANT, m0, 1)),
+    ("numpoly", "window_a", "N"): (0, None, lambda N: numpoly.window_a(CONSTANT, 0, N)),
+    ("numpoly", "window_b", "m0"): (None, None, lambda m0: numpoly.window_b(CONSTANT, m0, 1)),
+    ("numpoly", "window_b", "k"): (1, None, lambda k: numpoly.window_b(CONSTANT, 0, k)),
+    ("numpoly", "window_c", "m0"): (None, None, lambda m0: numpoly.window_c(LINEAR, m0, 2)),
+    ("numpoly", "window_c", "N"): (2, None, lambda N: numpoly.window_c(LINEAR, 0, N)),  # 2d^2
+    ("numpoly", "poly_report", "m0"): (None, None, lambda m0: numpoly.poly_report([1], "a", m0, 1)),
+    ("numpoly", "poly_report", "N"): (0, None, lambda N: numpoly.poly_report([1], "a", 0, N)),
+    ("numpoly", "poly_report", "k"): (1, None, lambda k: numpoly.poly_report([1], "b", 0, k=k)),
+    ("projective", "ProductSpace._check", "factor dimension"):
+        (1, None, lambda k: projective.ProductSpace((k,))),
+}
+# the integer rule's table, core.check_int
+INTEGER = {
+    **{(module, function, "n"): (least, None, call)
+       for (module, function), (least, call) in DIMENSION.items()},
+    **{(module, function, "jet order"): (least, None, call)
+       for (module, function), (least, call) in JET_ORDER.items()},
+    **OTHER_INTEGERS,
+}
 
 
-# values of other types than int that the integer rules refuse, whatever their size
-NON_INTEGERS = (1.5, True, F(3, 2))
+def _tol_from_the_environment(x):
+    with mock.patch.dict(os.environ, {"POSBOUNDS_TOL": str(x)}):
+        return cli.default_tol()
 
 
-def _rule_rows(noun, table):
-    """Each entry of a rule's table called at least - 1, at -1 and at each of
-    NON_INTEGERS, with the whole message."""
-    return [(module, function, f"{noun} must be {kind}>= {least}, got {x!r}", partial(call, x))
-            for (module, function), (least, call) in table.items()
-            for x in (*dict.fromkeys((least - 1, -1)), *NON_INTEGERS)
-            for kind in ["" if type(x) is int else "an integer "]]
+# the sign rule's table, core.check_at_least: {(module, function or record, noun):
+# (least, strict, call of x)}, each call valid for x >= least, or x > least when strict
+AT_LEAST = {
+    ("cli", "default_tol", "POSBOUNDS_TOL"): (0, True, _tol_from_the_environment),
+    ("convexity", "ht_products", "nef self-intersection"):
+        (0, False, lambda x: convexity.ht_products([x], 1)),
+    ("convexity", "ht_mixed_chain", "L^n"):
+        (0, False, lambda x: convexity.ht_mixed_chain(x, 1, 1, 2, 1)),
+    ("convexity", "ht_mixed_chain", "L^(n-1).H"):
+        (0, False, lambda x: convexity.ht_mixed_chain(1, x, 1, 2, 1)),
+    ("convexity", "ht_mixed_chain", "L^(n-p).H^p"):
+        (0, False, lambda x: convexity.ht_mixed_chain(1, 1, x, 2, 1)),
+    ("convexity", "diag_form_check", "eigenvalue"):
+        (0, True, lambda x: convexity.diag_form_check([x], 0)),
+    ("convexity", "morse_existence_threshold", "F^n"):
+        (0, True, lambda x: convexity.morse_existence_threshold(x, 1, 2)),
+    ("convexity", "morse_existence_threshold", "F^(n-1).G"):
+        (0, False, lambda x: convexity.morse_existence_threshold(1, x, 2)),
+    ("convexity", "singular_morse_Aq", "jumping value"):
+        (0, False, lambda x: convexity.singular_morse_Aq(2, 1, x, 1)),
+    ("core", "check_tol", "tolerance"): (0, True, core.check_tol),
+    ("core", "nth_root_bracket", "nth root base"):
+        (0, False, lambda x: core.nth_root_bracket(x, 2, TOL)),
+    ("core", "pow_bracket", "pow_bracket base"): (0, False, lambda x: core.pow_bracket(x, 2, TOL)),
+    ("jumping", "recursion_bound", "a"):
+        (0, False, lambda x: jumping.recursion_bound(2, 1, x, [0], 1, 4)),
+    ("jumping", "main_theorem_check", "a"):
+        (0, False, lambda x: jumping.main_theorem_check(2, 1, x, [0, 1], {}, 4)),
+    ("jumping", "lemma1111_check", "t_j"): (1, False, lambda x: jumping.lemma1111_check([x], 2)),
+    ("jumping", "theorem1117_threshold", "mu(L)"):
+        (0, True, lambda x: jumping.theorem1117_threshold(2, 1, x)),
+    ("lelong", "Component._check", "component coefficient"):
+        (0, True, lambda x: lelong.Component(x, "D", {})),
+    ("lelong", "upperlevel_set", "level"):
+        (0, True, lambda x: lelong.upperlevel_set(lelong.DivisorCurrent(()), x)),
+    ("lelong", "CurveData._check", "nef degree"): (0, False, lambda x: lelong.CurveData(((x, 1),))),
+    ("lelong", "seshadri_thresholds", "Seshadri lower bound"):
+        (0, False, lambda x: lelong.seshadri_thresholds(x, 2, 1)),
+    ("matsusaka", "prop131_window", "L^n"): (1, False, lambda x: matsusaka.prop131_window(2, 0, x)),
+    ("matsusaka", "cor132_window", "L^n"):
+        (1, False, lambda x: matsusaka.cor132_window(2, 0, 0, x)),
+    ("matsusaka", "MatsusakaInputs._check", "L^n"):
+        (1, False, lambda x: matsusaka.MatsusakaInputs.of(2, x, 0, 0)),
+    ("matsusaka", "fdb_surface_bound", "L^n"):
+        (1, False, lambda x: matsusaka.fdb_surface_bound(x, 1)),
+    ("matsusaka", "prop131_window", "L^(n-1).B"):
+        (0, False, lambda x: matsusaka.prop131_window(2, x, 1)),
+    ("matsusaka", "MatsusakaInputs._check", "L^(n-1).B"):
+        (0, False, lambda x: matsusaka.MatsusakaInputs.of(2, 1, x, 0)),
+    # L.H = lambda (L.K + (n + 2) L^n) = L.K + 4 at n = 2, L^n = 1 and lambda = 1
+    ("matsusaka", "matsusaka_main", "L^(n-1).H"): (0, False, lambda x: matsusaka.matsusaka_main(
+        matsusaka.MatsusakaInputs.of(2, 1, 0, x - 4, 1))),
+    ("matsusaka", "mbar_recursion", "M"): (0, True, lambda x: matsusaka.mbar_recursion(2, x, 1, 1)),
+    ("matsusaka", "mbar_recursion", "LH"):
+        (0, True, lambda x: matsusaka.mbar_recursion(2, 1, x, 1)),
+    ("matsusaka", "mbar_recursion", "L^n"):
+        (0, True, lambda x: matsusaka.mbar_recursion(2, 1, 1, x)),
+    ("multiplier", "MonomialWeightData._check", "weight exponent"):
+        (0, True, lambda x: multiplier.MonomialWeightData.of(x)),
+    ("multiplier", "membership_criterion", "weight exponent"):
+        (0, True, lambda x: multiplier.membership_criterion([F(x)], [0])),  # ZeroDivisionError once
+    ("multiplier", "snc_round_down", "divisor coefficient"):
+        (0, False, lambda x: multiplier.snc_round_down([x])),
+    ("multiplier", "skoda_classify", "Lelong number"):
+        (0, False, lambda x: multiplier.skoda_classify(x, 2)),
+}
+
+NON_INTEGERS = (1.5, True, F(3, 2))  # values of other types than int, refused whatever their size
 
 
-ALL_ROWS = ROWS + _rule_rows("n", DIMENSION) + _rule_rows("jet order", JET_ORDER)
+def _shown(x):
+    """How a refusal shows x: a long int by its type and bit length."""
+    return f"<int of {LONG.bit_length()} bits>" if x in (LONG, -LONG) else repr(x)
+
+
+def _integer_rows():
+    """Each entry of INTEGER called outside least..most and at each of NON_INTEGERS,
+    with the whole message."""
+    rows = []
+    for (module, function, noun), (least, most, call) in INTEGER.items():
+        bound = "" if least is None else f" >= {least}" if most is None else f" in {least}..{most}"
+        outside = [] if least is None else [least - 1, -1, -LONG]
+        outside += [] if most is None else [most + 1, LONG]
+        for x in (*dict.fromkeys(outside), *NON_INTEGERS):  # every least is at least 0
+            kind = "" if type(x) is int else " an integer"
+            rows.append((module, function, f"{noun} must be{kind}{bound}, got {_shown(x)}",
+                         partial(call, x)))
+    return rows
+
+
+def _at_least_rows():
+    """Each entry of AT_LEAST called at least - 1 and least - 1/2, and at least when
+    strict, with the whole message."""
+    return [(module, function, f"{noun} must be {'>' if strict else '>='} {least}",
+             partial(call, x))
+            for (module, function, noun), (least, strict, call) in AT_LEAST.items()
+            for x in (least - 1, least - F(1, 2), *[least] * strict)]
+
+
+# each rule's rows, by the core function that holds its raise statement
+RULES = {"check_int": _integer_rows(), "check_at_least": _at_least_rows()}
+RULE_ROWS = [(*row, rule) for rule, rows in RULES.items() for row in rows]
 
 
 def _raised_at(exc):
@@ -305,13 +382,19 @@ def _refuse(call):
     return info.value
 
 
-@pytest.mark.parametrize("module, function, prefix, call", ALL_ROWS,
-                         ids=[f"{m}.{f}: {p}" for m, f, p, _ in ALL_ROWS])
+@pytest.mark.parametrize("module, function, prefix, call", ROWS,
+                         ids=[f"{m}.{f}: {p}" for m, f, p, _ in ROWS])
 def test_refusal(module, function, prefix, call):
     exc = _refuse(call)
-    rule = RULES.get(prefix.partition(" must be ")[0])  # a rule's row names its whole message
-    assert str(exc) == prefix if rule else str(exc).startswith(prefix)
-    assert _raised_at(exc)[:2] == (rule or (module, function.rpartition(".")[2]))
+    assert str(exc).startswith(prefix)
+    assert _raised_at(exc)[:2] == (module, function.rpartition(".")[2])
+
+
+@pytest.mark.parametrize("message, call, rule", [row[2:] for row in RULE_ROWS],
+                         ids=[f"{m}.{f}: {message}" for m, f, message, *_ in RULE_ROWS])
+def test_rule_refusal(message, call, rule):
+    exc = _refuse(call)
+    assert str(exc) == message and _raised_at(exc)[:2] == ("core", rule)
 
 
 def _takers(modules, names):
@@ -330,16 +413,24 @@ def _takers(modules, names):
     return found
 
 
-def test_every_function_that_takes_n_is_in_the_dimension_table():
-    takes_n = _takers(("adjoint", "convexity", "jumping", "lelong", "matsusaka", "multiplier",
-                       "projective"), {"n"})
-    assert sorted(takes_n ^ DIMENSION.keys()) == []
+# {noun: the names of the parameters and record fields that carry it}
+PARAMETERS = {"n": {"n"}, "jet order": {"s", "s_j"}, "p": {"p"}, "q": {"q"}, "minY": {"minY"},
+              "N": {"N"}, "k": {"k"}, "m0": {"m0"}, "mu": {"mu"}, "|K^n|": {"Kn", "Kn_abs"},
+              "u": {"u"}, "v": {"v"}}
+# takers whose parameter of that name is another quantity: the Beltrametti-Sommese p
+# is a jet order (in JET_ORDER), and SigmaSequence's k is the grid of a result
+OTHER_MEANING = {("adjoint", "bes_check", "p"), ("adjoint", "bes_report", "p"),
+                 ("jumping", "SigmaSequence._check", "k")}
 
 
-def test_every_function_that_takes_s_is_in_the_jet_order_table():
-    # JetSpec's orders, bes_check's p and the jets lists of the reports are entries too
-    takes_s = _takers(("adjoint", "jumping", "lelong"), {"s", "s_j"})
-    assert sorted(takes_s - JET_ORDER.keys()) == []
+@pytest.mark.parametrize("noun", PARAMETERS)
+def test_every_function_that_takes_an_integer_has_an_entry(noun):
+    takers = {(module, function, noun)
+              for module, function in _takers(FAMILIES, PARAMETERS[noun])} - OTHER_MEANING
+    entries = {key for key in INTEGER if key[2] == noun}
+    assert sorted(takers - entries) == []
+    if noun != "jet order":  # whose entries also reach it through JetSpec, jets and bes p
+        assert sorted(entries - takers) == []
 
 
 def _is_refusal(module, cls):
@@ -366,6 +457,55 @@ def test_every_refusal_statement_is_reached_by_a_row():
     reached = [_raised_at(_refuse(call)) for *_, call in ROWS]
     assert sorted(statements - {(m, line) for m, _, line in reached}) == []
     assert len(reached) == len(statements)  # one row per raise statement
+
+
+# entries whose parameter is optional, None its default: no s-jet row, no |K^n|
+OPTIONAL = {("jumping", "corollary118_table", "jet order"),
+            ("jumping", "surface_table_report", "jet order"),
+            ("adjoint", "pluricanonical_bounds", "|K^n|"), ("adjoint", "pluri_report", "|K^n|")}
+
+
+def _drawn(key):
+    """Integer arguments of every type: small ints, bools, floats, Fractions, strings,
+    None where it is no default, and +-10**5000 where the entry refuses it (a valid
+    long value is work that no cap bounds yet, ROADMAP D4)."""
+    least, most, _ = INTEGER[key]
+    drawn = [st.integers(-3, 3), st.booleans(), st.floats(), st.fractions(),
+             st.sampled_from(["", "1", "2.0", "x"])]
+    drawn += [] if key in OPTIONAL else [st.none()]
+    drawn += [st.just(x) for x, bound in ((-LONG, least), (LONG, most)) if bound is not None]
+    return st.one_of(drawn)
+
+
+@pytest.mark.parametrize("key", INTEGER, ids=[" ".join(key) for key in INTEGER])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_an_integer_argument_is_refused_or_acts_as_the_equal_int(key, data):
+    x = data.draw(_drawn(key))
+    call = INTEGER[key][2]
+    try:
+        got = call(x)
+    except InputError:
+        return
+    if type(x) is not int:
+        equal = isinstance(x, (float, F)) and math.isfinite(x) and x == int(x)
+        assert equal and got == call(int(x)), (x, got)
+
+
+# long values in the messages of statements other than the rules', which once
+# raised ValueError (int-to-str digit limit) while building the message
+LONG_VALUES = {
+    "morse_strong_rhs(10**5000, {}, 0)": (lambda: convexity.morse_strong_rhs(LONG, {}, 0),
+                                          f"mixed product F^{_shown(LONG)}.G^0 not supplied"),
+    "window_a((-1,), 10**5000, 3)":
+        (lambda: numpoly.window_a(numpoly.NumericalPolynomial((-1,)), LONG, 3),
+         f"no m in [{_shown(LONG)}, {_shown(LONG)}] with P(m) >= 3"),
+}
+
+
+@pytest.mark.parametrize("call, message", LONG_VALUES.values(), ids=LONG_VALUES)
+def test_a_long_value_is_shown_by_its_bit_length(call, message):
+    assert str(_refuse(call)) == message
 
 
 # each once raised ZeroDivisionError, except where noted
@@ -405,7 +545,7 @@ ANSWERED_OUTSIDE_THE_RULE = {
 def test_calls_outside_the_dimension_rule_refuse(call):
     exc = _refuse(call)
     assert str(exc).startswith("n must be >= 1, got ")
-    assert _raised_at(exc)[:2] == ("core", "check_n")
+    assert _raised_at(exc)[:2] == ("core", "check_int")
 
 
 # each returned an answer (the value noted) before the jet-order rule reached it
@@ -420,7 +560,7 @@ ANSWERED_OUTSIDE_THE_JET_ORDER_RULE = {
 def test_calls_outside_the_jet_order_rule_refuse(call, s):
     exc = _refuse(call)
     assert str(exc) == f"jet order must be >= 0, got {s}"
-    assert _raised_at(exc)[:2] == ("core", "check_jet_order")
+    assert _raised_at(exc)[:2] == ("core", "check_int")
 
 
 # refusals with no statement of their own: a later check on the same path makes them
@@ -432,12 +572,6 @@ LATER_CHECKS = {
     "DivisorClass(P1, (1,)) - DivisorClass(P2, (1,))":
         (lambda: projective.DivisorClass(P1, (1,)) - projective.DivisorClass(P2, (1,)),
          ("projective", "__add__"), "divisor classes live on different spaces"),
-    "cor132_window(2, 0, 0, 0)": (lambda: matsusaka.cor132_window(2, 0, 0, 0),
-                                  ("matsusaka", "_volume"), "L^n must be >= 1"),
-    "MatsusakaInputs.of(2, 0, 0, 0)": (lambda: matsusaka.MatsusakaInputs.of(2, 0, 0, 0),
-                                       ("matsusaka", "_volume"), "L^n must be >= 1"),
-    "fdb_surface_bound(0, 1)": (lambda: matsusaka.fdb_surface_bound(0, 1),
-                                ("matsusaka", "_volume"), "L^n must be >= 1"),
 }
 
 
@@ -445,8 +579,3 @@ LATER_CHECKS = {
 def test_a_later_check_refuses(call, site, message):
     exc = _refuse(call)
     assert str(exc) == message and _raised_at(exc)[:2] == site
-
-
-def test_membership_criterion_refuses_a_zero_weight():
-    with pytest.raises(InputError, match="^weight exponents must be positive$"):
-        multiplier.membership_criterion([F(0)], [0])  # ZeroDivisionError before
