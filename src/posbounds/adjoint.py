@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import InputError, Record, check_int
+from .core import InputError, Record, check_int, check_printed, shown
 from .report import BoundReport
 
 
@@ -39,7 +39,7 @@ def siu_jet_threshold(n: int, jets: JetSpec) -> int:
 
 def siu_report(n: int, jets: Sequence[int]) -> BoundReport:
     """The siu-jets report for the jet orders ``jets`` at distinct points."""
-    m = siu_jet_threshold(n, JetSpec(tuple(jets)))
+    m = check_printed(siu_jet_threshold(n, JetSpec(tuple(jets))))
     return BoundReport("siu-jets", {"n": n, "jets": jets}, m,
                        f"jets generated by 2K+mL+G for m >= {m}")
 
@@ -86,7 +86,7 @@ def pluricanonical_bounds(
     elif sign == "fano":
         m0 = base
     else:
-        raise InputError(f"unknown case {sign!r}")
+        raise InputError(f"unknown case {shown(sign)}")
     degree = None
     if Kn_abs is not None:
         check_int("|K^n|", Kn_abs, 1)
@@ -97,6 +97,7 @@ def pluricanonical_bounds(
 def pluri_report(n: int, case: str, Kn: int | None = None) -> BoundReport:
     """The pluricanonical report; ``case`` is "general_type" or "fano"."""
     m0, degree = pluricanonical_bounds(n, case, Kn)
+    check_printed(m0)
     verdict = f"{'m' if case == 'general_type' else '-m'}K very ample for m >= {m0}"
     return BoundReport("pluricanonical", {"n": n, "case": case, "Kn": Kn}, m0, verdict,
                        {"embedding_degree": degree})
@@ -127,7 +128,7 @@ def reider_check(
     elif mode == "separation":
         min_L2, exceptions = 10, REIDER_SEPARATION_EXCEPTIONS
     else:
-        raise InputError(f"unknown mode {mode!r}")
+        raise InputError(f"unknown mode {shown(mode)}")
     if L2 < min_L2:
         return CheckResult(CheckOutcome.INAPPLICABLE, ())
     matched = tuple(d for d in divisors if tuple(d) in exceptions)

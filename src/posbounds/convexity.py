@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .core import (
-    DEFAULT_TOL, Bracket, InputError, QLike, Record, check_at_least, check_int, check_tol,
-    dyadic_fraction, elem_sym_rows, grid_bits, root_ends, shown,
+    DEFAULT_TOL, Bracket, InputError, QLike, Record, check_at_least, check_int, check_printed,
+    check_tol, dyadic_fraction, elem_sym_rows, grid_bits, root_ends, shown,
 )
 from .report import BoundReport
 
@@ -156,7 +156,7 @@ def trapani_lower(Fn: QLike, FG: QLike, n: int) -> Fraction:
 
 def morse_report(n: int, Fn: QLike, FG: QLike) -> BoundReport:
     """The morse-existence report, with Trapani's lower bound in its details."""
-    m = morse_existence_threshold(Fn, FG, n)
+    m = check_printed(morse_existence_threshold(Fn, FG, n))
     return BoundReport("morse-existence", {"n": n, "Fn": Fn, "FG": FG}, m,
                        f"some multiple of mF-G has a section for m >= {m}",
                        {"trapani_lower": trapani_lower(Fn, FG, n)})

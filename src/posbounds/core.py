@@ -20,6 +20,7 @@ QLike = Union[int, Fraction]
 DEFAULT_TOL = Fraction(1, 10**12)
 _GUARD_BITS = 32  # floor_powers' bits past the output grid; more makes straddles rarer
 _EXACT_POWER_BITS = 2048  # x**q is faster than a floored chain below this size (CHANGES.md)
+PRINTED_BITS = 14_284  # the printed-integer budget: an int this short has at most 4,300 digits
 
 
 class InputError(ValueError):
@@ -52,13 +53,27 @@ def check_at_least(name: str, x: QLike, least: QLike, strict: bool = False) -> N
         raise InputError(f"{name} must be {'>' if strict else '>='} {least}")
 
 
+def check_printed(x: int, name: str = "a printed integer") -> int:
+    """x; the integer rule refuses it past PRINTED_BITS bits, as in "bits of a
+    printed integer must be in 0..14284, got 16523", since by default the
+    interpreter converts no int of over 4,300 decimal digits to str."""
+    if x.bit_length() > PRINTED_BITS:  # the rule is called only to refuse: no message to build
+        check_int(f"bits of {name}", x.bit_length(), 0, PRINTED_BITS)
+    return x
+
+
 def shown(x: Any) -> str:
     """repr(x) for a message, but "<int of b bits>" for an int or Fraction whose
-    numerator or denominator has b > 64 bits: the decimal form of such a value
-    can pass the interpreter's limit on int-to-str digits."""
+    numerator or denominator has b > 64 bits, also inside a dict or list: the
+    decimal form of such a value can pass the interpreter's limit on int-to-str
+    digits."""
     if isinstance(x, (int, Fraction)) and (
             bits := max(abs(x.numerator), x.denominator).bit_length()) > 64:
         return f"<{type(x).__name__} of {bits} bits>"
+    if isinstance(x, dict):
+        return "{" + ", ".join(f"{shown(k)}: {shown(v)}" for k, v in x.items()) + "}"
+    if isinstance(x, list):
+        return "[" + ", ".join(map(shown, x)) + "]"
     return repr(x)
 
 

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from .core import (
     DEFAULT_TOL, Bracket, InputError, QLike, Record, bisect, check_at_least, check_int, check_tol,
     dyadic_fraction, elem_sym_rows, floor_powers, floor_root, grid_bits, horner, iroot,
-    newton_floor, pow_bracket,
+    newton_floor, pow_bracket, shown,
 )
 from .report import BoundReport
 
@@ -361,9 +361,10 @@ def mu_invariant(
     for p, v in per_dim.items():
         check_int("per-dim key", p, 1, n)
         check_int("per-dim minimum", v, 1)
-    missing = [p for p in range(1, n + 1) if p not in per_dim]
-    if missing:
-        raise InputError(f"missing per-dimension minima for p in {missing}")
+    if len(per_dim) < n:  # the first missing p is at most len(per_dim) + 1
+        first = next(p for p in range(1, n + 1) if p not in per_dim)
+        raise InputError(f"missing per-dimension minima for {shown(n - len(per_dim))} of p = "
+                         f"1..{shown(n)}, the first p = {first}")
     k = grid_bits(check_tol(tol))
     g = min(k, 64)
     coarse = {p: iroot(per_dim[p] << g * p, p) for p in range(1, n + 1)}
@@ -383,4 +384,7 @@ def lemma1116_consistency(s: int, per_dim: Mapping[int, int]) -> bool:
     """A bundle generating s-jets everywhere must satisfy F^p.Y >= s^p for
     every p-dimensional subvariety; checks the declared minima."""
     check_int("jet order", s, 0)
+    for p, v in per_dim.items():
+        check_int("per-dim key", p, 1)
+        check_int("per-dim minimum", v, 0)
     return all(v >= s ** p for p, v in per_dim.items())

@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
 from .core import (
-    DEFAULT_TOL, InputError, QLike, Record, check_at_least, check_int, check_tol, dyadic_fraction,
-    floor_root, newton_floor,
+    DEFAULT_TOL, InputError, QLike, Record, check_at_least, check_int, check_printed, check_tol,
+    dyadic_fraction, floor_root, newton_floor,
 )
 from .report import BoundReport
 
@@ -101,7 +101,9 @@ def lelong_numeric(
 
 def lelong_report(u: int, v: int, radii: Sequence[QLike], tol: QLike = DEFAULT_TOL) -> BoundReport:
     """The density report for t -> (t^u, t^v): lelong_numeric at each radius."""
-    estimates = lelong_numeric(ParamCurve(u, v), radii, tol)
+    curve = ParamCurve(u, v)
+    check_printed(u)  # before the work, which grows with u
+    estimates = lelong_numeric(curve, radii, tol)
     return BoundReport("density-quadrature", {"u": u, "v": v, "radii": radii}, u,
                        f"area ratio tends to the multiplicity {u}", {"estimates": estimates})
 

@@ -16,7 +16,9 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .core import Bracket, InputError, QLike, Record, check_at_least, check_int
+from .core import (
+    PRINTED_BITS, Bracket, InputError, QLike, Record, check_at_least, check_int, check_printed,
+)
 from .report import BoundReport
 
 
@@ -96,7 +98,16 @@ def _main_exponents(n: int) -> tuple[int, int, int, int]:
 
 def _power_product(factors: Iterable[tuple[QLike, int]]) -> Fraction:
     """The product of x^e over pairs (x, e), x a nonnegative int or Fraction
-    (positive where e < 0), in lowest terms with no gcd of two big integers.
+    (positive where e < 0), in lowest terms with no gcd of two big integers:
+    the sides of _coprime_sides share no factor, so the slots of the canonical
+    Fraction are set directly, each side raised in one pass."""
+    return _fraction(*_coprime_sides(factors))
+
+
+def _coprime_sides(factors: Iterable[tuple[QLike, int]]) -> tuple[dict[int, int], dict[int, int]]:
+    """({b: e}, {b: e}), every e > 0, whose products are the numerator and the
+    denominator of the product of x^e over pairs (x, e) as in _power_product,
+    each b of one side coprime to each b of the other; ({0: 1}, {}) for 0.
 
     Pairs with e = 0 are dropped, and 0^e = 0 for e > 0.  The numerators
     (exponent e) and denominators (-e) are refined, as for a coprime base
@@ -107,13 +118,13 @@ def _power_product(factors: Iterable[tuple[QLike, int]]) -> Fraction:
     (g, ie + jf) and (y', e), the same product; else y joins its side.  Pending
     1s and zero exponents are dropped.  Each split divides the product of all
     values by g^(i+j-1) > 1 and each other step shortens the pending list, so
-    the loop ends.  The sides' products then share no factor, so the slots of
-    the canonical Fraction are set directly, each side raised in one pass."""
+    the loop ends.  Every b is at least 2, so a side multiplies to at least
+    sum e (bitlen(b) - 1) + 1 bits and at most sum e bitlen(b), under twice that."""
     pending = []
     for x, e in factors:
         if e:
             if not x:
-                return Fraction(0)
+                return {0: 1}, {}
             pending += (x.numerator, e), (x.denominator, -e)
     num, den = {}, {}
     while pending:
@@ -134,9 +145,13 @@ def _power_product(factors: Iterable[tuple[QLike, int]]) -> Fraction:
                 break
         else:
             side[y] = side.get(y, 0) + e
+    return num, {b: -e for b, e in den.items()}
+
+
+def _fraction(num: dict[int, int], den: dict[int, int]) -> Fraction:
+    """The Fraction of coprime sides {b: e}, each raised by _simultaneous_power."""
     result = object.__new__(Fraction)
-    result._numerator = _simultaneous_power(num)
-    result._denominator = _simultaneous_power({b: -e for b, e in den.items()})
+    result._numerator, result._denominator = _simultaneous_power(num), _simultaneous_power(den)
     return result
 
 
@@ -163,14 +178,22 @@ def matsusaka_main(inputs: MatsusakaInputs) -> BoundReport:
     """The explicit bound: mL - B is very ample whenever
     m >= (2n)^((3^(n-1)-1)/2) (LBH)^((3^(n-1)+1)/2) (LH)^(e_H) / (L^n)^(e_L)
     with e_H = 3^(n-2)(n/2 - 3/4) - 1/4 and e_L = 3^(n-2)(n/2 - 1/4) + 1/4,
-    where H = lambda_n (K_X + (n+2)L)."""
+    where H = lambda_n (K_X + (n+2)L).  A threshold whose numerator or
+    denominator has more bits than the printed-integer budget is refused, before
+    any power where the bound of _coprime_sides shows it."""
     n = inputs.n
     lam = lambda_n(n, inputs.lambda_policy)
     LH = lam * (inputs.LK + (n + 2) * inputs.Ln)
     check_at_least("L^(n-1).H", LH, 0)
     LBH = inputs.LB + LH  # >= 0, as L^(n-1).B >= 0 (MatsusakaInputs)
     pre, ebh, eh, eln = _main_exponents(n)
-    bound = _power_product(((2 * n, pre), (LBH, ebh), (LH, eh), (inputs.Ln, -eln)))
+    sides = _coprime_sides(((2 * n, pre), (LBH, ebh), (LH, eh), (inputs.Ln, -eln)))
+    for name, side in zip(("numerator", "denominator"), sides):  # before any power
+        check_int(f"a lower bound on the bits of the threshold's {name}",
+                  1 + sum(e * (b.bit_length() - 1) for b, e in side.items()), 0, PRINTED_BITS)
+    bound = _fraction(*sides)
+    check_printed(bound.numerator, "the threshold's numerator")  # m_integer is at most it
+    check_printed(bound.denominator, "the threshold's denominator")
     m_int = math.ceil(bound)
     return BoundReport(
         theorem="matsusaka-main",

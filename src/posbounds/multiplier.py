@@ -5,8 +5,8 @@ generated by the monomials z^beta with sum_j (beta_j + 1)/a_j > 1, strictly
 (the boundary integral diverges).  Its minimal generators come straight from
 the staircase of least last exponents, one exact floor per prefix (Howald,
 Multiplier ideals of monomial ideals, Trans. AMS 353 (2001)), on a pruned
-depth-first walk over the prefixes: O(p) per visited prefix, and the walk
-follows the staircase, not the box of all prefixes.
+depth-first walk over the prefixes in decreasing weight, where every leaf is
+a generator: O(p^2) per generator, not the box of all prefixes.
 """
 
 from __future__ import annotations
@@ -65,36 +65,42 @@ def monomial_multiplier_ideal(w: MonomialWeightData) -> MonomialIdeal:
     With integer weights w_j = L / alpha_j (L the lcm of the numerators) the
     criterion reads E(beta) = sum_j (beta_j + 1) w_j - L > 0, and a member is
     a minimal generator iff E(beta) <= w_j for every j with beta_j > 0, as
-    lowering beta_j by one takes w_j off E.  For a prefix beta_1..beta_{p-1}
-    with rest = L - sum_{j<p} (beta_j + 1) w_j the least last exponent is
-    least = max(0, floor(rest / w_p)), so E = (least + 1) w_p - rest, and
-    with wmin the least w_j over the positive prefix entries the test is the
-    one comparison rest + wmin >= (least + 1) w_p (wmin starts at sum_j w_j,
-    at least E for the zero prefix: E <= w_p if least > 0, else E < sum_j w_j).
+    lowering beta_j by one takes w_j off E.  The coordinates are walked in
+    order of decreasing weight, so the last has the least weight w_p, and each
+    generator is mapped back to the input order.  For a prefix with rest = L -
+    sum_(j<p) (beta_j + 1) w_j the least last exponent is least = max(0,
+    floor(rest / w_p)), so E = (least + 1) w_p - rest.
 
     The prefixes are walked depth first on an explicit stack, so p is not
-    bounded by the recursion limit.  A prefix's zero completion has
-    excess E0 = (sum of w_i after it) - rest; every completion has
-    E >= E0 and a minimal one has E <= wmin, so a prefix with E0 > wmin
-    holds no generator.  Raising beta_j raises E0 by w_j and can only lower
-    wmin, so beta_j is raised only while E0 <= wmin; the zero entry keeps
-    both.  Each visited prefix costs O(p), and the walk stays near the
-    staircase: 35 prefixes of every length for the 20 generators at
-    alpha = (6, 6, 6, 6), where the box holds 343 full prefixes.
+    bounded by the recursion limit.  A prefix's zero completion has excess
+    E0 = (sum of w_i after it) - rest; every completion has E >= E0 and a
+    minimal one has E <= wmin, the least w_j over the positive prefix entries
+    (sum_j w_j if none), so a prefix with E0 > wmin holds no generator.
+    Raising beta_j raises E0 by w_j and can only lower wmin, so beta_j is
+    raised only while E0 <= wmin; a zero entry keeps both, and the empty
+    prefix has E0 = sum_j w_j - L <= wmin.
+
+    So every leaf is a generator: with least > 0, E <= w_p <= every w_j, so E
+    <= wmin; with least = 0, E = E0 <= wmin.  Every visited prefix has a leaf
+    below it, its zero completion, so the walk visits at most p G prefixes
+    for G generators, O(p^2 G) work: 3 prefixes for the 2 generators at alpha
+    = (10^7, 2), where the input order would visit 5 10^6.
     """
     alpha = w.alpha
     L = math.lcm(*(a.numerator for a in alpha))
-    *head, last = weights = [a.denominator * (L // a.numerator) for a in alpha]
-    after = [*itertools.accumulate(weights[:0:-1])][::-1]  # after[j] = sum(weights[j+1:])
+    weights = [a.denominator * (L // a.numerator) for a in alpha]
+    order = sorted(range(len(alpha)), key=weights.__getitem__, reverse=True)
+    back = sorted(range(len(alpha)), key=order.__getitem__)  # coordinate j is walked at back[j]
+    *head, last = walked = [weights[j] for j in order]
+    after = [*itertools.accumulate(walked[:0:-1])][::-1]  # after[j] = sum(walked[j+1:])
     generators = []
     stack = [((), L, sum(weights))]  # (prefix, rest, wmin)
     while stack:
         prefix, rest, wmin = stack.pop()
         j = len(prefix)
         if j == len(head):
-            least = max(0, rest // last)
-            if rest + wmin >= (least + 1) * last:
-                generators.append(prefix + (least,))
+            beta = prefix + (max(0, rest // last),)
+            generators.append(tuple([beta[i] for i in back]))
             continue
         wj = head[j]
         rest -= wj

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .core import InputError, Record, bisect, check_int, horner, shown
+from .core import InputError, Record, bisect, check_int, check_printed, horner, shown
 from .report import BoundReport
 
 
@@ -83,7 +83,7 @@ def poly_report(
     bound = {"N": N, "k": k}[name]
     if bound is None:
         raise InputError(f"window {window} needs --{name}")
-    m = search(P, m0, bound)
+    m = check_printed(search(P, m0, bound))
     return BoundReport(f"poly-window-{window}", {"coeffs": coeffs, "m0": m0, "N": N, "k": k}, m,
                        f"P({m}) meets the window-{window} target")
 

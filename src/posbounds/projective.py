@@ -140,6 +140,9 @@ class IntersectionProfile(Record):
 
     def _check(self) -> None:
         check_int("n", self.n, 1)
+        for p, v in self.per_dim_min.items():
+            check_int("per-dim key", p, 1, self.n)
+            check_int("per-dim minimum", v, 0)
 
 
 def profile_from_fixture(space: ProductSpace, L: DivisorClass) -> IntersectionProfile:

@@ -3,7 +3,8 @@
 Rationals serialize as {"num":..., "den":...} and brackets as
 {"lo":..., "hi":...}; floats are refused, so no float round-trips anywhere.
 The schema is strict: documents carry "schema": 1 and exactly the six
-report fields; a missing or unknown field is rejected.
+report fields; a missing or unknown field is rejected.  An integer past the
+printed-integer budget (core.PRINTED_BITS) is refused, not encoded.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .core import Bracket, InputError, Record
+from .core import Bracket, InputError, Record, check_printed, shown
 
 SCHEMA_VERSION = 1
 
@@ -21,9 +22,11 @@ def value_to_json(v: Any) -> Any:
         return {"lo": value_to_json(v.lo), "hi": value_to_json(v.hi)}
     if isinstance(v, Fraction):
         if v.denominator == 1:
-            return int(v)
-        return {"num": v.numerator, "den": v.denominator}
-    if isinstance(v, int) or isinstance(v, str) or v is None:
+            return check_printed(v.numerator)
+        return {"num": check_printed(v.numerator), "den": check_printed(v.denominator)}
+    if isinstance(v, int):
+        return check_printed(v)
+    if isinstance(v, str) or v is None:
         return v
     if isinstance(v, Mapping):
         return {str(k): value_to_json(x) for k, x in v.items()}
@@ -36,12 +39,12 @@ def value_from_json(v: Any) -> Any:
     if isinstance(v, dict):
         if set(v) == {"num", "den"}:
             if type(v["num"]) is not int or type(v["den"]) is not int or v["den"] == 0:
-                raise InputError(f"malformed rational {v!r}")
+                raise InputError(f"malformed rational {shown(v)}")
             return Fraction(v["num"], v["den"])
         if set(v) == {"lo", "hi"}:
             lo, hi = value_from_json(v["lo"]), value_from_json(v["hi"])
             if not {type(lo), type(hi)} <= {int, Fraction} or lo > hi:
-                raise InputError(f"malformed bracket {v!r}")
+                raise InputError(f"malformed bracket {shown(v)}")
             return Bracket(Fraction(lo), Fraction(hi))
         return {k: value_from_json(x) for k, x in v.items()}
     if isinstance(v, list):
@@ -80,7 +83,7 @@ class BoundReport(Record):
             unknown, missing = sorted(set(data) - fields), sorted(fields - set(data))
             raise InputError(f"unknown report fields: {unknown}, missing: {missing}")
         if data["schema"] != SCHEMA_VERSION:
-            raise InputError(f"unsupported schema version {data['schema']!r}")
+            raise InputError(f"unsupported schema version {shown(data['schema'])}")
         inputs, details = value_from_json(data["inputs"]), value_from_json(data["details"])
         if type(inputs) is not dict or type(details) is not dict:
             raise InputError("report inputs and details must be JSON objects")

@@ -306,7 +306,8 @@ def test_empty_lists_exit_2_with_the_argument_named(capsys):
     (["jets", "main", "--n", "0", "--sigma0", "1", "--a", "0", "--beta", "", "--min", "", "--Ln", "2"],
      "n must be >= 1, got 0"),
     (["matsusaka", "--n", "1", "--Ln", "4", "--LK", "-1/2"], "n must be >= 2, got 1"),
-    (["jets", "mu", "--n", "2", "--per-dim", ""], "missing per-dimension minima for p in [1, 2]"),
+    (["jets", "mu", "--n", "2", "--per-dim", ""],
+     "missing per-dimension minima for 2 of p = 1..2, the first p = 1"),
     (["bounds", "siu", "--n", "2", "--jets", "-1"], "jet order must be >= 0, got -1"),
     (["jets", "table", "--s", "-1"], "jet order must be >= 0, got -1"),
     (["bounds", "bes", "--L2", "10", "--p", "0"], "jet order must be >= 1, got 0"),
@@ -412,10 +413,20 @@ def test_unencodable_report_exits_1(capsys, monkeypatch):
     assert line == "internal error: TypeError: cannot serialize float"
 
 
-def test_d1_answer_too_long_to_print_exits_1(capsys):
-    # D1: the bound has more digits than CPython converts to str by default
-    line = internal_error_line(capsys, ["matsusaka", "--n", "7", "--Ln", "1", "--LK", "2"])
-    assert line.startswith("internal error: ValueError: Exceeds the limit (4300 digits)")
+@pytest.mark.parametrize("argv, message", [
+    (["matsusaka", "--n", "7", "--Ln", "1", "--LK", "2"],
+     "a lower bound on the bits of the threshold's numerator must be in 0..14284, got 21753"),
+    (["bounds", "siu", "--n", "6000", "--jets", "1"],
+     "bits of a printed integer must be in 0..14284, got 16523"),
+    (["bounds", "pluri", "--n", "200", "--case", "fano", "--Kn", "40"],
+     "bits of a printed integer must be in 0..14284, got 109347"),
+], ids=["matsusaka", "siu", "pluri"])
+def test_d1_answer_too_long_to_print_exits_2(capsys, argv, message):
+    # D1: the answer holds an integer of more than 4,300 digits, which CPython does not
+    # convert to str by default; each once exited 1 with that ValueError
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"input error: {message}\n"
 
 
 def test_d9_a_closed_stdout_exits_0_with_nothing_on_stderr():

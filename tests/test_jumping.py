@@ -582,11 +582,20 @@ def test_mu_invariant_validates_its_arguments():
         mu_invariant({}, 0)
     with pytest.raises(InputError, match="n must be >= 1"):
         mu_invariant({1: 2}, 0)
-    with pytest.raises(InputError, match=r"^missing per-dimension minima for p in \[1, 2\]$"):
+    with pytest.raises(InputError,
+                       match=r"^missing per-dimension minima for 2 of p = 1\.\.2, the first p = 1$"):
         mu_invariant({}, 2)
     for p in (0, 3, 5):  # a key outside 1..n is refused, not skipped
         with pytest.raises(InputError, match=rf"^per-dim key must be in 1\.\.2, got {p}$"):
             mu_invariant({1: 3, 2: 9, p: 0}, 2)
+
+
+def test_mu_invariant_names_the_first_missing_p_and_the_count():
+    # the message once listed every missing p: 7.9 million characters at n = 10**6
+    with pytest.raises(InputError) as info:
+        mu_invariant({1: 1, 3: 1}, 10**9)
+    assert str(info.value) == ("missing per-dimension minima for 999999998 of p = "
+                               "1..1000000000, the first p = 2")
 
 
 def test_mu_invariant_homogeneity():

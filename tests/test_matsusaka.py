@@ -1,6 +1,5 @@
 """Tests for existence windows and the explicit very-ampleness bound."""
 
-import json
 import math
 import random
 from fractions import Fraction
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from posbounds import matsusaka
+from posbounds.core import PRINTED_BITS, InputError
 from posbounds.matsusaka import (
     MatsusakaInputs,
     _main_exponents,
@@ -83,9 +83,9 @@ PAIRS = (st.tuples(POSITIVE | st.integers(1, 50), st.integers(-40, 40))
          | st.tuples(st.sampled_from([0, Fraction(0)]), st.integers(0, 40)))
 
 
-def main_factors(n, Ln, LB, LK):
-    """matsusaka_main's (base, exponent) pairs under the demailly policy."""
-    LH = lambda_n(n, "demailly") * (LK + (n + 2) * Ln)
+def main_factors(n, Ln, LB, LK, policy="demailly"):
+    """matsusaka_main's (base, exponent) pairs."""
+    LH = lambda_n(n, policy) * (LK + (n + 2) * Ln)
     pre, ebh, eh, eln = _main_exponents(n)
     return [(2 * n, pre), (LB + LH, ebh), (LH, eh), (Ln, -eln)]
 
@@ -111,7 +111,7 @@ def fraction_formula(factors):
     return two_n ** pre * LBH ** ebh * LH ** eh / Ln ** -minus_eln
 
 
-def test_main_bound_matches_the_fraction_formula(monkeypatch):
+def test_main_bound_matches_the_fraction_formula():
     rng = random.Random(31)
     cases = [(n, Ln, LB, -(n + 2) * Ln, policy)  # LH = 0; LBH = 0 too where LB = 0
              for n in range(2, 7) for Ln, LB in ((1, 0), (Fraction(9, 2), Fraction(1, 3)))
@@ -124,14 +124,48 @@ def test_main_bound_matches_the_fraction_formula(monkeypatch):
         LK = max(LK, -(n + 2) * Ln)
         cases.append((n, Ln, LB, LK, rng.choice(["demailly", "angehrn-siu", rng.randint(1, 50)])))
     for n, Ln, LB, LK, policy in cases:
-        inputs = MatsusakaInputs.of(n, Ln, LB, LK, policy)
-        got = matsusaka_main(inputs)
-        with monkeypatch.context() as patch:
-            patch.setattr(matsusaka, "_power_product", fraction_formula)
-            expected = matsusaka_main(inputs)
-        assert got.threshold == expected.threshold and got.details == expected.details
-        assert (json.dumps(got.to_json(), sort_keys=True)
-                == json.dumps(expected.to_json(), sort_keys=True))
+        got = matsusaka_main(MatsusakaInputs.of(n, Ln, LB, LK, policy))
+        expected = fraction_formula(main_factors(n, Fraction(Ln), Fraction(LB), Fraction(LK), policy))
+        # the same canonical Fraction, so the same JSON bytes, and the same verdict
+        assert got.threshold.is_point and got.threshold.lo == expected
+        assert (got.threshold.lo.numerator, got.threshold.lo.denominator) == (
+            expected.numerator, expected.denominator)
+        assert got.details["m_integer"] == math.ceil(expected)
+
+
+BENCH_SHAPED = [(Ln, LB, LK) for Ln in range(1, 10) for LB in range(6) for LK in range(11)]
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_a_threshold_past_the_budget_is_refused_before_any_power(monkeypatch, n):
+    # the bench draws L^n in 1..9, LB in 0..5 and LK in 0..10; at n >= 7 each threshold
+    # has 22,614-96,795 bits, which the printed-integer budget refuses with no power raised
+    def raised(side):
+        raise AssertionError("a side was raised")
+
+    monkeypatch.setattr(matsusaka, "_simultaneous_power", raised)
+    for Ln, LB, LK in BENCH_SHAPED:
+        with pytest.raises(InputError) as info:
+            matsusaka_main(MatsusakaInputs.of(n, Ln, LB, LK))
+        assert str(info.value).startswith("a lower bound on the bits of the threshold's numerator")
+        assert info.traceback[-1].name == "check_int"
+
+
+def test_the_budget_decision_is_exact_around_its_n6_crossing():
+    # n = 6, L^n = 1, LB = 0: the threshold first passes PRINTED_BITS at LK = 1,912,566,977
+    def over(LK):
+        bound = _power_product(main_factors(6, Fraction(1), Fraction(0), Fraction(LK)))
+        return max(bound.numerator.bit_length(), bound.denominator.bit_length()) > PRINTED_BITS
+
+    crossing = 1_912_566_977
+    assert over(crossing) and not over(crossing - 1)
+    for LK in range(crossing - 50, crossing + 50):
+        try:
+            matsusaka_main(MatsusakaInputs.of(6, 1, 0, LK))
+        except InputError as exc:
+            assert over(LK) and "bits of the threshold's numerator" in str(exc)
+        else:
+            assert not over(LK)
 
 
 def test_main_bound_homogeneous_in_LBH():

@@ -2,11 +2,14 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from posbounds import multiplier
 from posbounds.core import InputError
 from posbounds.multiplier import (
     MonomialWeightData,
@@ -99,6 +102,35 @@ def test_eight_twelves_give_the_monomials_of_degree_five():
     generators = monomial_multiplier_ideal(MonomialWeightData.of(*[12] * 8)).generators
     assert len(generators) == math.comb(12, 7) == 792
     assert {sum(g) for g in generators} == {5}
+
+
+def leaves_and_generators(alphas, budget=None):
+    """(leaves, generators) over the ideals of alphas: each leaf of the walk floors
+    its last exponent with one max(0, rest // last), which is counted; past budget
+    leaves the walk is stopped."""
+    leaves = 0
+
+    def counted(*args):
+        nonlocal leaves
+        leaves += 1
+        assert budget is None or leaves <= budget, f"more than {budget} leaves"
+        return max(*args)
+
+    with mock.patch.object(multiplier, "max", counted, create=True):
+        generators = sum(len(monomial_multiplier_ideal(MonomialWeightData.of(*alpha)).generators)
+                         for alpha in alphas)
+    return leaves, generators
+
+
+def test_every_leaf_of_the_walk_is_a_generator():
+    # 2,000 random alphas on which the walk in input order reached 170,208 leaves for
+    # 86,727 generators, up to 11.5 per generator; in decreasing weight, one each
+    rng = random.Random(2026)
+    corpus = [[Fraction(rng.randint(1, 60), rng.randint(1, 6)) for _ in range(rng.randint(2, 5))]
+              for _ in range(2000)]
+    assert leaves_and_generators(corpus) == (86727, 86727)
+    # in input order, 5 * 10**6 leaves for these 2 generators (9.4 s)
+    assert leaves_and_generators([(10**7, 2)], budget=10) == (2, 2)
 
 
 small_alpha = st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=8)

@@ -18,6 +18,10 @@ integer table from ints, bools, floats, Fractions, strings, None and
 Every other raise statement has one row in ``ROWS``, with the start of its
 message.  The structural tests fail when a raise site has no row, and when a
 row reaches another site than the one it names.
+
+The printed-integer budget, ``core.PRINTED_BITS``, refuses through the integer
+rule; ``BUDGET`` has a row for each check of it, and a structural test fails
+when a function that names the budget has no row.
 """
 
 import ast
@@ -88,7 +92,7 @@ ROWS = [
      lambda: jumping.main_theorem_check(2, 1, 0, [0], {}, 4)),
     ("jumping", "lemma1115_threshold", "the special threshold applies only to s = 1",
      lambda: jumping.lemma1115_threshold(2, 2, special=True)),
-    ("jumping", "mu_invariant", "missing per-dimension minima for p in [2]",
+    ("jumping", "mu_invariant", "missing per-dimension minima for 1 of p = 1..2, the first p = 2",
      lambda: jumping.mu_invariant({1: 1}, 2)),
     ("lelong", "ord_at_origin", "zero polynomial has no vanishing order",
      lambda: lelong.ord_at_origin({(1, 0): 0})),
@@ -225,6 +229,10 @@ OTHER_INTEGERS = {
     ("jumping", "mu_invariant", "per-dim key"): (1, 1, lambda p: jumping.mu_invariant({p: 1}, 1)),
     ("jumping", "mu_invariant", "per-dim minimum"):
         (1, None, lambda v: jumping.mu_invariant({1: v}, 1)),
+    ("jumping", "lemma1116_consistency", "per-dim key"):
+        (1, None, lambda p: jumping.lemma1116_consistency(1, {p: 1})),
+    ("jumping", "lemma1116_consistency", "per-dim minimum"):
+        (0, None, lambda v: jumping.lemma1116_consistency(1, {1: v})),
     ("lelong", "Component._check", "multiplicity"):
         (0, None, lambda m: lelong.Component(F(1), "D", {"x": m})),
     ("lelong", "ParamCurve._check", "u"): (1, None, lambda u: lelong.ParamCurve(u, 3)),
@@ -247,6 +255,10 @@ OTHER_INTEGERS = {
     ("numpoly", "poly_report", "k"): (1, None, lambda k: numpoly.poly_report([1], "b", 0, k=k)),
     ("projective", "ProductSpace._check", "factor dimension"):
         (1, None, lambda k: projective.ProductSpace((k,))),
+    ("projective", "IntersectionProfile._check", "per-dim key"):
+        (1, 2, lambda p: projective.IntersectionProfile(2, 1, 1, {p: 1})),
+    ("projective", "IntersectionProfile._check", "per-dim minimum"):
+        (0, None, lambda v: projective.IntersectionProfile(2, 1, 1, {1: v})),
 }
 # the integer rule's table, core.check_int
 INTEGER = {
@@ -500,6 +512,18 @@ LONG_VALUES = {
     "window_a((-1,), 10**5000, 3)":
         (lambda: numpoly.window_a(numpoly.NumericalPolynomial((-1,)), LONG, 3),
          f"no m in [{_shown(LONG)}, {_shown(LONG)}] with P(m) >= 3"),
+    "value_from_json({'num': 10**5000, 'den': 0})":
+        (lambda: report.value_from_json({"num": LONG, "den": 0}),
+         f"malformed rational {{'num': {_shown(LONG)}, 'den': 0}}"),
+    "value_from_json({'lo': 10**5000, 'hi': [1]})":
+        (lambda: report.value_from_json({"lo": LONG, "hi": [1]}),
+         f"malformed bracket {{'lo': {_shown(LONG)}, 'hi': [1]}}"),
+    "from_json with schema 10**5000": (lambda: report.BoundReport.from_json({**FIELDS, "schema": LONG}),
+                                       f"unsupported schema version {_shown(LONG)}"),
+    "pluricanonical_bounds(2, 10**5000)": (lambda: adjoint.pluricanonical_bounds(2, LONG),
+                                           f"unknown case {_shown(LONG)}"),
+    "reider_check(10, 10**5000)": (lambda: adjoint.reider_check(10, LONG),
+                                   f"unknown mode {_shown(LONG)}"),
 }
 
 
@@ -568,7 +592,7 @@ LATER_CHECKS = {
     "nth_root_bracket(2, 0)": (lambda: core.nth_root_bracket(2, 0, TOL),
                                ("core", "iroot"), "root index must be >= 1"),
     "mu_invariant({}, 2)": (lambda: jumping.mu_invariant({}, 2), ("jumping", "mu_invariant"),
-                            "missing per-dimension minima for p in [1, 2]"),
+                            "missing per-dimension minima for 2 of p = 1..2, the first p = 1"),
     "DivisorClass(P1, (1,)) - DivisorClass(P2, (1,))":
         (lambda: projective.DivisorClass(P1, (1,)) - projective.DivisorClass(P2, (1,)),
          ("projective", "__add__"), "divisor classes live on different spaces"),
@@ -579,3 +603,82 @@ LATER_CHECKS = {
 def test_a_later_check_refuses(call, site, message):
     exc = _refuse(call)
     assert str(exc) == message and _raised_at(exc)[:2] == site
+
+
+CAP = core.PRINTED_BITS
+
+
+def _matsusaka(n, Ln, LK):
+    return lambda: matsusaka.matsusaka_main(matsusaka.MatsusakaInputs.of(n, Ln, 0, LK))
+
+
+# each check of the printed-integer budget: (module, function, message, call).  In the
+# denominator rows LK = 1 - 8 L^n makes L.H = lambda_6 = 27,120, and 12 lambda_6 is coprime
+# to L^n, so the denominator is (L^n)^223: at L^n = 2^67 - 1 its lower bound is 1 + 223 * 66
+# bits; at L^n = 19147789569694781441 (65 bits) that bound is 14,273, but it has 14,285 bits
+BUDGET = [
+    ("report", "value_to_json", f"bits of a printed integer must be in 0..{CAP}, got {CAP + 1}",
+     lambda: report.value_to_json([1 << CAP])),
+    ("report", "value_to_json", f"bits of a printed integer must be in 0..{CAP}, got {CAP + 1}",
+     lambda: report.value_to_json({"x": F(1 << CAP, 3)})),
+    ("report", "value_to_json", f"bits of a printed integer must be in 0..{CAP}, got {CAP + 1}",
+     lambda: report.value_to_json(core.Bracket.point(F(1, 1 << CAP)))),
+    ("adjoint", "siu_report", f"bits of a printed integer must be in 0..{CAP}, got 16523",
+     lambda: adjoint.siu_report(6000, [1])),
+    ("adjoint", "pluri_report", f"bits of a printed integer must be in 0..{CAP}, got 16523",
+     lambda: adjoint.pluri_report(6000, "fano")),
+    ("convexity", "morse_report", f"bits of a printed integer must be in 0..{CAP}, got {CAP + 1}",
+     lambda: convexity.morse_report(1, 1, 1 << CAP)),
+    ("numpoly", "poly_report", f"bits of a printed integer must be in 0..{CAP}, got {CAP + 1}",
+     lambda: numpoly.poly_report([1], "a", 1 << CAP, 1)),
+    ("lelong", "lelong_report", f"bits of a printed integer must be in 0..{CAP}, got {CAP + 1}",
+     lambda: lelong.lelong_report((1 << CAP) + 1, (1 << CAP) + 2, [F(1, 2)])),
+    ("matsusaka", "matsusaka_main",
+     f"a lower bound on the bits of the threshold's numerator must be in 0..{CAP}, got 21753",
+     _matsusaka(7, 1, 2)),
+    ("matsusaka", "matsusaka_main",
+     f"a lower bound on the bits of the threshold's denominator must be in 0..{CAP}, got 14719",
+     _matsusaka(6, 2**67 - 1, 1 - 8 * (2**67 - 1))),  # L.H = lambda_6
+    ("matsusaka", "matsusaka_main",
+     f"bits of the threshold's numerator must be in 0..{CAP}, got {CAP + 1}",
+     _matsusaka(6, 1, 1912566977)),
+    ("matsusaka", "matsusaka_main",
+     f"bits of the threshold's denominator must be in 0..{CAP}, got {CAP + 1}",
+     _matsusaka(6, 19147789569694781441, 1 - 8 * 19147789569694781441)),
+]
+
+
+def _names_the_budget(path):
+    """(module, function) of each function or method in path that names
+    check_printed or PRINTED_BITS, but core.check_printed."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.FunctionDef) and node.name != "check_printed" and any(
+                isinstance(name, ast.Name) and name.id in ("check_printed", "PRINTED_BITS")
+                for name in ast.walk(node)):
+            found.add((path.stem, node.name))
+    return found
+
+
+@pytest.mark.parametrize("module, function, message, call", BUDGET,
+                         ids=[f"{m}.{f}: {message}" for m, f, message, _ in BUDGET])
+def test_the_printed_integer_budget_refuses(module, function, message, call):
+    exc = _refuse(call)
+    assert str(exc) == message and _raised_at(exc)[:2] == ("core", "check_int")
+    tb, frames = exc.__traceback__, set()
+    while tb is not None:
+        frames.add((Path(tb.tb_frame.f_code.co_filename).stem, tb.tb_frame.f_code.co_name))
+        tb = tb.tb_next
+    assert (module, function) in frames
+
+
+def test_every_function_that_names_the_budget_has_a_row():
+    sites = set().union(*(_names_the_budget(path) for path in sorted(PACKAGE.glob("*.py"))))
+    assert sorted(sites ^ {row[:2] for row in BUDGET}) == []
+
+
+def test_the_budget_is_the_longest_integer_the_interpreter_prints():
+    assert len(str((1 << CAP) - 1)) == 4300  # the default limit on int-to-str digits
+    assert (1 << CAP + 1) - 1 >= 10**4300  # 4,301 digits: past the limit
+    assert report.value_to_json([(1 << CAP) - 1, F(1, (1 << CAP) - 1)]) == [
+        (1 << CAP) - 1, {"num": 1, "den": (1 << CAP) - 1}]
